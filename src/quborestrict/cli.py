@@ -84,12 +84,17 @@ def _spec_and_params(args: argparse.Namespace) -> tuple[RestrictionSpec, encoder
             payload = json.loads(Path(args.spec_json).read_text())
             n_vars = payload["n_vars"]
             allowed = payload["allowed"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            # JSON true/false would pass as the integers 1/0
+            if not isinstance(allowed, list) or any(isinstance(v, bool) for v in [n_vars, *allowed]):
+                raise TypeError(f"n_vars must be an integer and allowed a list of integers, "
+                                f"got {n_vars!r} and {allowed!r}")
+            if lambda1 is None and "lambda1" in payload:
+                lambda1 = as_fraction(payload["lambda1"])
+            if lambda2 is None and "lambda2" in payload:
+                lambda2 = as_fraction(payload["lambda2"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            # ValueError covers malformed JSON and non-numeric multipliers
             raise ParameterError(f"bad spec JSON {args.spec_json}: {exc}") from exc
-        if lambda1 is None and "lambda1" in payload:
-            lambda1 = as_fraction(payload["lambda1"])
-        if lambda2 is None and "lambda2" in payload:
-            lambda2 = as_fraction(payload["lambda2"])
     else:
         if args.n is None or args.allowed is None:
             raise ParameterError("a restriction needs --n and --allowed (or --spec-json)")
@@ -242,20 +247,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except qubofile.QuboFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
+        qubofile.QuboFileError,
         ConstructionError,
         ParameterError,
         EncodingNotApplicableError,
         DimensionError,
         SizeLimitError,
         DataQualityError,
+        OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

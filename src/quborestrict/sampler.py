@@ -87,8 +87,15 @@ def boltzmann_probabilities(
     if not temperature > 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
     energies, scale = oracle.assignment_energies(model, max_bits)
-    e = energies.astype(np.float64) / scale
-    weights = np.exp(-(e - e.min()) / temperature)
+    if energies.dtype == object:
+        # shift exactly, as huge energies may not fit a float; weight 0 beyond it
+        limit = int(np.finfo(np.float64).max) * scale
+        excitation = np.array([x / scale if x <= limit else math.inf
+                               for x in energies - energies.min()])
+    else:
+        e = energies.astype(np.float64) / scale
+        excitation = e - e.min()
+    weights = np.exp(-excitation / temperature)
     return weights / weights.sum()
 
 

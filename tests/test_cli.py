@@ -97,6 +97,19 @@ class TestEncode:
         assert code == 2
         assert "--allowed" in err
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"n_vars": 5, "allowed": 2}, "allowed a list of integers"),
+        ({"n_vars": True, "allowed": [True]}, "allowed a list of integers"),
+        ({"n_vars": 5, "allowed": [1, 2], "lambda1": "abc"}, "Invalid literal for Fraction"),
+    ])
+    def test_mistyped_spec_json_is_a_usage_error(self, capsys, tmp_path, payload, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "encode", "--spec-json", spec_path)
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+
     def test_invalid_spec_values(self, capsys):
         code, _, err = run_cli(capsys, "encode", "--n", 5, "--allowed", "6")
         assert code == 2
@@ -179,6 +192,16 @@ class TestSweep:
             assert code == 0
             distances[temp] = float(out.split("=")[1])
         assert distances["0.5"] > distances["0.001"]
+
+    def test_huge_multiplier_does_not_overflow(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--n", 4, "--r-from", 1, "--r-to", 2, "--steps", 3,
+            "--lambda", "1e400")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:4]]
+        assert float(rows[0][2]) == 1.0   # P1 at R=1
+        assert float(rows[2][3]) == 1.0   # P2 at R=2
+        assert float(rows[1][2]) + float(rows[1][3]) == pytest.approx(1.0)
 
     def test_single_step_is_a_usage_error(self, capsys):
         code, _, err = run_cli(

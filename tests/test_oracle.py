@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quborestrict.core import (
     DimensionError,
@@ -25,9 +28,12 @@ from quborestrict.encoders import (
     encode_reduced_general,
     encode_single_value,
 )
+from quborestrict import oracle
 from quborestrict.oracle import (
+    SpectrumReport,
     assignment_energies,
     enumerate_spectrum,
+    enumeration_bytes,
     fractional_energy_ladder,
     problem_bit_sums,
     sum_spectrum,
@@ -70,6 +76,24 @@ class TestEnumerateSpectrum:
             assignment_energies(small, max_bits=10)
         energies, _ = assignment_energies(small, max_bits=11)
         assert energies.shape == (2**11,)
+
+    def test_memory_estimate_at_40_bits(self):
+        states = 2**40
+        assert enumeration_bytes(40) == states * 8 + states // 2 * 8 + states * 8
+        # object dtype: each entry is a pointer plus the Python int it holds
+        assert enumeration_bytes(40, 8 + 36) == states * 44 + states // 2 * 44 + states * 8
+
+    def test_memory_check_precedes_allocation(self, monkeypatch):
+        small = QuboModel(10, 10, {(0, 0): F(1)})
+        monkeypatch.setattr(oracle, "_physical_memory", lambda: enumeration_bytes(10) - 1)
+        with pytest.raises(SizeLimitError, match="physical memory"):
+            assignment_energies(small, max_bits=10)
+        monkeypatch.setattr(oracle, "_physical_memory", lambda: enumeration_bytes(10))
+        assert assignment_energies(small, max_bits=10)[0].shape == (2**10,)
+        # an object-dtype model needs more per entry than the int64 estimate
+        huge = QuboModel(10, 10, {(0, 0): F(10**30)})
+        with pytest.raises(SizeLimitError, match="physical memory"):
+            assignment_energies(huge, max_bits=10)
 
     def test_spec_model_mismatch(self):
         spec = RestrictionSpec(4, (2,))
@@ -203,3 +227,97 @@ class TestFractionalEnergyLadder:
 def test_problem_bit_sums_counts_only_problem_bits():
     sums = problem_bit_sums(3, 2)
     assert list(sums) == [0, 1, 1, 2, 0, 1, 1, 2]
+
+
+def reference_energies(model: QuboModel) -> tuple[list[int], int]:
+    """Slow reference: the three-operand einsum over full bit vectors, O(n**2) per state."""
+    n = model.n_total
+    scale = math.lcm(model.offset.denominator, *(q.denominator for q in model.coeffs.values()))
+    q_matrix = np.zeros((n, n), dtype=object)
+    for (i, j), q in model.coeffs.items():
+        q_matrix[i, j] = int(q * scale)
+    idx = np.arange(1 << n, dtype=np.int64)
+    bits = ((idx[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(object)
+    energies = np.einsum("bi,ij,bj->b", bits, q_matrix, bits) + int(model.offset * scale)
+    return [int(e) for e in energies], scale
+
+
+def reference_report(encoded: EncodedRestriction, spec: RestrictionSpec) -> SpectrumReport:
+    """Spectrum of the reference energies, reduced in plain Python."""
+    model = encoded.model
+    scaled, scale = reference_energies(model)
+    energies = [F(e, scale) for e in scaled]
+    mask = (1 << model.n_problem) - 1
+    sums = [(b & mask).bit_count() for b in range(len(energies))]
+    by_sum = {}
+    for s in range(model.n_problem + 1):
+        at_s = [e for e, t in zip(energies, sums) if t == s]
+        by_sum[s] = (min(at_s), at_s.count(min(at_s)))
+    ground = min(energies)
+    above = [e for e in energies if e > ground]
+    ground_sums = frozenset(t for e, t in zip(energies, sums) if e == ground)
+    return SpectrumReport(
+        by_sum=by_sum,
+        ground_energy=ground,
+        ground_sums=ground_sums,
+        ground_degeneracy=energies.count(ground),
+        second_energy=min(above) if above else None,
+        passed=ground_sums == frozenset(spec.allowed) and ground == encoded.residual_energy,
+    )
+
+
+@st.composite
+def qubo_models(draw, min_problem=0, huge=False):
+    """Random models on up to 12 bits; ``huge`` scales them past the int64 bound."""
+    n_total = draw(st.integers(min_problem, 12))
+    n_problem = draw(st.integers(min_problem, n_total))
+    # narrow integers make ties and near-ties common; wide fractions do not
+    small = st.one_of(st.integers(-2, 2).map(F),
+                      st.fractions(min_value=-20, max_value=20, max_denominator=6))
+    pairs = [(i, j) for i in range(n_total) for j in range(i, n_total)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    coeffs = {key: draw(small) for key in keys}
+    offset = draw(small)
+    if huge:
+        lam = draw(st.integers(10**18, 10**30))
+        coeffs = {key: lam * q for key, q in coeffs.items()}
+        offset = lam * (offset + 5 if offset >= 0 else offset - 5)
+    return QuboModel(n_total, n_problem, coeffs, offset)
+
+
+NO_DEADLINE = settings(deadline=None)
+
+
+class TestAgainstEinsumReference:
+    @NO_DEADLINE
+    @given(qubo_models())
+    def test_energies_and_sums_match(self, model):
+        energies, scale = assignment_energies(model)
+        assert energies.dtype == np.int64
+        assert (energies.tolist(), scale) == reference_energies(model)
+        mask = (1 << model.n_problem) - 1
+        sums = problem_bit_sums(model.n_total, model.n_problem)
+        assert sums.dtype == np.int64
+        assert sums.tolist() == [(b & mask).bit_count() for b in range(1 << model.n_total)]
+
+    @NO_DEADLINE
+    @given(qubo_models(huge=True))
+    def test_huge_multipliers_match_on_the_object_path(self, model):
+        energies, scale = assignment_energies(model)
+        assert energies.dtype == object
+        assert (energies.tolist(), scale) == reference_energies(model)
+
+    @NO_DEADLINE
+    @given(st.one_of(qubo_models(min_problem=1), qubo_models(min_problem=1, huge=True)),
+           st.data())
+    def test_spectrum_reports_match(self, model, data):
+        scaled, scale = reference_energies(model)
+        allowed = data.draw(st.sets(st.integers(0, model.n_problem), min_size=1))
+        spec = RestrictionSpec(model.n_problem, tuple(allowed))
+        encoded = EncodedRestriction(
+            model=model, kind=EncodingKind.REDUCED_GENERAL, n_dummies=model.n_dummies,
+            residual_energy=data.draw(st.sampled_from([F(0), abs(F(min(scaled), scale))])),
+            lambda1=F(1))
+        expected = reference_report(encoded, spec)
+        assert enumerate_spectrum(encoded, spec) == expected
+        assert sum_spectrum(model) == expected.by_sum
