@@ -84,8 +84,7 @@ def _spec_and_params(args: argparse.Namespace) -> tuple[RestrictionSpec, encoder
             payload = json.loads(Path(args.spec_json).read_text())
             n_vars = payload["n_vars"]
             allowed = payload["allowed"]
-            # JSON true/false would pass as the integers 1/0
-            if not isinstance(allowed, list) or any(isinstance(v, bool) for v in [n_vars, *allowed]):
+            if not isinstance(allowed, list):
                 raise TypeError(f"n_vars must be an integer and allowed a list of integers, "
                                 f"got {n_vars!r} and {allowed!r}")
             if lambda1 is None and "lambda1" in payload:

@@ -63,13 +63,18 @@ class RestrictionSpec:
     allowed: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_vars, int) or self.n_vars < 1:
+        values = tuple(self.allowed)
+        # bool is a subclass of int, but True is no variable count or sum
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.n_vars, *values)):
+            raise ConstructionError(f"n_vars must be an integer and allowed a list of integers, "
+                                    f"got {self.n_vars!r} and {values!r}")
+        if self.n_vars < 1:
             raise ConstructionError(f"n_vars must be a positive integer, got {self.n_vars!r}")
-        values = tuple(sorted(self.allowed))
+        values = tuple(sorted(values))
         if not values:
             raise ConstructionError("allowed must contain at least one value")
         for v in values:
-            if not isinstance(v, int) or v < 0:
+            if v < 0:
                 raise ConstructionError(f"allowed values must be non-negative integers, got {v!r}")
         if len(set(values)) != len(values):
             raise ConstructionError(f"allowed values must be distinct, got {values}")

@@ -1,15 +1,23 @@
-"""Brute-force ground-truth engine for encoded restrictions.
+"""Exact ground-truth engines for encoded restrictions.
 
-Enumerates every assignment of a model, computes the exact energy spectrum
-grouped by the problem-bit sum, and certifies (or refutes) that the
-minimum-energy assignments realize exactly the allowed sums at the declared
-residual energy.
+Computes the exact energy spectrum of a model grouped by the problem-bit sum,
+and certifies (or refutes) that the minimum-energy assignments realize
+exactly the allowed sums at the declared residual energy.
 
-Exactness is preserved by clearing denominators once per model and doing the
-sweep in integer arithmetic; energies convert back to Fractions at the end.
-The sweep doubles: the states with bit k set cost ``E[b] + Q_kk + h_k[b]``
-for ``b < 2**k``, and the field ``h_k`` on bit k is itself built by doubling,
-so each state costs O(1) additions, in place, for int64 and object dtype.
+Exactness is preserved by clearing denominators once per model and working
+in integer arithmetic; energies convert back to Fractions at the end.  Two
+engines share that contract:
+
+* the symmetric engine serves models whose energy depends on the problem
+  bits only through their sum s (every construction in ``encoders``), and
+  tabulates ``E(s, y)`` over sums and dummy patterns y in Python ints;
+* every other model takes the doubling sweep over all ``2**n_total``
+  assignments: the states with bit k set cost ``E[b] + Q_kk + h_k[b]`` for
+  ``b < 2**k``, and the field ``h_k`` on bit k is itself built by doubling,
+  so each state costs O(1) additions, in place, for int64 and object dtype.
+
+numpy is imported only by the functions that build arrays, so certifying a
+symmetric model never loads it.
 """
 
 from __future__ import annotations
@@ -19,9 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .core import (
     DimensionError,
@@ -33,6 +39,9 @@ from .core import (
     SizeLimitError,
     as_fraction,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_BITS = 24
 
@@ -62,6 +71,18 @@ class VerificationResult:
     report: SpectrumReport
 
 
+def _check_size(n_total: int, max_bits: int) -> None:
+    if n_total > max_bits:
+        raise SizeLimitError(
+            f"model has {n_total} variables; enumeration is capped at {max_bits} bits "
+            f"(pass a larger max_bits to override)")
+
+
+def _scale(model: QuboModel) -> int:
+    """The least common denominator of the model's coefficients and offset."""
+    return math.lcm(model.offset.denominator, *(q.denominator for q in model.coeffs.values()))
+
+
 def _integer_coefficients(model: QuboModel) -> tuple[np.ndarray, int, int, int]:
     """Clear denominators: returns (Q matrix, offset, scale, bound).
 
@@ -70,9 +91,10 @@ def _integer_coefficients(model: QuboModel) -> tuple[np.ndarray, int, int, int]:
     partial energy can exceed.  When the bound would overflow int64 the
     matrix has object dtype (exact big integers, slower).
     """
+    import numpy as np
+
     n = model.n_total
-    scale = math.lcm(
-        model.offset.denominator, *(q.denominator for q in model.coeffs.values()))
+    scale = _scale(model)
     entries = {key: int(q * scale) for key, q in model.coeffs.items()}
     offset = int(model.offset * scale)
     bound = sum(abs(v) for v in entries.values()) + abs(offset)
@@ -82,8 +104,73 @@ def _integer_coefficients(model: QuboModel) -> tuple[np.ndarray, int, int, int]:
     return q_matrix, offset, scale, bound
 
 
+def symmetric_energies(
+    model: QuboModel, max_bits: int = DEFAULT_MAX_BITS
+) -> Optional[tuple[int, list[list[int]]]]:
+    """Energies ``E(s, y)`` of a model symmetric in its problem bits, or None.
+
+    The model is symmetric when every problem bit has the same diagonal
+    coefficient, every pair of problem bits the same coupling, and each dummy
+    the same coupling to every problem bit (absent coefficients count as 0).
+    Its energy then depends on the problem bits only through their sum s:
+    ``E(s, y) = offset + a*s + b*s*(s-1)/2 + s*c(y) + D(y)`` for dummy
+    pattern y.  The structure is read from the coefficients, never from the
+    encoding kind, so a tampered file is judged by what it contains.
+
+    Returns ``(scale, table)``: ``table[s][y]`` is the energy times ``scale``
+    as a Python int, for s = 0..n_problem and y < 2**n_dummies (bit k of y is
+    dummy k).  Returns None for an asymmetric model, and for one with more
+    than ``n_problem + 1`` dummies, whose table would outgrow the doubling
+    sweep.  ``max_bits`` caps ``n_total`` as it does for the sweep.
+    """
+    _check_size(model.n_total, max_bits)
+    n, d = model.n_problem, model.n_dummies
+    if d > n + 1:
+        return None
+    coeffs = model.coeffs
+    # the shared coefficients, read off problem bit 0
+    diagonal = coeffs.get((0, 0), 0) if n else 0
+    pair = coeffs.get((0, 1), 0) if n > 1 else 0
+    field = [coeffs.get((0, n + k), 0) if n else 0 for k in range(d)]
+    present = 0
+    for (i, j), q in coeffs.items():
+        if i < n:
+            if q != (diagonal if i == j else pair if j < n else field[j - n]):
+                return None
+            present += 1
+    # stored coefficients are never zero, so a missing one shows in the count
+    if present != n * (diagonal != 0) + n * (n - 1) // 2 * (pair != 0) + n * sum(
+            c != 0 for c in field):
+        return None
+
+    scale = _scale(model)
+
+    def scaled(q: Fraction) -> int:
+        return q.numerator * (scale // q.denominator)
+
+    # D(y) plus the offset, and c(y), over the dummy patterns, by doubling
+    dummy_energy, slope = [scaled(model.offset)], [0]
+    for k in range(d):
+        kick = [scaled(coeffs.get((n + k, n + k), 0))]
+        for l in range(k):
+            coupling = scaled(coeffs.get((n + l, n + k), 0))
+            kick += [x + coupling for x in kick]
+        dummy_energy += [e + x for e, x in zip(dummy_energy, kick)]
+        c = scaled(field[k])
+        slope += [t + c for t in slope]
+    a, b = scaled(diagonal), scaled(pair)
+    table = [[a * s + b * (s * (s - 1) // 2) + s * t + e for t, e in zip(slope, dummy_energy)]
+             for s in range(n + 1)]
+    return scale, table
+
+
 def enumeration_bytes(n_total: int, entry_bytes: int = 8) -> int:
-    """Estimated bytes of the energies and half-size field (per entry) and the int64 sums."""
+    """Estimated peak bytes of the doubling sweep and its reduction by sum.
+
+    The sweep holds the energies and a half-size field (``entry_bytes``
+    each); the reduction then holds the energies, the int64 sums and
+    temporaries that fit in the space of the freed field.
+    """
     states = 1 << n_total
     return (states + states // 2) * entry_bytes + states * 8
 
@@ -104,14 +191,15 @@ def assignment_energies(
     bit ``i`` to ``(b >> i) & 1``.  Returns ``(scaled_energies, scale)``;
     exact energies are ``Fraction(int(e), scale)``.
     """
+    import numpy as np
+
     n = model.n_total
-    if n > max_bits:
-        raise SizeLimitError(
-            f"model has {n} variables; enumeration is capped at {max_bits} bits "
-            f"(pass a larger max_bits to override)")
+    _check_size(n, max_bits)
     q_matrix, offset, scale, bound = _integer_coefficients(model)
-    # object-dtype entries are a pointer plus the Python int they point to
-    needed = enumeration_bytes(n, 8 if q_matrix.dtype != object else 8 + sys.getsizeof(bound))
+    # object-dtype entries are a pointer plus the Python int they point to, which
+    # an addition allocates with one spare digit
+    object_entry = 8 + sys.getsizeof(bound) + sys.int_info.sizeof_digit
+    needed = enumeration_bytes(n, 8 if q_matrix.dtype != object else object_entry)
     available = _physical_memory()
     if available is not None and needed > available:
         raise SizeLimitError(f"enumerating 2**{n} assignments needs about "
@@ -130,22 +218,58 @@ def assignment_energies(
 
 def problem_bit_sums(n_total: int, n_problem: int) -> np.ndarray:
     """Problem-bit sum of every assignment, in counting order."""
+    import numpy as np
+
     sums = np.zeros(1 << n_total, dtype=np.int64)
     for k in range(n_total):
         np.add(sums[: 1 << k], int(k < n_problem), out=sums[1 << k: 2 << k])
     return sums
 
 
-def _enumerate_by_sum(model: QuboModel, max_bits: int) -> tuple[np.ndarray, int, dict]:
-    """Scaled energies, their scale, and ``by_sum`` from one grouped reduction."""
-    energies, scale = assignment_energies(model, max_bits)
-    sums = problem_bit_sums(model.n_total, model.n_problem)
+def _minima_by_sum(energies: np.ndarray, model: QuboModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sum minimum of the energies and the number of states attaining it."""
+    import numpy as np
+
+    n = model.n_problem
+    sums = problem_bit_sums(model.n_total, n)
     # assignment 2**s - 1 has sum s, so every group starts from one of its members
-    minima = energies[(1 << np.arange(model.n_problem + 1)) - 1]
+    minima = energies[(1 << np.arange(n + 1)) - 1]
     np.minimum.at(minima, sums, energies)
-    counts = np.bincount(sums[energies == minima[sums]], minlength=model.n_problem + 1)
-    by_sum = {s: (Fraction(int(e), scale), int(c)) for s, (e, c) in enumerate(zip(minima, counts))}
-    return energies, scale, by_sum
+    # counted in eighths, so the temporaries fit in the space the sweep's field freed
+    counts = np.zeros(n + 1, dtype=np.int64)
+    step = max(1, sums.size // 8)
+    for start in range(0, sums.size, step):
+        part = sums[start: start + step]
+        hit = energies[start: start + step] == minima[part]
+        counts += np.bincount(part[hit], minlength=n + 1)
+    return minima, counts
+
+
+def _spectrum(
+    model: QuboModel, max_bits: int
+) -> tuple[dict[int, tuple[Fraction, int]], Optional[Fraction]]:
+    """``by_sum`` and the lowest energy above the ground energy, if any.
+
+    Symmetric models are read off ``symmetric_energies``, where sum s stands
+    for ``C(n_problem, s)`` assignments per dummy pattern; every other model
+    takes the doubling sweep.
+    """
+    symmetric = symmetric_energies(model, max_bits)
+    if symmetric is not None:
+        scale, table = symmetric
+        minima = [min(row) for row in table]
+        by_sum = {s: (Fraction(low, scale), math.comb(model.n_problem, s) * row.count(low))
+                  for s, (row, low) in enumerate(zip(table, minima))}
+        ground = min(minima)
+        second = min((e for row in table for e in row if e != ground), default=None)
+    else:
+        energies, scale = assignment_energies(model, max_bits)
+        minima, counts = _minima_by_sum(energies, model)
+        by_sum = {s: (Fraction(int(e), scale), int(c))
+                  for s, (e, c) in enumerate(zip(minima, counts))}
+        above = energies[energies != minima.min()]
+        second = above.min() if above.size else None
+    return by_sum, None if second is None else Fraction(int(second), scale)
 
 
 def sum_spectrum(
@@ -156,7 +280,7 @@ def sum_spectrum(
     Dummy bits are minimized over: the value reported for sum s is the best
     energy any assignment with s active problem bits can reach.
     """
-    return _enumerate_by_sum(model, max_bits)[2]
+    return _spectrum(model, max_bits)[0]
 
 
 def enumerate_spectrum(
@@ -169,12 +293,10 @@ def enumerate_spectrum(
     if model.n_problem != spec.n_vars:
         raise DimensionError(
             f"model has {model.n_problem} problem bits, spec has {spec.n_vars}")
-    energies, scale, by_sum = _enumerate_by_sum(model, max_bits)
+    by_sum, second_energy = _spectrum(model, max_bits)
     ground_energy = min(e for e, _ in by_sum.values())
     ground_sums = frozenset(s for s, (e, _) in by_sum.items() if e == ground_energy)
     ground_degeneracy = sum(by_sum[s][1] for s in ground_sums)
-    above = energies[energies != int(ground_energy * scale)]
-    second_energy = Fraction(int(above.min()), scale) if above.size else None
 
     passed = (
         ground_sums == frozenset(spec.allowed)

@@ -9,7 +9,9 @@ is never a confound.
 
 This module is the only floating-point corner of the package; everything it
 consumes is exact and everything it emits is an empirical or exact
-probability.
+probability.  Distributions over the problem-bit sum of a model symmetric in
+its problem bits come from the sum law over ``oracle.symmetric_energies``,
+never from a per-assignment array.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import oracle
 from .core import (
@@ -31,6 +31,9 @@ from .core import (
     as_fraction,
     expand_squared_affine,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class StrayMassWarning(UserWarning):
@@ -84,17 +87,18 @@ def boltzmann_probabilities(
     Returned in the oracle's counting order (assignment ``b`` sets bit ``i``
     to ``(b >> i) & 1``).
     """
+    import numpy as np
+
     if not temperature > 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
     energies, scale = oracle.assignment_energies(model, max_bits)
+    # shift exactly: a float rounds energies beyond 2**53, and huge ones may not fit
+    shifted = energies - energies.min()
     if energies.dtype == object:
-        # shift exactly, as huge energies may not fit a float; weight 0 beyond it
-        limit = int(np.finfo(np.float64).max) * scale
-        excitation = np.array([x / scale if x <= limit else math.inf
-                               for x in energies - energies.min()])
+        limit = int(np.finfo(np.float64).max) * scale  # weight 0 beyond the float range
+        excitation = np.array([x / scale if x <= limit else math.inf for x in shifted])
     else:
-        e = energies.astype(np.float64) / scale
-        excitation = e - e.min()
+        excitation = shifted / scale
     weights = np.exp(-excitation / temperature)
     return weights / weights.sum()
 
@@ -108,6 +112,8 @@ def boltzmann_sample(
     only assignments that were actually drawn appear.  Frequencies sum to 1
     exactly.
     """
+    import numpy as np
+
     probabilities = boltzmann_probabilities(model, config.temperature, max_bits)
     rng = np.random.default_rng(config.seed)
     counts = rng.multinomial(config.n_reads, probabilities)
@@ -128,10 +134,49 @@ def sum_frequencies(frequencies: Mapping[int, float], n_problem: int) -> dict[in
 def exact_sum_distribution(
     model: QuboModel, temperature: float, max_bits: int = oracle.DEFAULT_MAX_BITS
 ) -> np.ndarray:
-    """Exact Boltzmann probability of each problem-bit sum 0..n_problem."""
-    probabilities = boltzmann_probabilities(model, temperature, max_bits)
-    sums = oracle.problem_bit_sums(model.n_total, model.n_problem)
-    return np.bincount(sums, weights=probabilities, minlength=model.n_problem + 1)
+    """Exact Boltzmann probability of each problem-bit sum 0..n_problem.
+
+    A model symmetric in its problem bits takes the sum law
+    ``P(s) ~ C(n, s) * sum_y exp(-(E(s, y) - E0) / T)`` over its dummy
+    patterns y; any other model sums the per-assignment probabilities.
+    """
+    import numpy as np
+
+    if not temperature > 0:
+        raise ParameterError(f"temperature must be positive, got {temperature}")
+    symmetric = oracle.symmetric_energies(model, max_bits)
+    if symmetric is None:
+        probabilities = boltzmann_probabilities(model, temperature, max_bits)
+        sums = oracle.problem_bit_sums(model.n_total, model.n_problem)
+        return np.bincount(sums, weights=probabilities, minlength=model.n_problem + 1)
+    return np.array(_sum_law(model.n_problem, *symmetric, temperature))
+
+
+def _sum_law(n: int, scale: int, table: list[list[int]], temperature: float) -> list[float]:
+    """Normalized ``C(n, s) * sum_y exp(-(E(s, y) - E0) / T)``, in log space.
+
+    The excitations are shifted exactly in ints; one beyond the float range
+    has weight 0.
+    """
+    ground = min(min(row) for row in table)
+
+    def exponent(e: int) -> float:
+        try:
+            return -((e - ground) / scale) / temperature
+        except OverflowError:
+            return -math.inf
+
+    logs = [math.log(math.comb(n, s)) + _log_sum_exp([exponent(e) for e in row])
+            for s, row in enumerate(table)]
+    total = _log_sum_exp(logs)
+    return [math.exp(x - total) for x in logs]
+
+
+def _log_sum_exp(values: list[float]) -> float:
+    top = max(values)
+    if top == -math.inf:
+        return top
+    return top + math.log(math.fsum(math.exp(x - top) for x in values))
 
 
 def _target_grid(r_from: Fraction, r_to: Fraction, steps: int) -> tuple[Fraction, ...]:
@@ -162,20 +207,21 @@ def sweep_fractional_r(
     For each target on the grid a single-term penalty with that (fractional)
     target is built and sampled ``config.n_reads`` times.  Each grid point
     draws from its own RNG stream spawned from the master seed, so the curve
-    is identical regardless of evaluation order.
+    is identical regardless of evaluation order.  The reads are one
+    multinomial draw over the sums, from :func:`exact_sum_distribution`.
     """
+    import numpy as np
+
     r_from, r_to = as_fraction(r_from), as_fraction(r_to)
     _validate_sweep(n_vars, r_from, r_to, steps)
     grid = _target_grid(r_from, r_to, steps)
     children = np.random.SeedSequence(config.seed).spawn(steps)
-    sums = oracle.problem_bit_sums(n_vars, n_vars)
     distributions: list[tuple[float, ...]] = []
     for r, child in zip(grid, children):
-        probabilities = boltzmann_probabilities(
+        probabilities = exact_sum_distribution(
             fractional_restriction_model(n_vars, r, lam), config.temperature)
         counts = np.random.default_rng(child).multinomial(config.n_reads, probabilities)
-        dist = np.bincount(sums, weights=counts, minlength=n_vars + 1) / config.n_reads
-        distributions.append(tuple(float(p) for p in dist))
+        distributions.append(tuple(float(c / config.n_reads) for c in counts))
     return _assemble_curve(n_vars, grid, distributions, r_from, r_to)
 
 

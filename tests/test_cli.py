@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from quborestrict import qubofile
 from quborestrict.cli import main
-from quborestrict.core import EncodingKind, RestrictionSpec
+from quborestrict.core import EncodedRestriction, EncodingKind, QuboModel, RestrictionSpec
 
 from helpers import broken_one_hot
 
@@ -101,6 +105,7 @@ class TestEncode:
         ({"n_vars": 5, "allowed": 2}, "allowed a list of integers"),
         ({"n_vars": True, "allowed": [True]}, "allowed a list of integers"),
         ({"n_vars": 5, "allowed": [1, 2], "lambda1": "abc"}, "Invalid literal for Fraction"),
+        ({"n_vars": 5, "allowed": ["a", 1]}, "allowed a list of integers"),
     ])
     def test_mistyped_spec_json_is_a_usage_error(self, capsys, tmp_path, payload, message):
         spec_path = tmp_path / "spec.json"
@@ -233,3 +238,42 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# Runs one command in a fresh interpreter and reports, last, whether numpy got loaded.
+IMPORT_PROBE = """
+import sys
+from quborestrict.cli import main
+code = main(sys.argv[1:])
+print("numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+def probe_numpy(cwd, *args):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *map(str, args)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout.splitlines()[-1]
+
+
+def test_numpy_loads_only_where_arrays_are_built(tmp_path):
+    spec_flags = ("--n", 9, "--allowed", "2,5,9")
+    assert probe_numpy(tmp_path, "table", "--max-m", 7) == (0, "False")
+    assert probe_numpy(tmp_path, "encode", *spec_flags, "--out", "ok.qubo") == (0, "False")
+    assert probe_numpy(tmp_path, "verify", "--qubo", "ok.qubo", *spec_flags) == (0, "False")
+    assert probe_numpy(tmp_path, "encode", *spec_flags, "--lambda", 10**18, "--lambda2", 10**18,
+                       "--out", "huge.qubo") == (0, "False")
+    assert probe_numpy(tmp_path, "verify", "--qubo", "huge.qubo", *spec_flags) == (0, "False")
+    # lowering one problem coupling breaks the symmetry: the doubling sweep needs numpy
+    encoded = qubofile.load(tmp_path / "ok.qubo")
+    coeffs = dict(encoded.model.coeffs)
+    coeffs[(0, 1)] -= F(1, 2)
+    model = QuboModel(encoded.model.n_total, encoded.model.n_problem, coeffs, encoded.model.offset)
+    qubofile.save(EncodedRestriction(
+        model=model, kind=encoded.kind, n_dummies=encoded.n_dummies,
+        residual_energy=encoded.residual_energy, lambda1=encoded.lambda1,
+        lambda2=encoded.lambda2), tmp_path / "broken.qubo")
+    assert probe_numpy(tmp_path, "verify", "--qubo", "broken.qubo", *spec_flags) == (1, "True")

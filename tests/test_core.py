@@ -59,6 +59,19 @@ class TestRestrictionSpec:
         with pytest.raises(ConstructionError):
             RestrictionSpec(n_vars, allowed)
 
+    @pytest.mark.parametrize("n_vars,allowed", [
+        (True, (True,)),
+        (True, (0,)),
+        (5, (False,)),
+        (5, (1, True)),
+        (5, (1, 2.0)),
+        ("5", (1,)),
+        (5, ("a", 1)),
+    ])
+    def test_rejects_booleans_and_non_integers(self, n_vars, allowed):
+        with pytest.raises(ConstructionError, match="allowed a list of integers"):
+            RestrictionSpec(n_vars, allowed)
+
 
 class TestQuboModel:
     def test_prunes_zero_coefficients(self):

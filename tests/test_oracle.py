@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,10 +39,11 @@ from quborestrict.oracle import (
     fractional_energy_ladder,
     problem_bit_sums,
     sum_spectrum,
+    symmetric_energies,
     verify,
 )
 
-from helpers import broken_one_hot
+from helpers import broken_one_hot, symmetric_models
 
 
 class TestEnumerateSpectrum:
@@ -285,6 +288,18 @@ def qubo_models(draw, min_problem=0, huge=False):
     return QuboModel(n_total, n_problem, coeffs, offset)
 
 
+def drawn_restriction(model: QuboModel, data) -> tuple[EncodedRestriction, RestrictionSpec]:
+    """The model with a drawn spec, declaring residual 0 or the magnitude of its ground energy."""
+    scaled, scale = reference_energies(model)
+    allowed = data.draw(st.sets(st.integers(0, model.n_problem), min_size=1))
+    spec = RestrictionSpec(model.n_problem, tuple(allowed))
+    encoded = EncodedRestriction(
+        model=model, kind=EncodingKind.REDUCED_GENERAL, n_dummies=model.n_dummies,
+        residual_energy=data.draw(st.sampled_from([F(0), abs(F(min(scaled), scale))])),
+        lambda1=F(1))
+    return encoded, spec
+
+
 NO_DEADLINE = settings(deadline=None)
 
 
@@ -311,13 +326,79 @@ class TestAgainstEinsumReference:
     @given(st.one_of(qubo_models(min_problem=1), qubo_models(min_problem=1, huge=True)),
            st.data())
     def test_spectrum_reports_match(self, model, data):
-        scaled, scale = reference_energies(model)
-        allowed = data.draw(st.sets(st.integers(0, model.n_problem), min_size=1))
-        spec = RestrictionSpec(model.n_problem, tuple(allowed))
-        encoded = EncodedRestriction(
-            model=model, kind=EncodingKind.REDUCED_GENERAL, n_dummies=model.n_dummies,
-            residual_energy=data.draw(st.sampled_from([F(0), abs(F(min(scaled), scale))])),
-            lambda1=F(1))
+        encoded, spec = drawn_restriction(model, data)
         expected = reference_report(encoded, spec)
         assert enumerate_spectrum(encoded, spec) == expected
         assert sum_spectrum(model) == expected.by_sum
+
+
+class TestSymmetricEngine:
+    """The symmetric engine against the doubling sweep and the einsum reference."""
+
+    # the 14-bit reference costs about half a second per example
+    @settings(deadline=None, max_examples=25)
+    @given(st.one_of(symmetric_models(), symmetric_models(huge=True)), st.data())
+    def test_reports_match_doubling_and_reference(self, model, data):
+        assert symmetric_energies(model) is not None
+        encoded, spec = drawn_restriction(model, data)
+        symmetric = enumerate_spectrum(encoded, spec)
+        with mock.patch.object(oracle, "symmetric_energies", return_value=None):
+            doubled = enumerate_spectrum(encoded, spec)
+        assert symmetric == doubled == reference_report(encoded, spec)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.one_of(symmetric_models(perturbed=True),
+                     symmetric_models(perturbed=True, huge=True)), st.data())
+    def test_perturbed_models_fall_back_and_match(self, model, data):
+        assert symmetric_energies(model) is None
+        encoded, spec = drawn_restriction(model, data)
+        assert enumerate_spectrum(encoded, spec) == reference_report(encoded, spec)
+
+    def test_table_of_a_one_hot_encoding(self):
+        # (x0 + x1 - y0 - 2*y1)**2 plus the selector (y0 + y1 - 1)**2
+        spec = RestrictionSpec(2, (1, 2))
+        scale, table = symmetric_energies(encode_one_hot_general(spec).model)
+        assert scale == 1
+        # columns: dummy patterns y = 0b00, 0b01, 0b10, 0b11
+        assert table == [[1, 1, 4, 10], [2, 0, 1, 5], [5, 1, 0, 2]]
+
+    def test_too_many_dummies_take_the_sweep(self):
+        model = QuboModel(5, 1, {(0, 0): F(1), (1, 4): F(2)})
+        assert symmetric_energies(model) is None
+        assert symmetric_energies(QuboModel(3, 1, {(0, 0): F(1), (1, 2): F(2)})) is not None
+
+    def test_missing_coefficient_breaks_symmetry(self):
+        model = expand_squared_affine([(i, 1) for i in range(4)], -2, 1)
+        coeffs = dict(model.coeffs)
+        del coeffs[(1, 3)]
+        assert symmetric_energies(QuboModel(4, 4, coeffs, model.offset)) is None
+
+    def test_cap_applies_to_symmetric_models(self):
+        model = expand_squared_affine([(i, 1) for i in range(8)], -2, 1)
+        with pytest.raises(SizeLimitError, match="capped"):
+            symmetric_energies(model, max_bits=6)
+
+
+@pytest.mark.parametrize("lam", [1, 10**30])
+def test_traced_peak_within_the_memory_estimate(monkeypatch, lam):
+    # distinct problem weights: not symmetric, so the doubling sweep runs
+    model = expand_squared_affine([(i, i % 3 + 1) for i in range(16)], -7, lam, n_problem=12)
+    assert symmetric_energies(model) is None
+    spec = RestrictionSpec(12, (3,))
+    encoded = EncodedRestriction(model=model, kind=EncodingKind.REDUCED_GENERAL,
+                                 n_dummies=4, residual_energy=F(0), lambda1=F(1))
+    estimates = []
+
+    def recorded(*args):
+        estimates.append(enumeration_bytes(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(oracle, "enumeration_bytes", recorded)
+    tracemalloc.start()
+    try:
+        enumerate_spectrum(encoded, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1
+    assert peak <= estimates[0]

@@ -8,8 +8,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quborestrict.core import DataQualityError, ParameterError
+from quborestrict import oracle
+from quborestrict.core import DataQualityError, ParameterError, QuboModel
 from quborestrict.encoders import encode_single_value
 from quborestrict.core import RestrictionSpec
 from quborestrict.sampler import (
@@ -25,6 +27,8 @@ from quborestrict.sampler import (
     sum_frequencies,
     sweep_fractional_r,
 )
+
+from helpers import symmetric_models
 
 GRID_11 = tuple(F(10 + k, 10) for k in range(11))
 
@@ -66,6 +70,8 @@ class TestBoltzmannProbabilities:
         model = fractional_restriction_model(2, 1, 1)
         with pytest.raises(ParameterError):
             boltzmann_probabilities(model, temperature=0.0)
+        with pytest.raises(ParameterError):
+            exact_sum_distribution(model, temperature=0.0)
 
 
 class TestBoltzmannSample:
@@ -107,6 +113,39 @@ class TestBoltzmannSample:
         freqs = boltzmann_sample(model, SamplerConfig(temperature=0.05, n_reads=20_000, seed=9))
         by_sum = sum_frequencies(freqs, n_problem=5)
         assert by_sum[2] / by_sum[1] == pytest.approx(2.0, rel=0.1)
+
+
+class TestSumLaw:
+    """The sum law of symmetric models against the per-assignment distribution."""
+
+    # narrow integers keep |E|/T small, so the float rounding of the
+    # per-assignment path stays far inside the tolerance
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(symmetric_models(values=st.integers(-2, 2)),
+                     symmetric_models(values=st.integers(-2, 2), perturbed=True),
+                     symmetric_models(huge=True)),
+           st.sampled_from([1.0, 2.5, 10.0]))
+    def test_matches_per_assignment_bincount(self, model, temperature):
+        probabilities = boltzmann_probabilities(model, temperature)
+        sums = oracle.problem_bit_sums(model.n_total, model.n_problem)
+        expected = np.bincount(sums, weights=probabilities, minlength=model.n_problem + 1)
+        np.testing.assert_allclose(
+            exact_sum_distribution(model, temperature), expected, rtol=1e-12, atol=0)
+
+    def test_large_offset_keeps_unit_excitations(self):
+        # energies near 10**17 are spaced 16 apart as floats; the shift must be exact
+        model = QuboModel(2, 2, {(0, 0): F(1), (1, 1): F(1), (0, 1): F(-2)}, F(10**17))
+        expected = [1 / (2 + 2 / math.e), (2 / math.e) / (2 + 2 / math.e), 1 / (2 + 2 / math.e)]
+        per_assignment = boltzmann_probabilities(model, 1.0)
+        assert np.bincount([0, 1, 1, 2], weights=per_assignment).tolist() == pytest.approx(
+            expected, rel=1e-12)
+        assert exact_sum_distribution(model, 1.0).tolist() == pytest.approx(expected, rel=1e-12)
+
+    def test_excitations_beyond_the_float_range_weigh_nothing(self):
+        model = fractional_restriction_model(4, F(3, 2), 10**400)
+        # only the ground sums 1 and 2 keep weight, in the ratio C(4,1) : C(4,2)
+        assert exact_sum_distribution(model, 0.05).tolist() == pytest.approx(
+            [0.0, 0.4, 0.6, 0.0, 0.0], rel=1e-12, abs=0)
 
 
 def test_sum_frequencies_ignores_dummy_bits():
