@@ -51,6 +51,11 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def is_integer(value: object) -> bool:
+    """An ``int`` that is not a ``bool``: True is no count, sum or seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RestrictionSpec:
     """Require the sum over a block of binary variables to land in a fixed set.
@@ -64,8 +69,7 @@ class RestrictionSpec:
 
     def __post_init__(self) -> None:
         values = tuple(self.allowed)
-        # bool is a subclass of int, but True is no variable count or sum
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.n_vars, *values)):
+        if not all(is_integer(v) for v in (self.n_vars, *values)):
             raise ConstructionError(f"n_vars must be an integer and allowed a list of integers, "
                                     f"got {self.n_vars!r} and {values!r}")
         if self.n_vars < 1:

@@ -11,12 +11,16 @@ This module is the only floating-point corner of the package; everything it
 consumes is exact and everything it emits is an empirical or exact
 probability.  Distributions over the problem-bit sum of a model symmetric in
 its problem bits come from the sum law over ``oracle.symmetric_energies``,
-never from a per-assignment array.
+never from a per-assignment array.  Sweeps draw their reads with the
+standard library's ``random`` (a multinomial over the sums built from
+binomial draws), so a sweep of a symmetric model never imports numpy; only
+the per-assignment functions build arrays.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +34,7 @@ from .core import (
     RationalLike,
     as_fraction,
     expand_squared_affine,
+    is_integer,
 )
 
 if TYPE_CHECKING:
@@ -51,8 +56,10 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if not self.temperature > 0:
             raise ParameterError(f"temperature must be positive, got {self.temperature}")
-        if self.n_reads < 1:
-            raise ParameterError(f"n_reads must be at least 1, got {self.n_reads}")
+        if not is_integer(self.n_reads) or self.n_reads < 1:
+            raise ParameterError(f"n_reads must be an integer of at least 1, got {self.n_reads!r}")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -142,14 +149,24 @@ def exact_sum_distribution(
     """
     import numpy as np
 
+    return np.array(_sum_probabilities(model, temperature, max_bits))
+
+
+def _sum_probabilities(
+    model: QuboModel, temperature: float, max_bits: int = oracle.DEFAULT_MAX_BITS
+) -> list[float]:
+    """:func:`exact_sum_distribution` as Python floats; numpy only off the sum law."""
     if not temperature > 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
     symmetric = oracle.symmetric_energies(model, max_bits)
     if symmetric is None:
+        import numpy as np
+
         probabilities = boltzmann_probabilities(model, temperature, max_bits)
         sums = oracle.problem_bit_sums(model.n_total, model.n_problem)
-        return np.bincount(sums, weights=probabilities, minlength=model.n_problem + 1)
-    return np.array(_sum_law(model.n_problem, *symmetric, temperature))
+        return np.bincount(
+            sums, weights=probabilities, minlength=model.n_problem + 1).tolist()
+    return _sum_law(model.n_problem, *symmetric, temperature)
 
 
 def _sum_law(n: int, scale: int, table: list[list[int]], temperature: float) -> list[float]:
@@ -179,6 +196,79 @@ def _log_sum_exp(values: list[float]) -> float:
     return top + math.log(math.fsum(math.exp(x - top) for x in values))
 
 
+def _multinomial(rng: random.Random, n_reads: int, probabilities: Sequence[float]) -> list[int]:
+    """Counts of ``n_reads`` draws over non-negative ``probabilities`` summing to 1.
+
+    One binomial per outcome in order, on the mass not yet assigned, as numpy
+    draws it: the conditional probability is clamped to 1 against rounding,
+    and the last outcome takes the reads that are left.
+    """
+    counts = [0] * len(probabilities)
+    left, mass = n_reads, 1.0
+    for s, p in enumerate(probabilities[:-1]):
+        if left == 0:
+            break
+        counts[s] = _binomial(rng, left, p / mass if mass > p else 1.0)
+        left -= counts[s]
+        mass -= p
+    counts[-1] += left
+    return counts
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """Successes in ``n`` trials of probability ``p``: ``Random.binomialvariate``.
+
+    The same algorithm and draws as CPython 3.12's method, on every Python
+    version: Devroye's geometric method while ``n * p < 10``, otherwise
+    Hoermann's transformed rejection with squeeze (BTRS, 1993).  It costs
+    O(1) draws for any ``n``.  ``p`` outside (0, 1) gives 0 or ``n``.
+    """
+    if p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if n == 1:
+        return int(rng.random() < p)
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+
+    if n * p < 10.0:
+        # geometric method (Devroye): skip ahead over the failures
+        x = y = 0
+        c = math.log2(1.0 - p)
+        if not c:
+            return x
+        while True:
+            y += math.floor(math.log2(rng.random()) / c) + 1
+            if y > n:
+                return x
+            x += 1
+
+    # BTRS: transformed rejection, with a squeeze test before the log-pmf one
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    lpq = math.log(p / (1.0 - p))
+    m = math.floor((n + 1) * p)  # the mode
+    h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+    while True:
+        u = rng.random()
+        u -= 0.5
+        us = 0.5 - math.fabs(u)
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = rng.random()
+        if us >= 0.07 and v <= vr:
+            return k
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
+            return k
+
+
 def _target_grid(r_from: Fraction, r_to: Fraction, steps: int) -> tuple[Fraction, ...]:
     span = r_to - r_from
     return tuple(r_from + span * i / (steps - 1) for i in range(steps))
@@ -192,6 +282,11 @@ def _validate_sweep(n_vars: int, r_from: Fraction, r_to: Fraction, steps: int) -
     if r_from < 0 or r_to > n_vars:
         raise ParameterError(
             f"sweep range [{r_from}, {r_to}] must lie within [0, {n_vars}]")
+    lower, upper = math.floor(r_from), math.ceil(r_to)
+    if upper - lower > 1:
+        raise ParameterError(
+            f"sweep range [{r_from}, {r_to}] is bracketed by ({lower}, {upper}); "
+            f"the transfer needs two consecutive integers")
 
 
 def sweep_fractional_r(
@@ -205,23 +300,25 @@ def sweep_fractional_r(
     """Sample the transfer of measured sums as the fractional target sweeps.
 
     For each target on the grid a single-term penalty with that (fractional)
-    target is built and sampled ``config.n_reads`` times.  Each grid point
-    draws from its own RNG stream spawned from the master seed, so the curve
-    is identical regardless of evaluation order.  The reads are one
-    multinomial draw over the sums, from :func:`exact_sum_distribution`.
+    target is built and sampled ``config.n_reads`` times.  The range must lie
+    between two consecutive integers, the transfer pair.  A master
+    ``random.Random(config.seed)`` first draws one 128-bit seed per grid
+    point, and each point draws from its own ``random.Random`` seeded with
+    it, so the curve is identical regardless of evaluation order.  The reads
+    are one multinomial draw over the n+1 sums of the exact sum distribution,
+    at a cost per point that does not grow with ``config.n_reads``.
     """
-    import numpy as np
-
     r_from, r_to = as_fraction(r_from), as_fraction(r_to)
     _validate_sweep(n_vars, r_from, r_to, steps)
     grid = _target_grid(r_from, r_to, steps)
-    children = np.random.SeedSequence(config.seed).spawn(steps)
+    master = random.Random(config.seed)
+    seeds = [master.getrandbits(128) for _ in grid]
     distributions: list[tuple[float, ...]] = []
-    for r, child in zip(grid, children):
-        probabilities = exact_sum_distribution(
+    for r, seed in zip(grid, seeds):
+        probabilities = _sum_probabilities(
             fractional_restriction_model(n_vars, r, lam), config.temperature)
-        counts = np.random.default_rng(child).multinomial(config.n_reads, probabilities)
-        distributions.append(tuple(float(c / config.n_reads) for c in counts))
+        counts = _multinomial(random.Random(seed), config.n_reads, probabilities)
+        distributions.append(tuple(c / config.n_reads for c in counts))
     return _assemble_curve(n_vars, grid, distributions, r_from, r_to)
 
 
@@ -237,11 +334,9 @@ def exact_transfer_curve(
     r_from, r_to = as_fraction(r_from), as_fraction(r_to)
     _validate_sweep(n_vars, r_from, r_to, steps)
     grid = _target_grid(r_from, r_to, steps)
-    distributions = []
-    for r in grid:
-        dist = exact_sum_distribution(
-            fractional_restriction_model(n_vars, r, lam), temperature)
-        distributions.append(tuple(float(p) for p in dist))
+    distributions = [
+        tuple(_sum_probabilities(fractional_restriction_model(n_vars, r, lam), temperature))
+        for r in grid]
     return _assemble_curve(n_vars, grid, distributions, r_from, r_to)
 
 

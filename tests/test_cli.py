@@ -214,6 +214,20 @@ class TestSweep:
         assert code == 2
         assert "grid points" in err
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", 5, "--r-from", 1, "--r-to", 2, "--seed", -1)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: seed") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("r_from, r_to, pair", [(0, 4, "(0, 4)"), ("1.5", "2.5", "(1, 3)")])
+    def test_range_over_more_than_one_integer_is_a_usage_error(self, capsys, r_from, r_to, pair):
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", 5, "--r-from", r_from, "--r-to", r_to,
+            "--temperature", 1000)
+        assert (code, out) == (2, "")
+        assert pair in err and err.count("\n") == 1
+
 
 class TestTable:
     def test_matches_golden_file(self, capsys):
@@ -262,6 +276,7 @@ def probe_numpy(cwd, *args):
 def test_numpy_loads_only_where_arrays_are_built(tmp_path):
     spec_flags = ("--n", 9, "--allowed", "2,5,9")
     assert probe_numpy(tmp_path, "table", "--max-m", 7) == (0, "False")
+    assert probe_numpy(tmp_path, "sweep", "--n", 16, "--r-from", 3, "--r-to", 4) == (0, "False")
     assert probe_numpy(tmp_path, "encode", *spec_flags, "--out", "ok.qubo") == (0, "False")
     assert probe_numpy(tmp_path, "verify", "--qubo", "ok.qubo", *spec_flags) == (0, "False")
     assert probe_numpy(tmp_path, "encode", *spec_flags, "--lambda", 10**18, "--lambda2", 10**18,

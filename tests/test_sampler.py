@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import re
 import warnings
 from fractions import Fraction as F
 
@@ -18,6 +20,8 @@ from quborestrict.sampler import (
     SamplerConfig,
     StrayMassWarning,
     TransferCurve,
+    _binomial,
+    _multinomial,
     boltzmann_probabilities,
     boltzmann_sample,
     exact_sum_distribution,
@@ -51,6 +55,13 @@ class TestSamplerConfig:
             SamplerConfig(temperature=-1.0)
         with pytest.raises(ParameterError):
             SamplerConfig(temperature=1.0, n_reads=0)
+        with pytest.raises(ParameterError):
+            SamplerConfig(temperature=1.0, n_reads=2.5)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            SamplerConfig(temperature=1.0, seed=seed)
 
 
 class TestBoltzmannProbabilities:
@@ -183,6 +194,15 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep_fractional_r(5, 1, 6, 5, 1, config)
 
+    @pytest.mark.parametrize("r_from, r_to, pair",
+                             [(0, 4, "(0, 4)"), (F(3, 2), F(5, 2), "(1, 3)")])
+    def test_range_over_more_than_one_integer_is_rejected(self, r_from, r_to, pair):
+        config = SamplerConfig(temperature=1e3, n_reads=100)
+        with pytest.raises(ParameterError, match=re.escape(pair)):
+            sweep_fractional_r(5, r_from, r_to, 5, 1, config)
+        with pytest.raises(ParameterError, match=re.escape(pair)):
+            exact_transfer_curve(5, r_from, r_to, 5, 1, temperature=1e3)
+
     def test_exact_curve_matches_sampled_curve_in_the_large_read_limit(self):
         exact = exact_transfer_curve(5, 1, 2, 5, 1, temperature=0.05)
         config = SamplerConfig(temperature=0.05, n_reads=40_000, seed=2)
@@ -191,6 +211,75 @@ class TestSweep:
             for p_exact, p_hat in zip(e_dist, s_dist):
                 sigma = math.sqrt(max(p_exact * (1 - p_exact), 1e-12) / config.n_reads)
                 assert abs(p_hat - p_exact) <= 4 * sigma + 1e-4
+
+
+class TestDraw:
+    """The pure-Python binomial and multinomial behind sampled sweeps."""
+
+    # n * p spans both branches (geometric below 10, BTRS above) and p > 0.5
+    CASES = [(n, p) for n in (0, 1, 2, 7, 40, 1_000, 10**6)
+             for p in (0.0, 1e-6, 0.01, 0.2, 0.5, 0.6, 0.99, 1.0)]
+
+    @pytest.mark.skipif(not hasattr(random.Random, "binomialvariate"),
+                        reason="Random.binomialvariate is new in Python 3.12")
+    def test_binomial_matches_binomialvariate_draw_for_draw(self):
+        for seed in range(5):
+            ours, reference = random.Random(seed), random.Random(seed)
+            for n, p in self.CASES:
+                for _ in range(3):
+                    assert _binomial(ours, n, p) == reference.binomialvariate(n, p), (seed, n, p)
+            assert ours.getstate() == reference.getstate()
+
+    def test_counts_sum_to_the_reads(self):
+        rng = random.Random(0)
+        model = fractional_restriction_model(16, F(37, 10), 1)
+        for n_reads in (1, 2, 10_000):
+            for temperature in (0.05, 1.0, 100.0):
+                probabilities = exact_sum_distribution(model, temperature).tolist()
+                counts = _multinomial(rng, n_reads, probabilities)
+                assert len(counts) == 17 and min(counts) >= 0 and sum(counts) == n_reads
+
+    @pytest.mark.parametrize("probabilities, expected", [
+        ([0.0, 1.0, 0.0], [0, 500, 0]),
+        ([1.0, 0.0, 0.0], [500, 0, 0]),
+        ([0.0, 0.0, 1.0], [0, 0, 500]),
+        ([0.5, 0.0, 0.5], None),
+    ])
+    def test_certain_and_impossible_outcomes(self, probabilities, expected):
+        for seed in range(20):
+            counts = _multinomial(random.Random(seed), 500, probabilities)
+            if expected is None:
+                assert counts[1] == 0 and sum(counts) == 500
+            else:
+                assert counts == expected
+
+    @staticmethod
+    def assert_binomial_moments(column, n, p):
+        # Binomial(n, p) has mean n*p and variance n*p*(1-p).  The bounds are
+        # 5 standard errors over k draws, the variance's from
+        # Var(sample variance) = var**2 * (2 / (k - 1) + excess kurtosis / k).
+        k = len(column)
+        mean = math.fsum(column) / k
+        variance = math.fsum((c - mean) ** 2 for c in column) / (k - 1)
+        expected_var = n * p * (1 - p)
+        kurtosis = (1 - 6 * p * (1 - p)) / expected_var
+        assert abs(mean - n * p) <= 5 * math.sqrt(expected_var / k)
+        assert abs(variance - expected_var) <= 5 * expected_var * math.sqrt(
+            2 / (k - 1) + abs(kurtosis) / k)
+
+    # geometric (n*p < 10), BTRS, and p > 0.5 through each of them
+    @pytest.mark.parametrize("n, p", [(40, 0.2), (40, 0.85), (1_000, 0.3), (1_000, 0.7)])
+    def test_binomial_moments(self, n, p):
+        rng = random.Random(n)
+        self.assert_binomial_moments([_binomial(rng, n, p) for _ in range(4_000)], n, p)
+
+    def test_multinomial_marginals_are_binomial(self):
+        probabilities = [0.004, 0.0, 0.3, 0.5, 0.196]  # conditionals cover both branches
+        rng = random.Random(2024)
+        draws = [_multinomial(rng, 1_000, probabilities) for _ in range(2_000)]
+        assert all(counts[1] == 0 for counts in draws)
+        for s in (0, 2, 3, 4):
+            self.assert_binomial_moments([counts[s] for counts in draws], 1_000, probabilities[s])
 
 
 class TestModalTracking:
