@@ -32,7 +32,6 @@ from .core import (
     as_fraction,
 )
 
-_METHOD_ORDER = ("auto", "single", "onehot", "linear", "log", "half2", "halfchain", "reduced")
 _METHODS = {
     "auto": encoders.select_optimal,
     "single": encoders.encode_single_value,
@@ -91,7 +90,7 @@ def _spec_and_params(args: argparse.Namespace) -> tuple[RestrictionSpec, encoder
                 lambda1 = as_fraction(payload["lambda1"])
             if lambda2 is None and "lambda2" in payload:
                 lambda2 = as_fraction(payload["lambda2"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
             # ValueError covers malformed JSON and non-numeric multipliers
             raise ParameterError(f"bad spec JSON {args.spec_json}: {exc}") from exc
     else:
@@ -211,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enc = sub.add_parser("encode", help="encode a restriction as a QUBO penalty file")
     _add_spec_flags(enc)
-    enc.add_argument("--method", choices=_METHOD_ORDER, default="auto")
+    enc.add_argument("--method", choices=list(_METHODS), default="auto")
     enc.add_argument("--out", type=Path, help="output path (default: stdout)")
     enc.add_argument("--format", choices=("text", "json"), default="text")
     enc.set_defaults(func=cmd_encode)

@@ -144,12 +144,6 @@ class QuboModel:
     def n_dummies(self) -> int:
         return self.n_total - self.n_problem
 
-    def var_roles(self) -> tuple[tuple[str, int], ...]:
-        """Per-index role tag: ("problem", i) for the leading block, then ("dummy", k)."""
-        problem = tuple(("problem", i) for i in range(self.n_problem))
-        dummy = tuple(("dummy", k) for k in range(self.n_dummies))
-        return problem + dummy
-
     def energy(self, assignment: Sequence[int]) -> Fraction:
         """Exact energy ``sum(Q_ij * x_i * x_j) + offset`` of a bit vector."""
         if len(assignment) != self.n_total:
@@ -189,7 +183,6 @@ class EncodedRestriction:
 
     model: QuboModel
     kind: EncodingKind
-    n_dummies: int
     residual_energy: Fraction
     lambda1: Fraction
     lambda2: Optional[Fraction] = None
@@ -199,13 +192,15 @@ class EncodedRestriction:
         object.__setattr__(self, "lambda1", as_fraction(self.lambda1))
         if self.lambda2 is not None:
             object.__setattr__(self, "lambda2", as_fraction(self.lambda2))
-        if self.n_dummies != self.model.n_dummies:
-            raise ConstructionError(
-                f"n_dummies={self.n_dummies} disagrees with the model's {self.model.n_dummies}")
         if self.residual_energy < 0:
             raise ConstructionError("residual_energy must be non-negative")
         if self.lambda1 <= 0 or (self.lambda2 is not None and self.lambda2 <= 0):
             raise ParameterError("Lagrange multipliers must be positive")
+
+    @property
+    def n_dummies(self) -> int:
+        """Dummies the construction appended, read from the model."""
+        return self.model.n_dummies
 
 
 def expand_squared_affine(

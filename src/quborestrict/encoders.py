@@ -1,24 +1,23 @@
 """Restriction-term constructions and the dummy-minimizing selector.
 
-Each encoder turns a :class:`RestrictionSpec` into a penalty model whose
-minimum-energy assignments project exactly onto the allowed sums.  They
-differ in how many dummy variables they append and in whether the intended
-ground states sit at zero energy or at a constant quarter-multiplier
-residual (the half-integer constructions).
+Every construction is ``lambda1 * (sum(x) + sum(w_k * y_k) + c)**2`` over the
+problem bits x and appended dummies y, two of them plus a selector term
+``lambda2 * (sum(y) + c2)**2``.  Only the dummy weights w, the constant c (a
+half-integer c costs every ground state a quarter of its multiplier) and c2
+differ, so each construction is one row of a table that one builder expands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     EncodedRestriction,
     EncodingKind,
     EncodingNotApplicableError,
     ParameterError,
-    QuboModel,
     RestrictionSpec,
     as_fraction,
     combine,
@@ -44,271 +43,144 @@ class EncoderParams:
 
 DEFAULT_PARAMS = EncoderParams()
 
-HALF = Fraction(1, 2)
 
-
-def _problem_terms(spec: RestrictionSpec) -> list[tuple[int, int]]:
-    return [(i, 1) for i in range(spec.n_vars)]
-
-
-def encode_single_value(
-    spec: RestrictionSpec, params: EncoderParams = DEFAULT_PARAMS
-) -> EncodedRestriction:
-    """``lam * (sum(x) - R)**2`` for a single allowed value R; no dummies.
-
-    The penalty is zero exactly on assignments whose sum equals R and
-    strictly positive everywhere else.
-    """
-    if spec.m != 1:
-        raise EncodingNotApplicableError(
-            f"single-value encoding needs exactly one allowed value, got {spec.m}")
-    model = expand_squared_affine(
-        _problem_terms(spec), -spec.allowed[0], params.lambda1, n_total=spec.n_vars)
-    return EncodedRestriction(
-        model=model,
-        kind=EncodingKind.SINGLE_VALUE,
-        n_dummies=0,
-        residual_energy=Fraction(0),
-        lambda1=params.lambda1,
-    )
-
-
-def encode_one_hot_general(
-    spec: RestrictionSpec, params: EncoderParams = DEFAULT_PARAMS
-) -> EncodedRestriction:
-    """One selector dummy per allowed value; the active dummy picks the target.
-
-    First term matches the problem sum to the selected value, second term
-    forces exactly one selector on.  Uses M dummies and two multipliers.
-    """
-    n, m = spec.n_vars, spec.m
-    target = expand_squared_affine(
-        _problem_terms(spec) + [(n + k, -r) for k, r in enumerate(spec.allowed)],
-        0,
-        params.lambda1,
-        n_total=n + m,
-        n_problem=n,
-    )
-    one_hot = expand_squared_affine(
-        [(n + k, 1) for k in range(m)],
-        -1,
-        params.lambda2,
-        n_total=n + m,
-        n_problem=n,
-    )
-    return EncodedRestriction(
-        model=combine(target, one_hot),
-        kind=EncodingKind.ONE_HOT_GENERAL,
-        n_dummies=m,
-        residual_energy=Fraction(0),
-        lambda1=params.lambda1,
-        lambda2=params.lambda2,
-    )
-
-
-def _spacing_or_raise(spec: RestrictionSpec) -> int:
-    delta = spec.spacing()
-    if delta is None:
-        raise EncodingNotApplicableError(
-            f"allowed values {spec.allowed} are not equispaced")
-    return delta
-
-
-def encode_equispaced_linear(
-    spec: RestrictionSpec, params: EncoderParams = DEFAULT_PARAMS
-) -> EncodedRestriction:
-    """Unit-weight dummy chain for equispaced values; M-1 dummies.
-
-    Each active dummy lowers the effective target by one gap, so the sums
-    R_M, R_M - gap, ..., R_1 all reach the penalty minimum.
-    """
-    n, m = spec.n_vars, spec.m
-    delta = _spacing_or_raise(spec) if m >= 2 else 0
-    model = expand_squared_affine(
-        _problem_terms(spec) + [(n + k, delta) for k in range(m - 1)],
-        -spec.allowed[-1],
-        params.lambda1,
-        n_total=n + m - 1,
-        n_problem=n,
-    )
-    return EncodedRestriction(
-        model=model,
-        kind=EncodingKind.EQUISPACED_LINEAR,
-        n_dummies=m - 1,
-        residual_energy=Fraction(0),
-        lambda1=params.lambda1,
-    )
-
-
-def encode_equispaced_log(
-    spec: RestrictionSpec, params: EncoderParams = DEFAULT_PARAMS
-) -> EncodedRestriction:
-    """Binary-weighted dummy chain for equispaced values; ~log2(M) dummies.
-
-    Dummy weights gap*1, gap*2, gap*4, ... count the offset above R_1 in
-    binary; a final dummy weighted gap*(M - 2**floor(log2 M)) caps the
-    reachable offsets at gap*(M-1).  When M is a power of two that weight is
-    zero and the variable is dropped entirely.
-    """
-    n, m = spec.n_vars, spec.m
-    if m < 2:
-        raise EncodingNotApplicableError(
-            "binary-weighted encoding needs at least two allowed values")
-    delta = _spacing_or_raise(spec)
+def _log_weights(m: int, gap: int) -> list[int]:
+    """gap*1, gap*2, gap*4, ... and a cap gap*(m - 2**floor(log2 m)), dropped when zero."""
     gamma = m.bit_length() - 1
-    weights = [delta * (1 << t) for t in range(gamma)]
-    top = delta * (m - (1 << gamma))
-    if top:
-        weights.append(top)
-    model = expand_squared_affine(
-        _problem_terms(spec) + [(n + k, -w) for k, w in enumerate(weights)],
-        -spec.allowed[0],
-        params.lambda1,
-        n_total=n + len(weights),
-        n_problem=n,
-    )
-    return EncodedRestriction(
-        model=model,
-        kind=EncodingKind.EQUISPACED_LOG,
-        n_dummies=len(weights),
-        residual_energy=Fraction(0),
-        lambda1=params.lambda1,
-    )
+    top = m - (1 << gamma)
+    return [gap << t for t in range(gamma)] + ([gap * top] if top else [])
 
 
-def encode_half_integer_m2(
-    spec: RestrictionSpec, params: EncoderParams = DEFAULT_PARAMS
-) -> EncodedRestriction:
-    """``lam * (sum(x) - n - 1/2)**2`` for two consecutive values; no dummies.
+class _Row(NamedTuple):
+    """One construction: when it applies, its dummy weights w, c, and c2 if it has a selector."""
 
-    No integer sum can hit the half-integer target, so every assignment pays
-    at least lam/4; the sums n and n+1 are equidistant from the target and
-    tie at exactly that residual.
-    """
-    if spec.m != 2 or not spec.is_consecutive:
-        raise EncodingNotApplicableError(
-            f"half-integer two-value encoding needs two consecutive values, got {spec.allowed}")
-    low = spec.allowed[0]
-    model = expand_squared_affine(
-        _problem_terms(spec), -(low + HALF), params.lambda1, n_total=spec.n_vars)
-    return EncodedRestriction(
-        model=model,
-        kind=EncodingKind.HALF_INTEGER_M2,
-        n_dummies=0,
-        residual_energy=params.lambda1 / 4,
-        lambda1=params.lambda1,
-    )
+    applies: Callable[[RestrictionSpec], bool]
+    needs: str  # completes "<kind> encoding needs ..." when the row does not apply
+    weights: Callable[[RestrictionSpec], list[int]]
+    constant: Callable[[RestrictionSpec], Fraction]
+    selector: Optional[Fraction]
+    doc: str
 
 
-def encode_half_integer_chain(
-    spec: RestrictionSpec, params: EncoderParams = DEFAULT_PARAMS
-) -> EncodedRestriction:
+_CHAIN = _Row(
+    lambda spec: spec.is_consecutive, "a consecutive run of at least two allowed values",
+    lambda spec: [-1] * (spec.m - 2), lambda spec: -(spec.allowed[0] + Fraction(1, 2)), None,
     """Half-integer target plus M-2 unit dummies for a consecutive run.
 
     With the target between the two lowest values, each active dummy shifts
     the matched sum up by one, covering all M values at residual lam/4.  The
-    two-value case degenerates to the dummy-free half-integer encoding.
-    """
-    n, m = spec.n_vars, spec.m
-    if m < 2 or not spec.is_consecutive:
+    two-value case degenerates to the dummy-free half-integer encoding.""")
+
+_ROWS: dict[EncodingKind, _Row] = {
+    EncodingKind.SINGLE_VALUE: _Row(
+        lambda spec: spec.m == 1, "exactly one allowed value",
+        lambda spec: [], lambda spec: -spec.allowed[0], None,
+        """``lam * (sum(x) - R)**2`` for a single allowed value R; no dummies.
+
+        The penalty is zero exactly on assignments whose sum equals R and
+        strictly positive everywhere else."""),
+    EncodingKind.ONE_HOT_GENERAL: _Row(
+        lambda spec: True, "",
+        lambda spec: [-r for r in spec.allowed], lambda spec: 0, Fraction(-1),
+        """One selector dummy per allowed value; the active dummy picks the target.
+
+        First term matches the problem sum to the selected value, second term
+        forces exactly one selector on.  Uses M dummies and two multipliers."""),
+    EncodingKind.EQUISPACED_LINEAR: _Row(
+        lambda spec: spec.m == 1 or spec.spacing() is not None, "equispaced allowed values",
+        lambda spec: [spec.spacing()] * (spec.m - 1), lambda spec: -spec.allowed[-1], None,
+        """Unit-weight dummy chain for equispaced values; M-1 dummies.
+
+        Each active dummy lowers the effective target by one gap, so the sums
+        R_M, R_M - gap, ..., R_1 all reach the penalty minimum."""),
+    EncodingKind.EQUISPACED_LOG: _Row(
+        lambda spec: spec.spacing() is not None, "at least two equispaced allowed values",
+        lambda spec: [-w for w in _log_weights(spec.m, spec.spacing())],
+        lambda spec: -spec.allowed[0], None,
+        """Binary-weighted dummy chain for equispaced values; ~log2(M) dummies.
+
+        Dummy weights gap*1, gap*2, gap*4, ... count the offset above R_1 in
+        binary; a final dummy weighted gap*(M - 2**floor(log2 M)) caps the
+        offsets at gap*(M-1), and is dropped when M is a power of two."""),
+    EncodingKind.HALF_INTEGER_M2: _Row(
+        lambda spec: spec.m == 2 and spec.is_consecutive, "two consecutive allowed values",
+        _CHAIN.weights, _CHAIN.constant, None,
+        """``lam * (sum(x) - n - 1/2)**2`` for two consecutive values; no dummies.
+
+        No integer sum can hit the half-integer target, so every assignment pays
+        at least lam/4; the sums n and n+1 are equidistant from the target and
+        tie at exactly that residual.  The model is the chain's at M = 2."""),
+    EncodingKind.HALF_INTEGER_CHAIN: _CHAIN,
+    EncodingKind.REDUCED_GENERAL: _Row(
+        lambda spec: spec.m >= 2, "at least two allowed values",
+        lambda spec: [spec.allowed[0] - r for r in spec.allowed[1:]],
+        lambda spec: -spec.allowed[0], Fraction(-1, 2),
+        """Arbitrary value sets with M-1 dummies via a half-integer selector.
+
+        Dummies carry the offsets R_k - R_1 for k >= 2; the second term
+        ``lambda2 * (sum(y) - 1/2)**2`` is minimal when at most one is active, so
+        the matched sums are exactly R_1, ..., R_M at residual lambda2/4."""),
+}
+
+# select_optimal's tie-break among rows with equally few dummies
+_PREFERENCE = [EncodingKind(value) for value in "single_value half_integer_m2 equispaced_log "
+               "half_integer_chain reduced_general equispaced_linear one_hot_general".split()]
+
+
+def _build(kind: EncodingKind, spec: RestrictionSpec,
+           params: EncoderParams) -> EncodedRestriction:
+    """Expand one row; a half-integer constant leaves a quarter of its multiplier as residual."""
+    row = _ROWS[kind]
+    if not row.applies(spec):
         raise EncodingNotApplicableError(
-            f"half-integer chain encoding needs a consecutive run, got {spec.allowed}")
-    low = spec.allowed[0]
-    model = expand_squared_affine(
-        _problem_terms(spec) + [(n + k, -1) for k in range(m - 2)],
-        -(low + HALF),
-        params.lambda1,
-        n_total=n + m - 2,
-        n_problem=n,
-    )
-    return EncodedRestriction(
-        model=model,
-        kind=EncodingKind.HALF_INTEGER_CHAIN,
-        n_dummies=m - 2,
-        residual_energy=params.lambda1 / 4,
-        lambda1=params.lambda1,
-    )
+            f"{kind.value} encoding needs {row.needs}, got {spec.allowed}")
+    n, weights, constant = spec.n_vars, row.weights(spec), Fraction(row.constant(spec))
+    n_total = n + len(weights)
+    terms = [(i, 1) for i in range(n)] + list(zip(range(n, n_total), weights))
+    model = expand_squared_affine(terms, constant, params.lambda1, n_total=n_total, n_problem=n)
+    squares = [(constant, params.lambda1)]
+    lambda2 = None if row.selector is None else params.lambda2
+    if lambda2 is not None:
+        squares.append((row.selector, lambda2))
+        selector = [(i, 1) for i in range(n, n_total)]
+        model = combine(model, expand_squared_affine(
+            selector, row.selector, lambda2, n_total=n_total, n_problem=n))
+    residual = sum((lam / 4 for c, lam in squares if c.denominator == 2), Fraction(0))
+    return EncodedRestriction(model=model, kind=kind, residual_energy=residual,
+                              lambda1=params.lambda1, lambda2=lambda2)
 
 
-def encode_reduced_general(
-    spec: RestrictionSpec, params: EncoderParams = DEFAULT_PARAMS
-) -> EncodedRestriction:
-    """Arbitrary value sets with M-1 dummies via a half-integer selector.
+def _encoder(kind: EncodingKind) -> Encoder:
+    def encode(spec: RestrictionSpec,
+               params: EncoderParams = DEFAULT_PARAMS) -> EncodedRestriction:
+        return _build(kind, spec, params)
 
-    Dummies carry the offsets R_k - R_1 for k >= 2; the second term
-    ``lambda2 * (sum(y) - 1/2)**2`` is minimized when one or none of them is
-    active, so the matched sums are exactly R_1, ..., R_M at residual
-    lambda2/4.
-    """
-    n, m = spec.n_vars, spec.m
-    if m < 2:
-        raise EncodingNotApplicableError(
-            "reduced general encoding needs at least two allowed values")
-    base = spec.allowed[0]
-    offsets = [r - base for r in spec.allowed[1:]]
-    target = expand_squared_affine(
-        _problem_terms(spec) + [(n + k, -off) for k, off in enumerate(offsets)],
-        -base,
-        params.lambda1,
-        n_total=n + m - 1,
-        n_problem=n,
-    )
-    selector = expand_squared_affine(
-        [(n + k, 1) for k in range(m - 1)],
-        -HALF,
-        params.lambda2,
-        n_total=n + m - 1,
-        n_problem=n,
-    )
-    return EncodedRestriction(
-        model=combine(target, selector),
-        kind=EncodingKind.REDUCED_GENERAL,
-        n_dummies=m - 1,
-        residual_energy=params.lambda2 / 4,
-        lambda1=params.lambda1,
-        lambda2=params.lambda2,
-    )
+    encode.__name__ = encode.__qualname__ = f"encode_{kind.value}"
+    encode.__doc__ = _ROWS[kind].doc
+    return encode
+
+
+_ENCODERS = {kind: _encoder(kind) for kind in EncodingKind}
+# the public names, each ``encode_<kind.value>``, in enum order
+(encode_single_value, encode_one_hot_general, encode_equispaced_linear, encode_equispaced_log,
+ encode_half_integer_m2, encode_half_integer_chain, encode_reduced_general) = _ENCODERS.values()
+
+def applicable_encoders(spec: RestrictionSpec) -> dict[EncodingKind, Encoder]:
+    """Every construction whose preconditions the spec satisfies, in enum order."""
+    return {kind: encode for kind, encode in _ENCODERS.items() if _ROWS[kind].applies(spec)}
 
 
 def select_optimal(
     spec: RestrictionSpec, params: EncoderParams = DEFAULT_PARAMS
 ) -> EncodedRestriction:
-    """Dispatch to the construction with the fewest dummies for this spec.
+    """The applicable construction with the fewest dummies for this spec.
 
-    Single value: direct penalty, no dummies.  Two or three consecutive
-    values: half-integer constructions (0 or 1 dummies).  Any other
-    equispaced set: binary-weighted dummies.  Everything else: the reduced
-    general construction with M-1 dummies.
+    Ties go to the first of single value, half-integer M=2, binary-weighted,
+    half-integer chain, reduced general, linear and one-hot.
     """
-    if spec.m == 1:
-        return encode_single_value(spec, params)
-    if spec.is_consecutive and spec.m == 2:
-        return encode_half_integer_m2(spec, params)
-    if spec.is_consecutive and spec.m == 3:
-        return encode_half_integer_chain(spec, params)
-    if spec.spacing() is not None:
-        return encode_equispaced_log(spec, params)
-    return encode_reduced_general(spec, params)
-
-
-def applicable_encoders(spec: RestrictionSpec) -> dict[EncodingKind, Encoder]:
-    """Every construction whose preconditions the spec satisfies."""
-    out: dict[EncodingKind, Encoder] = {}
-    if spec.m == 1:
-        out[EncodingKind.SINGLE_VALUE] = encode_single_value
-    out[EncodingKind.ONE_HOT_GENERAL] = encode_one_hot_general
-    equispaced = spec.m == 1 or spec.spacing() is not None
-    if equispaced:
-        out[EncodingKind.EQUISPACED_LINEAR] = encode_equispaced_linear
-    if spec.m >= 2 and spec.spacing() is not None:
-        out[EncodingKind.EQUISPACED_LOG] = encode_equispaced_log
-    if spec.m == 2 and spec.is_consecutive:
-        out[EncodingKind.HALF_INTEGER_M2] = encode_half_integer_m2
-    if spec.m >= 2 and spec.is_consecutive:
-        out[EncodingKind.HALF_INTEGER_CHAIN] = encode_half_integer_chain
-    if spec.m >= 2:
-        out[EncodingKind.REDUCED_GENERAL] = encode_reduced_general
-    return out
+    kind = min((kind for kind in _PREFERENCE if _ROWS[kind].applies(spec)),
+               key=lambda kind: len(_ROWS[kind].weights(spec)))
+    return _build(kind, spec, params)
 
 
 def chain_dummy_count(m: int) -> int:
@@ -322,5 +194,4 @@ def log_dummy_count(m: int) -> int:
     """Dummies used by the binary-weighted encoder on m equispaced values."""
     if m < 2:
         raise ParameterError("binary-weighted encoding is defined for m >= 2")
-    gamma = m.bit_length() - 1
-    return gamma if (1 << gamma) == m else gamma + 1
+    return len(_log_weights(m, 1))

@@ -14,19 +14,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
-from .core import EncodedRestriction, EncodingKind, QuboModel
+from .core import EncodedRestriction, EncodingKind, QuboModel, is_integer
 
 MAGIC = "qubo-restriction v1"
 
-_REQUIRED_KEYS = (
-    "kind",
-    "n_total",
-    "n_problem",
-    "n_dummies",
-    "lambda1",
-    "residual_energy",
-    "offset",
-)
+_INTEGER_KEYS = ("n_total", "n_problem", "n_dummies")
+_RATIONAL_KEYS = ("lambda1", "residual_energy", "offset")
+_REQUIRED_KEYS = ("kind", *_INTEGER_KEYS, *_RATIONAL_KEYS)
 
 
 class QuboFileError(ValueError):
@@ -41,7 +35,7 @@ def dumps(encoded: EncodedRestriction) -> str:
         f"kind {encoded.kind.value}",
         f"n_total {model.n_total}",
         f"n_problem {model.n_problem}",
-        f"n_dummies {encoded.n_dummies}",
+        f"n_dummies {model.n_dummies}",
         f"lambda1 {encoded.lambda1}",
     ]
     if encoded.lambda2 is not None:
@@ -55,11 +49,14 @@ def dumps(encoded: EncodedRestriction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_fraction(token: str, context: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise QuboFileError(f"{context}: bad rational {token!r}") from exc
+def _parse_fraction(token: object, context: str) -> Fraction:
+    """A text token, or a JSON string or number (floats through their shortest repr)."""
+    if isinstance(token, (str, int, float)) and not isinstance(token, bool):
+        try:
+            return Fraction(str(token))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise QuboFileError(f"{context}: bad rational {token!r}")
 
 
 def _parse_int(token: str, context: str) -> int:
@@ -69,28 +66,52 @@ def _parse_int(token: str, context: str) -> int:
         raise QuboFileError(f"{context}: bad integer {token!r}") from exc
 
 
+def _integer(value: object, context: str) -> int:
+    if not is_integer(value):
+        raise QuboFileError(f"{context}: bad integer {value!r}")
+    return value
+
+
 def _build(
-    kind_token: str,
-    n_total: int,
-    n_problem: int,
-    n_dummies: int,
-    lambda1: Fraction,
-    lambda2: Union[Fraction, None],
-    residual: Fraction,
-    offset: Fraction,
-    coeffs: dict[tuple[int, int], Fraction],
+    header: dict[str, object], terms: list[tuple[str, object, object, object]]
 ) -> EncodedRestriction:
+    """Validate the fields of either format, given as header values and (where, i, j, q) terms.
+
+    Integers must already be ints (the text parser converts its tokens first),
+    rationals may be strings or numbers, and keys and terms must be unique.
+    """
+    missing = [key for key in _REQUIRED_KEYS if key not in header]
+    if missing:
+        raise QuboFileError(f"missing header keys: {', '.join(missing)}")
+    unknown = set(header) - set(_REQUIRED_KEYS) - {"lambda2"}
+    if unknown:
+        raise QuboFileError(f"unknown header keys: {', '.join(sorted(unknown))}")
+    n_total, n_problem, n_dummies = (_integer(header[key], f"header {key}")
+                                     for key in _INTEGER_KEYS)
+    lambda1, residual, offset = (_parse_fraction(header[key], f"header {key}")
+                                 for key in _RATIONAL_KEYS)
+    lambda2 = header.get("lambda2")
+    if lambda2 is not None:
+        lambda2 = _parse_fraction(lambda2, "header lambda2")
+    coeffs: dict[tuple[int, int], Fraction] = {}
+    for where, i, j, q in terms:
+        key = (_integer(i, where), _integer(j, where))
+        if key in coeffs:
+            raise QuboFileError(f"{where}: duplicate term {key}")
+        coeffs[key] = _parse_fraction(q, where)
     try:
-        kind = EncodingKind(kind_token)
+        kind = EncodingKind(header["kind"])
     except ValueError as exc:
-        raise QuboFileError(f"unknown encoding kind {kind_token!r}") from exc
+        raise QuboFileError(f"unknown encoding kind {header['kind']!r}") from exc
+    if n_dummies != n_total - n_problem:
+        raise QuboFileError(f"inconsistent file contents: n_dummies={n_dummies} disagrees "
+                            f"with n_total - n_problem = {n_total - n_problem}")
     try:
         model = QuboModel(
             n_total=n_total, n_problem=n_problem, coeffs=coeffs, offset=offset)
         return EncodedRestriction(
             model=model,
             kind=kind,
-            n_dummies=n_dummies,
             residual_energy=residual,
             lambda1=lambda1,
             lambda2=lambda2,
@@ -104,7 +125,7 @@ def loads(text: str) -> EncodedRestriction:
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC:
         raise QuboFileError(f"first line must be {MAGIC!r}")
-    header: dict[str, str] = {}
+    header: dict[str, object] = {}
     cursor = 1
     n_terms = None
     while cursor < len(lines):
@@ -118,48 +139,22 @@ def loads(text: str) -> EncodedRestriction:
             break
         if key in header:
             raise QuboFileError(f"line {cursor}: duplicate key {key!r}")
-        header[key] = value
+        header[key] = _parse_int(value, f"header {key}") if key in _INTEGER_KEYS else value
     if n_terms is None:
         raise QuboFileError("truncated file: no terms section")
-    missing = [key for key in _REQUIRED_KEYS if key not in header]
-    if missing:
-        raise QuboFileError(f"missing header keys: {', '.join(missing)}")
-    unknown = set(header) - set(_REQUIRED_KEYS) - {"lambda2"}
-    if unknown:
-        raise QuboFileError(f"unknown header keys: {', '.join(sorted(unknown))}")
 
     term_lines = lines[cursor:]
     if len(term_lines) != n_terms:
         raise QuboFileError(
             f"terms section announces {n_terms} lines but {len(term_lines)} follow")
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    for offset_line, line in enumerate(term_lines):
-        where = f"line {cursor + offset_line + 1}"
+    terms = []
+    for number, line in enumerate(term_lines, cursor + 1):
+        where = f"line {number}"
         parts = line.split()
         if len(parts) != 3:
             raise QuboFileError(f"{where}: expected 'i j coefficient', got {line!r}")
-        i = _parse_int(parts[0], where)
-        j = _parse_int(parts[1], where)
-        if (i, j) in coeffs:
-            raise QuboFileError(f"{where}: duplicate term ({i}, {j})")
-        coeffs[(i, j)] = _parse_fraction(parts[2], where)
-
-    lambda2 = (
-        _parse_fraction(header["lambda2"], "header lambda2")
-        if "lambda2" in header
-        else None
-    )
-    return _build(
-        kind_token=header["kind"],
-        n_total=_parse_int(header["n_total"], "header n_total"),
-        n_problem=_parse_int(header["n_problem"], "header n_problem"),
-        n_dummies=_parse_int(header["n_dummies"], "header n_dummies"),
-        lambda1=_parse_fraction(header["lambda1"], "header lambda1"),
-        lambda2=lambda2,
-        residual=_parse_fraction(header["residual_energy"], "header residual_energy"),
-        offset=_parse_fraction(header["offset"], "header offset"),
-        coeffs=coeffs,
-    )
+        terms.append((where, _parse_int(parts[0], where), _parse_int(parts[1], where), parts[2]))
+    return _build(header, terms)
 
 
 def dumps_json(encoded: EncodedRestriction) -> str:
@@ -170,7 +165,7 @@ def dumps_json(encoded: EncodedRestriction) -> str:
         "kind": encoded.kind.value,
         "n_total": model.n_total,
         "n_problem": model.n_problem,
-        "n_dummies": encoded.n_dummies,
+        "n_dummies": model.n_dummies,
         "lambda1": str(encoded.lambda1),
         "lambda2": None if encoded.lambda2 is None else str(encoded.lambda2),
         "residual_energy": str(encoded.residual_energy),
@@ -181,35 +176,24 @@ def dumps_json(encoded: EncodedRestriction) -> str:
 
 
 def loads_json(text: str) -> EncodedRestriction:
-    """Parse the JSON mirror."""
+    """Parse the JSON mirror; it is held to the same rules as the text form."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise QuboFileError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != MAGIC:
         raise QuboFileError(f"JSON payload must declare format {MAGIC!r}")
-    try:
-        raw_terms = payload["terms"]
-        coeffs: dict[tuple[int, int], Fraction] = {}
-        for entry in raw_terms:
-            i, j, q = entry
-            coeffs[(int(i), int(j))] = _parse_fraction(str(q), "terms entry")
-        lambda2 = payload.get("lambda2")
-        return _build(
-            kind_token=str(payload["kind"]),
-            n_total=int(payload["n_total"]),
-            n_problem=int(payload["n_problem"]),
-            n_dummies=int(payload["n_dummies"]),
-            lambda1=_parse_fraction(str(payload["lambda1"]), "lambda1"),
-            lambda2=None if lambda2 is None else _parse_fraction(str(lambda2), "lambda2"),
-            residual=_parse_fraction(str(payload["residual_energy"]), "residual_energy"),
-            offset=_parse_fraction(str(payload["offset"]), "offset"),
-            coeffs=coeffs,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, QuboFileError):
-            raise
-        raise QuboFileError(f"malformed JSON payload: {exc}") from exc
+    header = {key: value for key, value in payload.items() if key not in ("format", "terms")}
+    raw_terms = payload.get("terms")
+    if not isinstance(raw_terms, list):
+        raise QuboFileError("JSON payload needs a 'terms' list")
+    terms = []
+    for number, entry in enumerate(raw_terms):
+        where = f"terms entry {number}"
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise QuboFileError(f"{where}: expected [i, j, coefficient], got {entry!r}")
+        terms.append((where, *entry))
+    return _build(header, terms)
 
 
 def load(path: Union[str, Path]) -> EncodedRestriction:

@@ -33,7 +33,6 @@ def broken_one_hot(spec: RestrictionSpec) -> EncodedRestriction:
     return EncodedRestriction(
         model=target_only,
         kind=EncodingKind.ONE_HOT_GENERAL,
-        n_dummies=m,
         residual_energy=F(0),
         lambda1=F(1),
         lambda2=F(1),

@@ -150,6 +150,35 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("case", [
+        "float n_total", "string n_total", "float n_dummies", "float term index",
+        "unknown key", "duplicate term",
+    ])
+    def test_malformed_json_file_is_a_parse_error(self, capsys, tmp_path, case):
+        # each of these used to be truncated, ignored or overwritten by loads_json
+        good = tmp_path / "good.json"
+        spec = ("--n", 5, "--allowed", "1,2,3")
+        run_cli(capsys, "encode", *spec, "--format", "json", "--out", good)
+        payload = json.loads(good.read_text())
+        if case == "float n_total":
+            payload["n_total"] += 0.7
+        elif case == "string n_total":
+            payload["n_total"] = str(payload["n_total"])
+        elif case == "float n_dummies":
+            payload["n_dummies"] += 0.2
+        elif case == "float term index":
+            payload["terms"][0][0] += 0.9
+        elif case == "unknown key":
+            payload["comment"] = "ignored"
+        else:
+            i, j, _ = payload["terms"][0]
+            payload["terms"].append([i, j, "-100"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "verify", "--qubo", bad, *spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_max_bits_cap_is_an_error(self, capsys, tmp_path):
         out_path = tmp_path / "wide.qubo"
         run_cli(capsys, "encode", "--n", 8, "--allowed", "1,2", "--out", out_path)
@@ -288,7 +317,7 @@ def test_numpy_loads_only_where_arrays_are_built(tmp_path):
     coeffs[(0, 1)] -= F(1, 2)
     model = QuboModel(encoded.model.n_total, encoded.model.n_problem, coeffs, encoded.model.offset)
     qubofile.save(EncodedRestriction(
-        model=model, kind=encoded.kind, n_dummies=encoded.n_dummies,
+        model=model, kind=encoded.kind,
         residual_energy=encoded.residual_energy, lambda1=encoded.lambda1,
         lambda2=encoded.lambda2), tmp_path / "broken.qubo")
     assert probe_numpy(tmp_path, "verify", "--qubo", "broken.qubo", *spec_flags) == (1, "True")

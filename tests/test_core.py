@@ -84,10 +84,8 @@ class TestQuboModel:
         with pytest.raises(ConstructionError):
             QuboModel(2, 2, {(0, 2): F(1)})
 
-    def test_var_roles(self):
+    def test_n_dummies_counts_the_trailing_block(self):
         model = QuboModel(4, 3, {(0, 0): F(1)})
-        assert model.var_roles() == (
-            ("problem", 0), ("problem", 1), ("problem", 2), ("dummy", 0))
         assert model.n_dummies == 1
 
     def test_energy_all_zeros_is_offset(self):
@@ -209,14 +207,17 @@ class TestCombine:
 
 class TestEncodedRestriction:
     def test_dummy_count_must_match_model(self):
+        # the count is read from the model, so it cannot be given separately
         model = expand_squared_affine([(0, 1), (1, 1)], -1, 1, n_problem=1)
-        with pytest.raises(ConstructionError):
-            EncodedRestriction(model, EncodingKind.SINGLE_VALUE, 0, F(0), F(1))
+        assert EncodedRestriction(model, EncodingKind.SINGLE_VALUE, F(0), F(1)).n_dummies == 1
+        with pytest.raises(TypeError):
+            EncodedRestriction(model, EncodingKind.SINGLE_VALUE, n_dummies=0,
+                               residual_energy=F(0), lambda1=F(1))
 
     def test_multipliers_must_be_positive(self):
         model = expand_squared_affine([(0, 1)], -1, 1)
         with pytest.raises(ParameterError):
-            EncodedRestriction(model, EncodingKind.SINGLE_VALUE, 0, F(0), F(0))
+            EncodedRestriction(model, EncodingKind.SINGLE_VALUE, F(0), F(0))
 
 
 def test_as_fraction_reads_decimal_floats_exactly():

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import quborestrict.encoders as encoders_module
 from quborestrict.core import (
     EncodingKind,
     EncodingNotApplicableError,
@@ -37,6 +38,48 @@ def all_specs(max_n, max_m):
         for m in range(1, min(max_m, n + 1) + 1):
             for allowed in itertools.combinations(range(n + 1), m):
                 yield RestrictionSpec(n, allowed)
+
+
+def reference_kind(spec):
+    """The explicit dispatch select_optimal made before the constructions became table rows."""
+    if spec.m == 1:
+        return EncodingKind.SINGLE_VALUE
+    if spec.is_consecutive and spec.m == 2:
+        return EncodingKind.HALF_INTEGER_M2
+    if spec.is_consecutive and spec.m == 3:
+        return EncodingKind.HALF_INTEGER_CHAIN
+    if spec.spacing() is not None:
+        return EncodingKind.EQUISPACED_LOG
+    return EncodingKind.REDUCED_GENERAL
+
+
+def reference_applicable(spec):
+    """The preconditions applicable_encoders checked one by one, in the same order."""
+    kinds = [EncodingKind.SINGLE_VALUE] if spec.m == 1 else []
+    kinds.append(EncodingKind.ONE_HOT_GENERAL)
+    if spec.m == 1 or spec.spacing() is not None:
+        kinds.append(EncodingKind.EQUISPACED_LINEAR)
+    if spec.m >= 2 and spec.spacing() is not None:
+        kinds.append(EncodingKind.EQUISPACED_LOG)
+    if spec.m == 2 and spec.is_consecutive:
+        kinds.append(EncodingKind.HALF_INTEGER_M2)
+    if spec.m >= 2 and spec.is_consecutive:
+        kinds.append(EncodingKind.HALF_INTEGER_CHAIN)
+    if spec.m >= 2:
+        kinds.append(EncodingKind.REDUCED_GENERAL)
+    return kinds
+
+
+def test_public_names_are_the_table_rows():
+    spec = RestrictionSpec(3, (0, 1))
+    for kind in EncodingKind:
+        encoder = getattr(encoders_module, f"encode_{kind.value}")
+        assert encoder.__name__ == f"encode_{kind.value}" and encoder.__doc__
+        if kind in applicable_encoders(spec):
+            assert applicable_encoders(spec)[kind] is encoder
+            assert encoder(spec).kind is kind
+    with pytest.raises(EncodingNotApplicableError, match="^single_value encoding needs"):
+        encode_single_value(spec)
 
 
 class TestSingleValue:
@@ -266,6 +309,11 @@ class TestSelectOptimal:
             ]
             best = min(alt.n_dummies for alt in alternatives)
             assert chosen.n_dummies == best, spec
+
+    def test_kind_and_applicable_order_match_the_explicit_dispatch(self):
+        for spec in all_specs(max_n=10, max_m=6):
+            assert select_optimal(spec).kind is reference_kind(spec), spec
+            assert list(applicable_encoders(spec)) == reference_applicable(spec), spec
 
     def test_log_preferred_at_ties(self):
         # chain and log tie at four and five consecutive values

@@ -142,7 +142,6 @@ class TestVerify:
         doctored = EncodedRestriction(
             model=wrong_target.model,
             kind=EncodingKind.SINGLE_VALUE,
-            n_dummies=0,
             residual_energy=F(0),
             lambda1=F(1),
         )
@@ -294,7 +293,7 @@ def drawn_restriction(model: QuboModel, data) -> tuple[EncodedRestriction, Restr
     allowed = data.draw(st.sets(st.integers(0, model.n_problem), min_size=1))
     spec = RestrictionSpec(model.n_problem, tuple(allowed))
     encoded = EncodedRestriction(
-        model=model, kind=EncodingKind.REDUCED_GENERAL, n_dummies=model.n_dummies,
+        model=model, kind=EncodingKind.REDUCED_GENERAL,
         residual_energy=data.draw(st.sampled_from([F(0), abs(F(min(scaled), scale))])),
         lambda1=F(1))
     return encoded, spec
@@ -386,7 +385,7 @@ def test_traced_peak_within_the_memory_estimate(monkeypatch, lam):
     assert symmetric_energies(model) is None
     spec = RestrictionSpec(12, (3,))
     encoded = EncodedRestriction(model=model, kind=EncodingKind.REDUCED_GENERAL,
-                                 n_dummies=4, residual_energy=F(0), lambda1=F(1))
+                                 residual_energy=F(0), lambda1=F(1))
     estimates = []
 
     def recorded(*args):

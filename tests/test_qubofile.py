@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -118,6 +119,34 @@ class TestJsonMirror:
             loads_json("[1, 2, 3]")
         with pytest.raises(QuboFileError):
             loads_json("not json at all")
+
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.update(n_total=6.7), "header n_total: bad integer 6.7"),
+        (lambda p: p.update(n_total="6"), "header n_total: bad integer '6'"),
+        (lambda p: p.update(n_problem=True), "header n_problem: bad integer True"),
+        (lambda p: p.update(n_dummies=2.2), "header n_dummies: bad integer 2.2"),
+        (lambda p: p.update(n_dummies=1), "inconsistent"),
+        (lambda p: p["terms"][0].__setitem__(0, 0.9), "terms entry 0: bad integer 0.9"),
+        (lambda p: p["terms"][2].__setitem__(1, float("inf")), "terms entry 2: bad integer inf"),
+        (lambda p: p.update(comment="x"), "unknown header keys: comment"),
+        (lambda p: p["terms"].append(p["terms"][0]), r"duplicate term \(0, 0\)"),
+        (lambda p: p["terms"].append([0, 1]), r"expected \[i, j, coefficient\]"),
+        (lambda p: p.update(terms={}), "'terms' list"),
+        (lambda p: p.pop("offset"), "missing header keys: offset"),
+        (lambda p: p.update(lambda1=True), "header lambda1: bad rational True"),
+        (lambda p: p.update(kind=None), "unknown encoding kind None"),
+    ])
+    def test_held_to_the_text_rules(self, edit, message):
+        payload = json.loads(dumps_json(encode_one_hot_general(RestrictionSpec(4, (1, 3)))))
+        edit(payload)
+        with pytest.raises(QuboFileError, match=message):
+            loads_json(json.dumps(payload))
+
+    def test_integer_literal_beyond_the_digit_limit(self):
+        # json.loads raises a plain ValueError here where Python limits int digits
+        with pytest.raises(QuboFileError):
+            loads_json('{"n_total": ' + "9" * 5000 + "}")
 
 
 class TestFileIO:
