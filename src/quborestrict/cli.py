@@ -7,46 +7,58 @@ Subcommands: ``encode`` a restriction to a portable QUBO penalty file,
 encodings side by side.
 
 Exit codes: 0 success/verified, 1 verification refuted, 2 usage or parse
-errors (including inapplicable encodings).
+errors (including inapplicable encodings), with one line on stderr.  Each
+command imports only the modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import encoders, oracle, qubofile, sampler
 from .core import (
     ConstructionError,
     DataQualityError,
     DimensionError,
     EncodingNotApplicableError,
     ParameterError,
+    QuboFileError,
     RestrictionSpec,
     SizeLimitError,
     as_fraction,
 )
 
+if TYPE_CHECKING:
+    from . import oracle, sampler
+
+# --method name -> the encoders function it runs
 _METHODS = {
-    "auto": encoders.select_optimal,
-    "single": encoders.encode_single_value,
-    "onehot": encoders.encode_one_hot_general,
-    "linear": encoders.encode_equispaced_linear,
-    "log": encoders.encode_equispaced_log,
-    "half2": encoders.encode_half_integer_m2,
-    "halfchain": encoders.encode_half_integer_chain,
-    "reduced": encoders.encode_reduced_general,
+    "auto": "select_optimal",
+    "single": "encode_single_value",
+    "onehot": "encode_one_hot_general",
+    "linear": "encode_equispaced_linear",
+    "log": "encode_equispaced_log",
+    "half2": "encode_half_integer_m2",
+    "halfchain": "encode_half_integer_chain",
+    "reduced": "encode_reduced_general",
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> None:
+        """A usage error is one line, like every other error of the command line."""
+        self.exit(2, f"error: {message}\n")
 
 
 def _fraction_flag(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_fraction(text)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
@@ -73,12 +85,17 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
         help="second multiplier for the two-term encodings (default 1)")
 
 
-def _spec_and_params(args: argparse.Namespace) -> tuple[RestrictionSpec, encoders.EncoderParams]:
+def _spec_and_multipliers(
+    args: argparse.Namespace,
+) -> tuple[RestrictionSpec, Optional[Fraction], Optional[Fraction]]:
+    """The restriction, and lambda1 and lambda2 from the flags or the spec JSON (None if unset)."""
     lambda1: Optional[Fraction] = args.lambda1
     lambda2: Optional[Fraction] = args.lambda2
     if args.spec_json is not None:
         if args.n is not None or args.allowed is not None:
             raise ParameterError("give either --spec-json or --n/--allowed, not both")
+        import json
+
         try:
             payload = json.loads(Path(args.spec_json).read_text())
             n_vars = payload["n_vars"]
@@ -97,17 +114,18 @@ def _spec_and_params(args: argparse.Namespace) -> tuple[RestrictionSpec, encoder
         if args.n is None or args.allowed is None:
             raise ParameterError("a restriction needs --n and --allowed (or --spec-json)")
         n_vars, allowed = args.n, args.allowed
-    spec = RestrictionSpec(n_vars, tuple(allowed))
+    return RestrictionSpec(n_vars, tuple(allowed)), lambda1, lambda2
+
+
+def cmd_encode(args: argparse.Namespace) -> int:
+    from . import encoders, qubofile
+
+    spec, lambda1, lambda2 = _spec_and_multipliers(args)
     params = encoders.EncoderParams(
         lambda1 if lambda1 is not None else Fraction(1),
         lambda2 if lambda2 is not None else Fraction(1),
     )
-    return spec, params
-
-
-def cmd_encode(args: argparse.Namespace) -> int:
-    spec, params = _spec_and_params(args)
-    encoded = _METHODS[args.method](spec, params)
+    encoded = getattr(encoders, _METHODS[args.method])(spec, params)
     text = qubofile.dumps(encoded) if args.format == "text" else qubofile.dumps_json(encoded)
     if args.out is not None:
         args.out.write_text(text)
@@ -136,9 +154,12 @@ def _render_report(report: oracle.SpectrumReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import oracle, qubofile
+
     encoded = qubofile.load(args.qubo)
-    spec, _ = _spec_and_params(args)
-    result = oracle.verify(encoded, spec, max_bits=args.max_bits)
+    spec, _, _ = _spec_and_multipliers(args)
+    max_bits = oracle.DEFAULT_MAX_BITS if args.max_bits is None else args.max_bits
+    result = oracle.verify(encoded, spec, max_bits=max_bits)
     print(_render_report(result.report))
     print(f"verdict: {'PASS' if result.passed else 'FAIL'}")
     print(result.diagnosis)
@@ -161,6 +182,8 @@ def _render_csv(curve: sampler.TransferCurve) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import sampler
+
     config = sampler.SamplerConfig(
         temperature=args.temperature, n_reads=args.reads, seed=args.seed)
     curve = sampler.sweep_fractional_r(
@@ -176,6 +199,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def render_dummy_table(max_m: int) -> str:
     """Dummy-count comparison of the chain and binary-weighted encodings."""
+    from . import encoders
+
     if max_m < 2:
         raise ParameterError(f"--max-m must be at least 2, got {max_m}")
     ms = list(range(2, max_m + 1))
@@ -198,7 +223,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quborestrict",
         description=(
             "Encode cardinality restrictions on binary variables as QUBO penalty "
@@ -218,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="check a penalty file against its restriction")
     ver.add_argument("--qubo", type=Path, required=True, help="penalty file to check")
     _add_spec_flags(ver)
-    ver.add_argument("--max-bits", type=int, default=oracle.DEFAULT_MAX_BITS)
+    ver.add_argument("--max-bits", type=int)
     ver.set_defaults(func=cmd_verify)
 
     sw = sub.add_parser("sweep", help="sweep a fractional target and sample each point")
@@ -246,7 +271,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (
-        qubofile.QuboFileError,
+        QuboFileError,
         ConstructionError,
         ParameterError,
         EncodingNotApplicableError,

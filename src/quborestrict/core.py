@@ -1,19 +1,30 @@
 """Exact-rational QUBO data model shared by the encoders, oracle and sampler.
 
-Energies are kept in :class:`fractions.Fraction` end to end so that
-half-integer coefficients and quarter-multiplier residual energies compare
-exactly; floating point only appears downstream in the Boltzmann sampler.
+A model stores its coefficients and offset as Python ints over one integer
+scale, their least common denominator, so half-integer coefficients and
+quarter-multiplier residual energies stay exact and compare exactly without
+a :class:`fractions.Fraction` per term.  Fractions appear only where values
+enter or leave: constructor arguments, ``QuboModel.coeffs`` and ``offset``,
+and energies.  Floating point only appears downstream in the Boltzmann
+sampler.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str, float]
+
+# A literal may carry at most this many digits, counting its exponent, and a
+# model's scale and ints at most this many bits: 12,000 bits are 3,613
+# digits, which leaves room for the sums the oracle prints under Python's
+# 4,300-digit limit on converting an int to text.
+MAX_LITERAL_DIGITS = 3_000
+MAX_VALUE_BITS = 12_000
 
 
 class DimensionError(ValueError):
@@ -40,15 +51,47 @@ class DataQualityError(ValueError):
     """Measured data is too degenerate for the requested statistic."""
 
 
+class QuboFileError(ValueError):
+    """The file is not a well-formed encoded restriction."""
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce a number to an exact Fraction.
 
     Floats go through their shortest decimal repr, so 0.1 becomes 1/10
-    rather than the binary expansion of the float.
+    rather than the binary expansion of the float.  A string is refused
+    before any int is built when its digits and exponent could exceed
+    ``MAX_LITERAL_DIGITS``.
     """
     if isinstance(value, float):
-        return Fraction(str(value))
+        value = str(value)
+    if isinstance(value, str):
+        mantissa, _, exponent = value.lower().partition("e")
+        digits = len(value)
+        try:  # a short literal has the digits of its mantissa plus its exponent
+            if digits <= MAX_LITERAL_DIGITS:
+                digits = len(mantissa) + abs(int(exponent or 0))
+        except ValueError:  # no exponent: Fraction reads or refuses the text
+            pass
+        if digits > MAX_LITERAL_DIGITS:
+            shown = value if len(value) <= 20 else value[:20] + "..."
+            raise ParameterError(f"number {shown!r} has more than {MAX_LITERAL_DIGITS} digits")
     return Fraction(value)
+
+
+def _check_bits(value: int) -> None:
+    if value.bit_length() > MAX_VALUE_BITS:
+        raise ParameterError(f"exact coefficients need {value.bit_length()} bits, more than "
+                             f"the {MAX_VALUE_BITS}-bit cap that keeps every value printable")
+
+
+def common_denominator(denominators: Iterable[int]) -> int:
+    """Least common multiple of positive denominators, refused as soon as it passes the bit cap."""
+    scale = 1
+    for den in set(denominators):
+        scale = math.lcm(scale, den)
+        _check_bits(scale)
+    return scale
 
 
 def is_integer(value: object) -> bool:
@@ -108,37 +151,84 @@ class RestrictionSpec:
         return self.spacing() == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuboModel:
     """Upper-triangular QUBO with an exact constant offset.
 
     The first ``n_problem`` indices are problem variables; the remainder are
     dummy variables appended by an encoder.  Linear terms sit on the diagonal
-    (``x == x**2`` on binaries) and zero coefficients are never stored, so two
-    models built from the same construction compare equal.
+    (``x == x**2`` on binaries) and zero coefficients are never stored.
+
+    The coefficients and the offset are kept as the ints ``int_coeffs`` and
+    ``int_offset`` over one ``scale``, always their least common
+    denominator, so two models built from the same construction compare
+    equal.  ``int_coeffs`` is sorted by key.  The constructor takes rationals;
+    ``coeffs`` and ``offset`` give them back as Fractions.
     """
 
     n_total: int
     n_problem: int
-    coeffs: Mapping[tuple[int, int], Fraction]
-    offset: Fraction = Fraction(0)
+    scale: int
+    int_coeffs: dict[tuple[int, int], int]
+    int_offset: int
 
-    def __post_init__(self) -> None:
-        if self.n_total < 0:
+    def __init__(self, n_total: int, n_problem: int,
+                 coeffs: Mapping[tuple[int, int], RationalLike],
+                 offset: RationalLike = 0) -> None:
+        ratios = {key: as_fraction(q) for key, q in coeffs.items()}
+        offset = as_fraction(offset)
+        scale = common_denominator([offset.denominator, *(q.denominator for q in ratios.values())])
+        self._fill(n_total, n_problem, scale,
+                   {key: q.numerator * (scale // q.denominator) for key, q in ratios.items()},
+                   offset.numerator * (scale // offset.denominator), check=True)
+
+    @classmethod
+    def _scaled(cls, n_total: int, n_problem: int, scale: int,
+                int_coeffs: dict[tuple[int, int], int], int_offset: int,
+                check: bool = False) -> QuboModel:
+        """A model from ints that are ``scale`` times its coefficients and offset.
+
+        Unless ``check`` is set, the keys must already be ordered in-range
+        pairs, sorted, with no zero value.  The common factor of the ints and
+        the scale is divided out either way.
+        """
+        model = cls.__new__(cls)
+        model._fill(n_total, n_problem, scale, int_coeffs, int_offset, check)
+        return model
+
+    def _fill(self, n_total: int, n_problem: int, scale: int,
+              int_coeffs: dict[tuple[int, int], int], int_offset: int, check: bool) -> None:
+        if n_total < 0:
             raise ConstructionError("n_total must be non-negative")
-        if not 0 <= self.n_problem <= self.n_total:
+        if not 0 <= n_problem <= n_total:
             raise ConstructionError(
-                f"n_problem={self.n_problem} must lie in [0, n_total={self.n_total}]")
-        clean: dict[tuple[int, int], Fraction] = {}
-        for key in sorted(self.coeffs):
-            i, j = key
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i <= j < self.n_total):
-                raise ConstructionError(f"coefficient key {key!r} is not an ordered in-range pair")
-            q = as_fraction(self.coeffs[key])
-            if q != 0:
-                clean[(i, j)] = q
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "offset", as_fraction(self.offset))
+                f"n_problem={n_problem} must lie in [0, n_total={n_total}]")
+        if check:
+            for key in int_coeffs:
+                i, j = key
+                if not (isinstance(i, int) and isinstance(j, int) and 0 <= i <= j < n_total):
+                    raise ConstructionError(
+                        f"coefficient key {key!r} is not an ordered in-range pair")
+            int_coeffs = {key: int_coeffs[key] for key in sorted(int_coeffs) if int_coeffs[key]}
+        common = math.gcd(scale, int_offset, *int_coeffs.values()) if scale > 1 else 1
+        if common > 1:
+            scale //= common
+            int_offset //= common
+            int_coeffs = {key: q // common for key, q in int_coeffs.items()}
+        extremes = (min(int_coeffs.values()), max(int_coeffs.values())) if int_coeffs else ()
+        _check_bits(max(abs(v) for v in (scale, int_offset, *extremes)))
+        for name, value in (("n_total", n_total), ("n_problem", n_problem), ("scale", scale),
+                            ("int_coeffs", int_coeffs), ("int_offset", int_offset)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int], Fraction]:
+        """The coefficients as Fractions, sorted by key (a new dict on each access)."""
+        return {key: Fraction(q, self.scale) for key, q in self.int_coeffs.items()}
+
+    @property
+    def offset(self) -> Fraction:
+        return Fraction(self.int_offset, self.scale)
 
     @property
     def n_dummies(self) -> int:
@@ -152,11 +242,9 @@ class QuboModel:
         for bit in assignment:
             if bit not in (0, 1):
                 raise ConstructionError(f"assignment entries must be 0 or 1, got {bit!r}")
-        total = self.offset
-        for (i, j), q in self.coeffs.items():
-            if assignment[i] and assignment[j]:
-                total += q
-        return total
+        total = self.int_offset + sum(
+            q for (i, j), q in self.int_coeffs.items() if assignment[i] and assignment[j])
+        return Fraction(total, self.scale)
 
 
 class EncodingKind(Enum):
@@ -216,12 +304,12 @@ def expand_squared_affine(
     On binaries ``x == x**2``, so the square expands to
     ``Q_ii = lam * a_i * (a_i + 2c)``, ``Q_ij = 2 * lam * a_i * a_j`` for
     ``i < j``, and a constant ``lam * c**2``.  Every encoder in this package
-    is assembled from this primitive.
+    is assembled from this primitive.  With ``L`` the common denominator of
+    c and the a_i, the model is built in ints at scale ``den(lam) * L**2``.
     """
-    lam = as_fraction(lam)
+    lam, c = as_fraction(lam), as_fraction(constant)
     if lam <= 0:
         raise ParameterError(f"multiplier must be positive, got {lam}")
-    c = as_fraction(constant)
     pairs = [(int(i), as_fraction(a)) for i, a in terms]
     indices = [i for i, _ in pairs]
     if len(set(indices)) != len(indices):
@@ -232,14 +320,24 @@ def expand_squared_affine(
         n_total = max(indices) + 1 if indices else 0
     if n_problem is None:
         n_problem = n_total
+    if indices and max(indices) >= n_total:
+        raise ConstructionError(f"variable index {max(indices)} is out of range "
+                                f"for n_total={n_total}")
 
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    for i, a in pairs:
-        coeffs[(i, i)] = lam * a * (a + 2 * c)
-    for (i, a), (j, b) in itertools.combinations(pairs, 2):
-        key = (i, j) if i < j else (j, i)
-        coeffs[key] = 2 * lam * a * b
-    return QuboModel(n_total=n_total, n_problem=n_problem, coeffs=coeffs, offset=lam * c * c)
+    common = common_denominator([c.denominator, *(a.denominator for _, a in pairs)])
+    c = c.numerator * (common // c.denominator)
+    # a zero weight contributes nothing; sorted indices give sorted keys
+    weights = sorted((i, a.numerator * (common // a.denominator)) for i, a in pairs if a)
+    coeffs: dict[tuple[int, int], int] = {}
+    for k, (i, a) in enumerate(weights):
+        diagonal = lam.numerator * a * (a + 2 * c)
+        if diagonal:
+            coeffs[(i, i)] = diagonal
+        pair = 2 * lam.numerator * a
+        for j, b in weights[k + 1:]:
+            coeffs[(i, j)] = pair * b
+    return QuboModel._scaled(n_total, n_problem, lam.denominator * common * common, coeffs,
+                             lam.numerator * c * c)
 
 
 def combine(*models: QuboModel) -> QuboModel:
@@ -250,10 +348,15 @@ def combine(*models: QuboModel) -> QuboModel:
     for other in models[1:]:
         if (other.n_total, other.n_problem) != (first.n_total, first.n_problem):
             raise DimensionError("models cover different variable spaces")
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    offset = Fraction(0)
-    for model in models:
-        offset += model.offset
-        for key, q in model.coeffs.items():
-            coeffs[key] = coeffs.get(key, Fraction(0)) + q
-    return QuboModel(first.n_total, first.n_problem, coeffs, offset)
+    scale = math.lcm(*(model.scale for model in models))
+    factor = scale // first.scale
+    coeffs = {key: q * factor for key, q in first.int_coeffs.items()}
+    offset = first.int_offset * factor
+    for model in models[1:]:
+        factor = scale // model.scale
+        offset += model.int_offset * factor
+        for key, q in model.int_coeffs.items():
+            coeffs[key] = coeffs.get(key, 0) + q * factor
+    if len(coeffs) > len(first.int_coeffs) or 0 in coeffs.values():  # new keys came last
+        coeffs = {key: coeffs[key] for key in sorted(coeffs) if coeffs[key]}
+    return QuboModel._scaled(first.n_total, first.n_problem, scale, coeffs, offset)

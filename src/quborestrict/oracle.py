@@ -4,9 +4,8 @@ Computes the exact energy spectrum of a model grouped by the problem-bit sum,
 and certifies (or refutes) that the minimum-energy assignments realize
 exactly the allowed sums at the declared residual energy.
 
-Exactness is preserved by clearing denominators once per model and working
-in integer arithmetic; energies convert back to Fractions at the end.  Two
-engines share that contract:
+Both engines work in integer arithmetic on the model's ints, which share
+one scale; energies convert back to Fractions at the end.  The engines:
 
 * the symmetric engine serves models whose energy depends on the problem
   bits only through their sum s (every construction in ``encoders``), and
@@ -78,32 +77,6 @@ def _check_size(n_total: int, max_bits: int) -> None:
             f"(pass a larger max_bits to override)")
 
 
-def _scale(model: QuboModel) -> int:
-    """The least common denominator of the model's coefficients and offset."""
-    return math.lcm(model.offset.denominator, *(q.denominator for q in model.coeffs.values()))
-
-
-def _integer_coefficients(model: QuboModel) -> tuple[np.ndarray, int, int, int]:
-    """Clear denominators: returns (Q matrix, offset, scale, bound).
-
-    All entries of Q and the offset are the model's coefficients times
-    ``scale``; ``bound`` is the sum of their absolute values, which no
-    partial energy can exceed.  When the bound would overflow int64 the
-    matrix has object dtype (exact big integers, slower).
-    """
-    import numpy as np
-
-    n = model.n_total
-    scale = _scale(model)
-    entries = {key: int(q * scale) for key, q in model.coeffs.items()}
-    offset = int(model.offset * scale)
-    bound = sum(abs(v) for v in entries.values()) + abs(offset)
-    q_matrix = np.zeros((n, n), dtype=np.int64 if bound < 2**62 else object)
-    for (i, j), v in entries.items():
-        q_matrix[i, j] = v
-    return q_matrix, offset, scale, bound
-
-
 def symmetric_energies(
     model: QuboModel, max_bits: int = DEFAULT_MAX_BITS
 ) -> Optional[tuple[int, list[list[int]]]]:
@@ -127,7 +100,7 @@ def symmetric_energies(
     n, d = model.n_problem, model.n_dummies
     if d > n + 1:
         return None
-    coeffs = model.coeffs
+    coeffs = model.int_coeffs
     # the shared coefficients, read off problem bit 0
     diagonal = coeffs.get((0, 0), 0) if n else 0
     pair = coeffs.get((0, 1), 0) if n > 1 else 0
@@ -143,25 +116,18 @@ def symmetric_energies(
             c != 0 for c in field):
         return None
 
-    scale = _scale(model)
-
-    def scaled(q: Fraction) -> int:
-        return q.numerator * (scale // q.denominator)
-
     # D(y) plus the offset, and c(y), over the dummy patterns, by doubling
-    dummy_energy, slope = [scaled(model.offset)], [0]
+    dummy_energy, slope = [model.int_offset], [0]
     for k in range(d):
-        kick = [scaled(coeffs.get((n + k, n + k), 0))]
+        kick = [coeffs.get((n + k, n + k), 0)]
         for l in range(k):
-            coupling = scaled(coeffs.get((n + l, n + k), 0))
+            coupling = coeffs.get((n + l, n + k), 0)
             kick += [x + coupling for x in kick]
         dummy_energy += [e + x for e, x in zip(dummy_energy, kick)]
-        c = scaled(field[k])
-        slope += [t + c for t in slope]
-    a, b = scaled(diagonal), scaled(pair)
-    table = [[a * s + b * (s * (s - 1) // 2) + s * t + e for t, e in zip(slope, dummy_energy)]
-             for s in range(n + 1)]
-    return scale, table
+        slope += [t + field[k] for t in slope]
+    table = [[diagonal * s + pair * (s * (s - 1) // 2) + s * t + e
+              for t, e in zip(slope, dummy_energy)] for s in range(n + 1)]
+    return model.scale, table
 
 
 def enumeration_bytes(n_total: int, entry_bytes: int = 8) -> int:
@@ -195,7 +161,11 @@ def assignment_energies(
 
     n = model.n_total
     _check_size(n, max_bits)
-    q_matrix, offset, scale, bound = _integer_coefficients(model)
+    # no partial energy exceeds this bound; past int64, exact Python ints in object dtype
+    bound = sum(map(abs, model.int_coeffs.values())) + abs(model.int_offset)
+    q_matrix = np.zeros((n, n), dtype=np.int64 if bound < 2**62 else object)
+    for (i, j), v in model.int_coeffs.items():
+        q_matrix[i, j] = v
     # object-dtype entries are a pointer plus the Python int they point to, which
     # an addition allocates with one spare digit
     object_entry = 8 + sys.getsizeof(bound) + sys.int_info.sizeof_digit
@@ -206,14 +176,14 @@ def assignment_energies(
                              f"{needed / 2**30:.3g} GiB, more than the physical memory")
     energies = np.empty(1 << n, dtype=q_matrix.dtype)
     field = np.empty((1 << n) // 2, dtype=q_matrix.dtype)
-    energies[0] = offset
+    energies[0] = model.int_offset
     for k in range(n):
         # field[b] = Q_kk + sum_{i<k} Q_ik * bit_i(b) for b < 2**k (Q is upper-triangular)
         field[0] = q_matrix[k, k]
         for i in range(k):
             np.add(field[: 1 << i], q_matrix[i, k], out=field[1 << i: 2 << i])
         np.add(energies[: 1 << k], field[: 1 << k], out=energies[1 << k: 2 << k])
-    return energies, scale
+    return energies, model.scale
 
 
 def problem_bit_sums(n_total: int, n_problem: int) -> np.ndarray:

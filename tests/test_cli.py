@@ -21,7 +21,10 @@ GOLDEN_TABLE = Path(__file__).parent / "data" / "table_m7_golden.txt"
 
 
 def run_cli(capsys, *args):
-    code = main([str(a) for a in args])
+    try:
+        code = main([str(a) for a in args])
+    except SystemExit as exc:  # argparse refuses a flag
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -120,6 +123,25 @@ class TestEncode:
         assert code == 2
         assert "exceeds" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--lambda", "1e5000"), "more than 3000 digits"),
+        (("--lambda", "1e999999999"), "more than 3000 digits"),
+        (("--lambda2", "1e-5000"), "more than 3000 digits"),
+        (("--lambda", "9" * 3001), "more than 3000 digits"),
+        # each multiplier is short enough, their common denominator is not
+        (("--lambda", f"1/{10**1990 + 1}", "--lambda2", f"1/{10**1990 + 3}"), "bit cap"),
+    ])
+    def test_huge_numbers_are_usage_errors(self, capsys, flags, message):
+        code, out, err = run_cli(
+            capsys, "encode", "--n", 4, "--allowed", "1,3", "--method", "reduced", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
+    def test_bad_flag_is_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "encode", "--n", 4, "--allowed", "1,3", "--lambda", "abc")
+        assert (code, out, err) == (2, "", "error: argument --lambda: not a rational number: 'abc'\n")
+
 
 class TestVerify:
     def test_encoded_file_verifies(self, capsys, tmp_path):
@@ -178,6 +200,25 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--qubo", bad, *spec)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("offset", ["1e100000", "1e999999999", "1" * 5000])
+    def test_huge_offset_literal_is_a_parse_error(self, capsys, tmp_path, fmt, offset):
+        good = tmp_path / f"good.{fmt}"
+        spec = ("--n", 5, "--allowed", "1,2,3")
+        run_cli(capsys, "encode", *spec, "--format", fmt, "--out", good)
+        if fmt == "json":
+            payload = json.loads(good.read_text())
+            payload["offset"] = offset
+            text = json.dumps(payload)
+        else:
+            text = "".join(f"offset {offset}\n" if line.startswith("offset ") else line
+                           for line in good.read_text().splitlines(keepends=True))
+        bad = tmp_path / f"bad.{fmt}"
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--qubo", bad, *spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: header offset: bad rational") and err.count("\n") == 1
 
     def test_max_bits_cap_is_an_error(self, capsys, tmp_path):
         out_path = tmp_path / "wide.qubo"
@@ -283,34 +324,44 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
-# Runs one command in a fresh interpreter and reports, last, whether numpy got loaded.
+# Runs one command in a fresh interpreter and reports, last, whether numpy got
+# loaded and which package modules did.
 IMPORT_PROBE = """
 import sys
 from quborestrict.cli import main
 code = main(sys.argv[1:])
 print("numpy" in sys.modules)
+print(",".join(sorted(name for name in sys.modules if name.startswith("quborestrict."))))
 sys.exit(code)
 """
 
 
-def probe_numpy(cwd, *args):
+def probe_imports(cwd, *args):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *map(str, args)], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
-    return proc.returncode, proc.stdout.splitlines()[-1]
+    numpy, modules = proc.stdout.splitlines()[-2:]
+    return proc.returncode, numpy, {name.split(".")[1] for name in modules.split(",")}
 
 
 def test_numpy_loads_only_where_arrays_are_built(tmp_path):
     spec_flags = ("--n", 9, "--allowed", "2,5,9")
-    assert probe_numpy(tmp_path, "table", "--max-m", 7) == (0, "False")
-    assert probe_numpy(tmp_path, "sweep", "--n", 16, "--r-from", 3, "--r-to", 4) == (0, "False")
-    assert probe_numpy(tmp_path, "encode", *spec_flags, "--out", "ok.qubo") == (0, "False")
-    assert probe_numpy(tmp_path, "verify", "--qubo", "ok.qubo", *spec_flags) == (0, "False")
-    assert probe_numpy(tmp_path, "encode", *spec_flags, "--lambda", 10**18, "--lambda2", 10**18,
-                       "--out", "huge.qubo") == (0, "False")
-    assert probe_numpy(tmp_path, "verify", "--qubo", "huge.qubo", *spec_flags) == (0, "False")
+    encode = {"cli", "core", "encoders", "qubofile"}
+    verify = {"cli", "core", "oracle", "qubofile"}
+    assert probe_imports(tmp_path, "table", "--max-m", 7) == (0, "False",
+                                                               {"cli", "core", "encoders"})
+    assert probe_imports(tmp_path, "sweep", "--n", 16, "--r-from", 3, "--r-to", 4) == (
+        0, "False", {"cli", "core", "oracle", "sampler"})
+    assert probe_imports(tmp_path, "encode", *spec_flags, "--out", "ok.qubo") == (
+        0, "False", encode)
+    assert probe_imports(tmp_path, "verify", "--qubo", "ok.qubo", *spec_flags) == (
+        0, "False", verify)
+    assert probe_imports(tmp_path, "encode", *spec_flags, "--lambda", 10**18, "--lambda2", 10**18,
+                         "--out", "huge.qubo") == (0, "False", encode)
+    assert probe_imports(tmp_path, "verify", "--qubo", "huge.qubo", *spec_flags) == (
+        0, "False", verify)
     # lowering one problem coupling breaks the symmetry: the doubling sweep needs numpy
     encoded = qubofile.load(tmp_path / "ok.qubo")
     coeffs = dict(encoded.model.coeffs)
@@ -320,4 +371,5 @@ def test_numpy_loads_only_where_arrays_are_built(tmp_path):
         model=model, kind=encoded.kind,
         residual_energy=encoded.residual_energy, lambda1=encoded.lambda1,
         lambda2=encoded.lambda2), tmp_path / "broken.qubo")
-    assert probe_numpy(tmp_path, "verify", "--qubo", "broken.qubo", *spec_flags) == (1, "True")
+    assert probe_imports(tmp_path, "verify", "--qubo", "broken.qubo", *spec_flags) == (
+        1, "True", verify)

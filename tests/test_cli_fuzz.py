@@ -1,9 +1,10 @@
 """Fuzz the CLI with malformed spec JSON and penalty files.
 
 Whatever the input, ``encode`` and ``verify`` must exit 0, 1 or 2, and an
-exit 2 must print one ``error:`` line, never a traceback.  Sizes stay small:
-integers are at most 12 and strings at most 5 characters, so no numeric
-literal carries an exponent large enough to build a gigantic int.
+exit 2 must print one ``error:`` line, never a traceback.  Drawn integers
+are at most 12 and drawn strings at most 5 characters; the fixed tokens add
+non-canonical integers and fractions, and literals whose exponent or digits
+would build a gigantic int if they were not refused as text first.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from quborestrict.cli import main
 TOKENS = st.sampled_from([
     "", "x", "-1", "0", "1", "2", "7", "12", "1/2", "-3/4", "1/0", "0.5", "3.7", "1e3",
     "nan", "inf", "True", "null", "[]", "2,3",
+    "0_6", "+0", "-0", "06", " 2", "2 ", "\u0663", "\uff17", "2/4", "3/1", "0/5", "1/-2",
+    "1e5000", "1e-5000", "1e999999999", "9" * 5000, "1/" + "7" * 3500,
 ]) | st.text(max_size=5)
 SCALARS = (st.none() | st.booleans() | st.integers(-2, 12) | TOKENS
            | st.floats(-20, 20) | st.sampled_from([float("nan"), float("inf")]))

@@ -315,6 +315,21 @@ class TestSelectOptimal:
             assert select_optimal(spec).kind is reference_kind(spec), spec
             assert list(applicable_encoders(spec)) == reference_applicable(spec), spec
 
+    @pytest.mark.parametrize("allowed, kind", [
+        ((7,), EncodingKind.SINGLE_VALUE),
+        ((500, 501, 502), EncodingKind.HALF_INTEGER_CHAIN),
+        ((0, 100, 200, 300, 400), EncodingKind.EQUISPACED_LOG),
+        ((3, 250, 600, 999), EncodingKind.REDUCED_GENERAL),
+    ])
+    def test_certified_at_a_thousand_variables(self, allowed, kind):
+        # max_bits caps n_total on both engines; these models take the symmetric
+        # engine, whose table has only (n+1) * 2**d entries, so the cap is lifted
+        spec = RestrictionSpec(1000, allowed)
+        encoded = select_optimal(spec, EncoderParams(F(1, 7), F(3)))
+        assert encoded.kind is kind
+        result = verify(encoded, spec, max_bits=encoded.model.n_total)
+        assert result.passed, result.diagnosis
+
     def test_log_preferred_at_ties(self):
         # chain and log tie at four and five consecutive values
         for allowed in [(1, 2, 3, 4), (0, 1, 2, 3, 4)]:

@@ -106,6 +106,62 @@ class TestParseErrors:
         with pytest.raises(QuboFileError):
             loads("")
 
+    @pytest.mark.parametrize("old, new", [
+        # integers are ASCII 0 or -?[1-9][0-9]*
+        ("n_total 6", "n_total 0_6"),
+        ("n_total 6", "n_total 06"),
+        ("n_total 6", "n_total +6"),
+        ("n_total 6", "n_total  6"),
+        ("n_total 6", "n_total 6 "),
+        ("n_total 6", "n_total \u0666"),
+        ("terms 20", "terms 020"),
+        ("\n0 0 1\n", "\n+0 0 1\n"),
+        ("\n0 0 1\n", "\n0  0 1\n"),
+        ("\n0 0 1\n", "\n0 0 1 \n"),
+        ("\n0 0 1\n", "\n0\t0 1\n"),
+        ("\n0 0 1\n", "\n00 0 1\n"),
+        ("\n0 5 -6\n", "\n0 \uff15 -6\n"),
+        # a rational is the str of its own Fraction
+        ("lambda1 1", "lambda1 2/2"),
+        ("lambda1 1", "lambda1 1/1"),
+        ("lambda1 1", "lambda1 1.0"),
+        ("offset 1", "offset 1e0"),
+        ("offset 1", "offset 1e100000"),
+        ("offset 1", "offset 1e999999999"),
+        ("offset 1", "offset " + "1" * 3001),
+        ("residual_energy 0", "residual_energy -0"),
+        ("\n0 5 -6\n", "\n0 5 -12/2\n"),
+        ("\n0 5 -6\n", "\n0 5 -6/1\n"),
+        ("\n0 5 -6\n", "\n0 5 -06\n"),
+        ("\n0 5 -6\n", "\n0 5 0\n"),
+        ("\n0 5 -6\n", "\n0 5 0/7\n"),
+        # term lines are ordered pairs in increasing key order
+        ("\n0 1 2\n0 2 2\n", "\n0 2 2\n0 1 2\n"),
+        ("\n0 1 2\n0 2 2\n", "\n0 1 2\n0 1 2\n"),
+        ("\n0 5 -6\n", "\n5 0 -6\n"),
+        ("\n0 0 1\n", "\n-1 0 1\n"),
+    ])
+    def test_non_canonical_forms_are_refused(self, old, new):
+        assert old in self.text
+        with pytest.raises(QuboFileError) as failure:
+            loads(self.text.replace(old, new, 1))
+        assert "\n" not in str(failure.value)
+
+    def test_refusal_names_the_line(self):
+        with pytest.raises(QuboFileError, match="line 13: expected 'i j coefficient'"):
+            loads(self.text.replace("\n0 2 2\n", "\n0 2 2/4\n"))
+
+    def test_index_beyond_n_total(self):
+        with pytest.raises(QuboFileError, match=r"key \(5, 6\) is not an ordered in-range pair"):
+            loads(self.text.replace("terms 20", "terms 21") + "5 6 1\n")
+
+    def test_huge_distinct_denominators_are_refused(self):
+        # each literal is short enough, their common denominator is not
+        first, second = 10**1990 + 1, 10**1990 + 3
+        text = self.text.replace("\n0 1 2\n", f"\n0 1 1/{first}\n")
+        with pytest.raises(QuboFileError, match="bit cap"):
+            loads(text.replace("\n0 2 2\n", f"\n0 2 1/{second}\n"))
+
 
 class TestJsonMirror:
     def test_round_trip(self):
