@@ -76,21 +76,12 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
         "--allowed", type=_allowed_flag, help="comma-separated allowed sums, e.g. 1,2,4")
     parser.add_argument(
         "--spec-json", type=Path,
-        help="JSON file {n_vars, allowed[], lambda1?, lambda2?} instead of --n/--allowed")
-    parser.add_argument(
-        "--lambda", dest="lambda1", type=_fraction_flag, default=None,
-        help="first Lagrange multiplier (exact rational, default 1)")
-    parser.add_argument(
-        "--lambda2", type=_fraction_flag, default=None,
-        help="second multiplier for the two-term encodings (default 1)")
+        help="JSON file {n_vars, allowed[]} instead of --n/--allowed")
 
 
-def _spec_and_multipliers(
-    args: argparse.Namespace,
-) -> tuple[RestrictionSpec, Optional[Fraction], Optional[Fraction]]:
-    """The restriction, and lambda1 and lambda2 from the flags or the spec JSON (None if unset)."""
-    lambda1: Optional[Fraction] = args.lambda1
-    lambda2: Optional[Fraction] = args.lambda2
+def _spec(args: argparse.Namespace) -> tuple[RestrictionSpec, dict]:
+    """The restriction from the flags or the spec JSON, and the spec JSON object ({} if unset)."""
+    payload: dict = {}
     if args.spec_json is not None:
         if args.n is not None or args.allowed is not None:
             raise ParameterError("give either --spec-json or --n/--allowed, not both")
@@ -103,28 +94,26 @@ def _spec_and_multipliers(
             if not isinstance(allowed, list):
                 raise TypeError(f"n_vars must be an integer and allowed a list of integers, "
                                 f"got {n_vars!r} and {allowed!r}")
-            if lambda1 is None and "lambda1" in payload:
-                lambda1 = as_fraction(payload["lambda1"])
-            if lambda2 is None and "lambda2" in payload:
-                lambda2 = as_fraction(payload["lambda2"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
-            # ValueError covers malformed JSON and non-numeric multipliers
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON
             raise ParameterError(f"bad spec JSON {args.spec_json}: {exc}") from exc
     else:
         if args.n is None or args.allowed is None:
             raise ParameterError("a restriction needs --n and --allowed (or --spec-json)")
         n_vars, allowed = args.n, args.allowed
-    return RestrictionSpec(n_vars, tuple(allowed)), lambda1, lambda2
+    return RestrictionSpec(n_vars, tuple(allowed)), payload
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
     from . import encoders, qubofile
 
-    spec, lambda1, lambda2 = _spec_and_multipliers(args)
-    params = encoders.EncoderParams(
-        lambda1 if lambda1 is not None else Fraction(1),
-        lambda2 if lambda2 is not None else Fraction(1),
-    )
+    spec, payload = _spec(args)
+    try:  # a flag overrides the spec JSON
+        lambda1 = as_fraction(payload.get("lambda1", 1)) if args.lambda1 is None else args.lambda1
+        lambda2 = as_fraction(payload.get("lambda2", 1)) if args.lambda2 is None else args.lambda2
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"bad spec JSON {args.spec_json}: {exc}") from exc
+    params = encoders.EncoderParams(lambda1, lambda2)
     encoded = getattr(encoders, _METHODS[args.method])(spec, params)
     text = qubofile.dumps(encoded) if args.format == "text" else qubofile.dumps_json(encoded)
     if args.out is not None:
@@ -157,7 +146,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import oracle, qubofile
 
     encoded = qubofile.load(args.qubo)
-    spec, _, _ = _spec_and_multipliers(args)
+    spec, _ = _spec(args)
     max_bits = oracle.DEFAULT_MAX_BITS if args.max_bits is None else args.max_bits
     result = oracle.verify(encoded, spec, max_bits=max_bits)
     print(_render_report(result.report))
@@ -235,6 +224,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enc = sub.add_parser("encode", help="encode a restriction as a QUBO penalty file")
     _add_spec_flags(enc)
+    enc.add_argument(
+        "--lambda", dest="lambda1", type=_fraction_flag, default=None,
+        help="first Lagrange multiplier (exact rational; default: the spec JSON's lambda1, or 1)")
+    enc.add_argument(
+        "--lambda2", type=_fraction_flag, default=None,
+        help="second multiplier for the two-term encodings (default: as for --lambda)")
     enc.add_argument("--method", choices=list(_METHODS), default="auto")
     enc.add_argument("--out", type=Path, help="output path (default: stdout)")
     enc.add_argument("--format", choices=("text", "json"), default="text")

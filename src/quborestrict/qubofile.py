@@ -3,7 +3,12 @@
 The text format is line-oriented and canonical: coefficients are exact
 fraction strings (``-3``, ``1/2``), term lines hold the nonzero terms sorted
 by index pair, and serializing a parsed file reproduces it byte for byte.
-The parser accepts only that form: an integer is ASCII ``0`` or
+The parser accepts only that form.  The file is UTF-8, every line ends in
+``\\n`` alone (the last line too), and after the ``qubo-restriction v1``
+line the header keys come in the order ``kind``, ``n_total``,
+``n_problem``, ``n_dummies``, ``lambda1``, ``lambda2`` (present only for
+the two-term encodings), ``residual_energy``, ``offset``, followed by the
+``terms`` count and the term lines.  An integer is ASCII ``0`` or
 ``-?[1-9][0-9]*`` and a rational is the ``str`` of its own Fraction, so
 ``06``, ``+1``, ``1_0``, ``2/4`` and ``0.5`` are errors.  A JSON mirror with
 the same fields exists for programmatic consumers, held to the same token
@@ -17,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice, repeat, starmap
 from pathlib import Path
@@ -35,10 +41,6 @@ from .core import (
 
 MAGIC = "qubo-restriction v1"
 
-_INTEGER_KEYS = ("n_total", "n_problem", "n_dummies")
-_RATIONAL_KEYS = ("lambda1", "residual_energy", "offset")
-_REQUIRED_KEYS = ("kind", *_INTEGER_KEYS, *_RATIONAL_KEYS)
-
 # canonical tokens of at most MAX_LITERAL_DIGITS digits per integer
 _DIGITS = f"[0-9]{{0,{MAX_LITERAL_DIGITS - 1}}}"
 _INTEGER = re.compile(f"-?[1-9]{_DIGITS}|0")
@@ -51,26 +53,6 @@ def _terms(model: QuboModel) -> Iterator[tuple[int, int, str]]:
     for (i, j), q in model.int_coeffs.items():
         common = math.gcd(q, scale)
         yield i, j, str(q // common) if common == scale else f"{q // common}/{scale // common}"
-
-
-def dumps(encoded: EncodedRestriction) -> str:
-    """Canonical text form of an encoded restriction."""
-    model = encoded.model
-    lines = [
-        MAGIC,
-        f"kind {encoded.kind.value}",
-        f"n_total {model.n_total}",
-        f"n_problem {model.n_problem}",
-        f"n_dummies {model.n_dummies}",
-        f"lambda1 {encoded.lambda1}",
-    ]
-    if encoded.lambda2 is not None:
-        lines.append(f"lambda2 {encoded.lambda2}")
-    lines.append(f"residual_energy {encoded.residual_energy}")
-    lines.append(f"offset {model.offset}")
-    lines.append(f"terms {len(model.int_coeffs)}")
-    lines.extend(f"{i} {j} {q}" for i, j, q in _terms(model))
-    return "\n".join(lines) + "\n"
 
 
 def _canonical(token: object) -> Optional[tuple[int, int]]:
@@ -99,10 +81,46 @@ def _rational(token: object, context: str) -> tuple[int, int]:
     return ratio
 
 
+def _fraction(token: object, context: str) -> Fraction:
+    return Fraction(*_rational(token, context))
+
+
 def _integer(value: object, context: str) -> int:
     if not is_integer(value):
         raise QuboFileError(f"{context}: bad integer {value!r}")
     return value
+
+
+def _kind(value: object, context: str) -> EncodingKind:
+    try:
+        return EncodingKind(value)
+    except ValueError as exc:
+        raise QuboFileError(f"unknown encoding kind {value!r}") from exc
+
+
+# The header fields in file order: each key with the reader of its value and
+# the value as the writers put it.  Only lambda2 may be absent (None).
+_HEADER = {
+    "kind": (_kind, lambda encoded: encoded.kind.value),
+    "n_total": (_integer, lambda encoded: encoded.model.n_total),
+    "n_problem": (_integer, lambda encoded: encoded.model.n_problem),
+    "n_dummies": (_integer, lambda encoded: encoded.model.n_dummies),
+    "lambda1": (_fraction, lambda encoded: str(encoded.lambda1)),
+    "lambda2": (lambda token, context: None if token is None else _fraction(token, context),
+                lambda encoded: None if encoded.lambda2 is None else str(encoded.lambda2)),
+    "residual_energy": (_fraction, lambda encoded: str(encoded.residual_energy)),
+    "offset": (_fraction, lambda encoded: str(encoded.model.offset)),
+}
+
+
+def dumps(encoded: EncodedRestriction) -> str:
+    """Canonical text form of an encoded restriction."""
+    model = encoded.model
+    header = {key: write(encoded) for key, (_, write) in _HEADER.items()}
+    lines = [MAGIC, *(f"{key} {value}" for key, value in header.items() if value is not None)]
+    lines.append(f"terms {len(model.int_coeffs)}")
+    lines.extend(f"{i} {j} {q}" for i, j, q in _terms(model))
+    return "\n".join(lines) + "\n"
 
 
 def _build(header: dict[str, object], keys: list[tuple[int, int]],
@@ -113,54 +131,46 @@ def _build(header: dict[str, object], keys: list[tuple[int, int]],
     pair ``ratios[k]`` at the unique key ``keys[k]``.  ``top``, if given, is
     the largest index of nonzero terms at ordered keys in increasing order.
     """
-    missing = [key for key in _REQUIRED_KEYS if key not in header]
+    missing = [key for key in _HEADER if key not in header and key != "lambda2"]
     if missing:
         raise QuboFileError(f"missing header keys: {', '.join(missing)}")
-    unknown = set(header) - set(_REQUIRED_KEYS) - {"lambda2"}
+    unknown = set(header) - set(_HEADER)
     if unknown:
         raise QuboFileError(f"unknown header keys: {', '.join(sorted(unknown))}")
-    n_total, n_problem, n_dummies = (_integer(header[key], f"header {key}")
-                                     for key in _INTEGER_KEYS)
-    lambda1, residual, offset = (_rational(header[key], f"header {key}")
-                                 for key in _RATIONAL_KEYS)
-    lambda2 = header.get("lambda2")
-    if lambda2 is not None:
-        lambda2 = Fraction(*_rational(lambda2, "header lambda2"))
-    try:
-        kind = EncodingKind(header["kind"])
-    except ValueError as exc:
-        raise QuboFileError(f"unknown encoding kind {header['kind']!r}") from exc
-    if n_dummies != n_total - n_problem:
-        raise QuboFileError(f"inconsistent file contents: n_dummies={n_dummies} disagrees "
-                            f"with n_total - n_problem = {n_total - n_problem}")
+    values = {key: read(header[key], f"header {key}")
+              for key, (read, _) in _HEADER.items() if key in header}
+    n_total, n_problem, offset = values["n_total"], values["n_problem"], values["offset"]
+    if values["n_dummies"] != n_total - n_problem:
+        raise QuboFileError(f"inconsistent file contents: n_dummies={values['n_dummies']} "
+                            f"disagrees with n_total - n_problem = {n_total - n_problem}")
     try:
         # coefficients repeat, so each distinct one is scaled once
         distinct = set(ratios)
-        scale = common_denominator([offset[1], *(den for _, den in distinct)])
+        scale = common_denominator([offset.denominator, *(den for _, den in distinct)])
         scaled = {ratio: ratio[0] * (scale // ratio[1]) for ratio in distinct}
         model = QuboModel._scaled(
             n_total, n_problem, scale, dict(zip(keys, map(scaled.__getitem__, ratios))),
-            offset[0] * (scale // offset[1]),
+            offset.numerator * (scale // offset.denominator),
             check=top is None or top >= n_total)
         return EncodedRestriction(
             model=model,
-            kind=kind,
-            residual_energy=Fraction(*residual),
-            lambda1=Fraction(*lambda1),
-            lambda2=lambda2,
+            kind=values["kind"],
+            residual_energy=values["residual_energy"],
+            lambda1=values["lambda1"],
+            lambda2=values.get("lambda2"),
         )
     except ValueError as exc:
         raise QuboFileError(f"inconsistent file contents: {exc}") from exc
 
 
-def _terms_of(lines: list[str], first: int) -> tuple[list[tuple[int, int]],
-                                                     list[tuple[int, int]], int]:
-    """Keys and (numerator, denominator) pairs of term lines, and the largest index.
+def _read_terms(lines: list[str]) -> Optional[tuple[list[tuple[int, int]],
+                                                    list[tuple[int, int]], int]]:
+    """Keys and (numerator, denominator) pairs of term lines and the largest index, or None.
 
-    The lines must be canonical, as ``dumps`` writes them: ``i j q`` with
-    ``0 <= i <= j``, keys increasing and q nonzero.  Each distinct token is
-    read once and the rest are C-level passes over the section, so a large
-    file parses at a small cost per term.
+    This is the term-line rule: each line is ``i j q`` as ``dumps`` writes
+    it, with ``0 <= i <= j``, keys increasing and q nonzero; None if any line
+    breaks it.  Each distinct token is read once and the rest are C-level
+    passes over the section, so a large file parses at a small cost per term.
     """
     if not lines:
         return [], [], -1
@@ -174,40 +184,24 @@ def _terms_of(lines: list[str], first: int) -> tuple[list[tuple[int, int]],
             and None not in ratios.values() and (0, 1) not in ratios.values()
             and all(starmap(operator.le, keys))
             and all(map(operator.lt, keys, islice(keys, 1, None)))):
-        raise _first_bad_line(lines, first)
+        return None
     return keys, list(map(ratios.__getitem__, coefficients)), max(indices.values())
-
-
-def _first_bad_line(lines: list[str], first: int) -> QuboFileError:
-    """The error naming the first term line, counted from line ``first``, that is not canonical."""
-    previous = (-1, -1)
-    for number, line in enumerate(lines, first):
-        parts = line.split(" ")
-        key = tuple(int(part) if _INTEGER.fullmatch(part) else -1 for part in parts[:2])
-        if (len(parts) != 3 or not 0 <= key[0] <= key[1] or key <= previous
-                or _canonical(parts[2]) in (None, (0, 1))):
-            return QuboFileError(f"line {number}: expected 'i j coefficient' with a nonzero "
-                                 f"coefficient, 0 <= i <= j and keys in increasing order, "
-                                 f"got {line!r}")
-        previous = key
-    return QuboFileError("the terms section is not canonical")
 
 
 def loads(text: str) -> EncodedRestriction:
     """Parse the canonical text form."""
-    lines = text.splitlines()
-    if not lines or lines[0] != MAGIC:
+    lines = text.split("\n")
+    if lines[0] != MAGIC:
         raise QuboFileError(f"first line must be {MAGIC!r}")
+    if lines.pop():
+        raise QuboFileError("the last line does not end in a newline")
     header: dict[str, object] = {}
-    cursor = 1
     n_terms = None
-    while cursor < len(lines):
-        line = lines[cursor]
-        cursor += 1
+    for cursor, line in enumerate(islice(lines, 1, None), 2):
         key, _, value = line.partition(" ")
         if not key or not value:
             raise QuboFileError(f"line {cursor}: expected 'key value', got {line!r}")
-        if key in ("terms", *_INTEGER_KEYS):
+        if key == "terms" or _HEADER.get(key, (None,))[0] is _integer:
             if not _INTEGER.fullmatch(value):
                 where = f"line {cursor}" if key == "terms" else f"header {key}"
                 raise QuboFileError(f"{where}: bad integer {value!r}")
@@ -225,26 +219,29 @@ def loads(text: str) -> EncodedRestriction:
     if len(term_lines) != n_terms:
         raise QuboFileError(
             f"terms section announces {n_terms} lines but {len(term_lines)} follow")
-    keys, ratios, top = _terms_of(term_lines, cursor + 1)
-    return _build(header, keys, ratios, top)
+    terms = _read_terms(term_lines)
+    if terms is None:
+        # the rule holds for every prefix of a canonical section, so the
+        # shortest prefix that breaks it ends at the first bad line
+        bad = bisect_left(range(1, n_terms + 1), True,
+                          key=lambda size: _read_terms(term_lines[:size]) is None)
+        raise QuboFileError(f"line {cursor + 1 + bad}: expected 'i j coefficient' with a "
+                            f"nonzero coefficient, 0 <= i <= j and keys in increasing order, "
+                            f"got {term_lines[bad]!r}")
+    encoded = _build(header, *terms)
+    if list(header) != [key for key in _HEADER if key in header]:
+        raise QuboFileError(f"header keys out of order: expected {', '.join(_HEADER)}")
+    return encoded
 
 
 def dumps_json(encoded: EncodedRestriction) -> str:
     """JSON mirror of the text form (same fields, exact fraction strings)."""
     import json
 
-    model = encoded.model
     payload = {
         "format": MAGIC,
-        "kind": encoded.kind.value,
-        "n_total": model.n_total,
-        "n_problem": model.n_problem,
-        "n_dummies": model.n_dummies,
-        "lambda1": str(encoded.lambda1),
-        "lambda2": None if encoded.lambda2 is None else str(encoded.lambda2),
-        "residual_energy": str(encoded.residual_energy),
-        "offset": str(model.offset),
-        "terms": [list(term) for term in _terms(model)],
+        **{key: write(encoded) for key, (_, write) in _HEADER.items()},
+        "terms": [list(term) for term in _terms(encoded.model)],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -276,8 +273,15 @@ def loads_json(text: str) -> EncodedRestriction:
 
 
 def load(path: Union[str, Path]) -> EncodedRestriction:
-    """Read either serialization format, sniffing JSON by its leading brace."""
-    text = Path(path).read_text()
+    """Read either serialization format, sniffing JSON by its leading brace.
+
+    The bytes are decoded as UTF-8 with no newline translation, so a line
+    end other than ``\\n`` reaches the parser and is refused there.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise QuboFileError(f"{path}: not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):
         return loads_json(text)
     return loads(text)

@@ -14,6 +14,18 @@ from quborestrict.core import (
     expand_squared_affine,
 )
 
+# tokens a fuzz test swaps into a file: non-canonical integers and fractions,
+# and literals whose exponent or digits would build a gigantic int if they
+# were not refused as text first
+TOKENS = st.sampled_from([
+    "", "x", "-1", "0", "1", "2", "7", "12", "1/2", "-3/4", "1/0", "0.5", "3.7", "1e3",
+    "nan", "inf", "True", "null", "[]", "2,3",
+    "0_6", "+0", "-0", "06", " 2", "2 ", "\u0663", "\uff17", "2/4", "3/1", "0/5", "1/-2",
+    "1e5000", "1e-5000", "1e999999999", "9" * 5000, "1/" + "7" * 3500,
+]) | st.text(max_size=5)
+# line separators a penalty file may be written with; only the first is canonical
+SEPARATORS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x1c", "\u2028"])
+
 
 def broken_one_hot(spec: RestrictionSpec) -> EncodedRestriction:
     """One-hot target term with the selector penalty left out entirely.

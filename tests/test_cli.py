@@ -172,6 +172,39 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda raw: raw.replace(b"\nn_total 6\nn_problem 5\n",
+                                             b"\nn_problem 5\nn_total 6\n"), id="permuted header"),
+        pytest.param(lambda raw: raw.replace(b"\nn_total 6\n", b"\nn_total 6\nn_total 6\n"),
+                     id="duplicated header"),
+        pytest.param(lambda raw: raw[:-1], id="no final newline"),
+        pytest.param(lambda raw: raw.replace(b"\n", b"\r\n"), id="CRLF"),
+        pytest.param(lambda raw: raw.replace(b"\n", "\x1c".encode()), id="file separator"),
+        pytest.param(lambda raw: raw.replace(b"\n", "\u2028".encode()), id="line separator"),
+        pytest.param(lambda raw: raw.replace(b"kind ", b"kind \xff\xfe"), id="not UTF-8"),
+    ])
+    def test_non_canonical_text_file_is_a_parse_error(self, capsys, tmp_path, edit):
+        good = tmp_path / "good.qubo"
+        spec = ("--n", 5, "--allowed", "1,2,3")
+        run_cli(capsys, "encode", *spec, "--out", good)
+        bad = tmp_path / "bad.qubo"
+        bad.write_bytes(edit(good.read_bytes()))
+        assert bad.read_bytes() != good.read_bytes()
+        code, out, err = run_cli(capsys, "verify", "--qubo", bad, *spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_multipliers_are_encode_flags_only(self, capsys, tmp_path):
+        good = tmp_path / "good.qubo"
+        run_cli(capsys, "encode", "--n", 5, "--allowed", "1,2", "--out", good)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n_vars": 5, "allowed": [1, 2], "lambda1": "pi"}))
+        code, out, _ = run_cli(capsys, "verify", "--qubo", good, "--spec-json", spec_path)
+        assert code == 0 and "verdict: PASS" in out
+        code, out, err = run_cli(
+            capsys, "verify", "--qubo", good, "--n", 5, "--allowed", "1,2", "--lambda", 2)
+        assert (code, out, err) == (2, "", "error: unrecognized arguments: --lambda 2\n")
+
     @pytest.mark.parametrize("case", [
         "float n_total", "string n_total", "float n_dummies", "float term index",
         "unknown key", "duplicate term",

@@ -4,7 +4,9 @@ Whatever the input, ``encode`` and ``verify`` must exit 0, 1 or 2, and an
 exit 2 must print one ``error:`` line, never a traceback.  Drawn integers
 are at most 12 and drawn strings at most 5 characters; the fixed tokens add
 non-canonical integers and fractions, and literals whose exponent or digits
-would build a gigantic int if they were not refused as text first.
+would build a gigantic int if they were not refused as text first.  Text
+penalty files also draw their line separator, and some carry bytes that are
+not UTF-8.
 """
 
 from __future__ import annotations
@@ -19,12 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from quborestrict.cli import main
 
-TOKENS = st.sampled_from([
-    "", "x", "-1", "0", "1", "2", "7", "12", "1/2", "-3/4", "1/0", "0.5", "3.7", "1e3",
-    "nan", "inf", "True", "null", "[]", "2,3",
-    "0_6", "+0", "-0", "06", " 2", "2 ", "\u0663", "\uff17", "2/4", "3/1", "0/5", "1/-2",
-    "1e5000", "1e-5000", "1e999999999", "9" * 5000, "1/" + "7" * 3500,
-]) | st.text(max_size=5)
+from helpers import SEPARATORS, TOKENS
+
 SCALARS = (st.none() | st.booleans() | st.integers(-2, 12) | TOKENS
            | st.floats(-20, 20) | st.sampled_from([float("nan"), float("inf")]))
 JSON_VALUES = st.recursive(
@@ -34,6 +32,7 @@ JSON_VALUES = st.recursive(
 METHODS = st.sampled_from(["auto", "single", "onehot", "linear", "log", "half2", "halfchain",
                            "reduced"])
 SPEC = ["--n", "5", "--allowed", "1,2,4"]
+NOT_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])  # stray, cut short, surrogate
 FUZZ = settings(deadline=None, max_examples=150)
 
 
@@ -108,8 +107,13 @@ def test_malformed_text_penalty_file(data):
                 lines.insert(at, " ".join(data.draw(st.lists(TOKENS, max_size=3))))
             if not lines:
                 break
+        separator = data.draw(SEPARATORS)
+        raw = (separator.join(lines) + data.draw(st.sampled_from([separator, ""]))).encode()
+        if data.draw(st.integers(0, 4)) == 0:  # bytes that are not UTF-8
+            at = data.draw(st.integers(0, len(raw)))
+            raw = raw[:at] + data.draw(NOT_UTF8) + raw[at:]
         path = Path(tmp) / "bad.qubo"
-        path.write_text("\n".join(lines) + data.draw(st.sampled_from(["\n", ""])))
+        path.write_bytes(raw)
         assert_clean_exit(*run(["verify", "--qubo", str(path), *SPEC]))
 
 

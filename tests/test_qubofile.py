@@ -6,6 +6,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quborestrict.core import RestrictionSpec
 from quborestrict.encoders import (
@@ -23,6 +24,8 @@ from quborestrict.qubofile import (
     loads_json,
     save,
 )
+
+from helpers import SEPARATORS, TOKENS
 
 SPECS = [
     RestrictionSpec(4, (2,)),
@@ -58,6 +61,37 @@ class TestTextRoundTrip:
         assert "offset 9/4" in text
         assert "0 0 -2" in text
         assert "." not in text.splitlines()[-1]
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from([encode_one_hot_general(RestrictionSpec(4, (1, 3))),
+                            encode_half_integer_chain(RestrictionSpec(5, (1, 2, 3)))]),
+           st.data())
+    def test_accepted_text_is_canonical(self, encoded, data):
+        # whatever mutated file the parser accepts, serializing it gives the same text
+        lines = dumps(encoded).split("\n")[:-1]
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(lines) - 1))
+            other = data.draw(st.integers(0, len(lines) - 1))
+            action = data.draw(st.sampled_from(["token", "drop", "copy", "swap"]))
+            if action == "token":
+                tokens = lines[at].split(" ")
+                tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(TOKENS)
+                lines[at] = " ".join(tokens)
+            elif action == "drop":
+                del lines[at]
+            elif action == "copy":
+                lines.insert(at, lines[other])
+            else:
+                lines[at], lines[other] = lines[other], lines[at]
+            if not lines:
+                break
+        separator = data.draw(SEPARATORS)
+        text = separator.join(lines) + data.draw(st.sampled_from([separator, ""]))
+        try:
+            parsed = loads(text)
+        except QuboFileError:
+            return
+        assert dumps(parsed) == text
 
     def test_no_lambda2_line_for_single_term_encodings(self):
         encoded = encode_half_integer_chain(RestrictionSpec(5, (1, 2, 3)))
@@ -140,6 +174,17 @@ class TestParseErrors:
         ("\n0 1 2\n0 2 2\n", "\n0 1 2\n0 1 2\n"),
         ("\n0 5 -6\n", "\n5 0 -6\n"),
         ("\n0 0 1\n", "\n-1 0 1\n"),
+        # the header keys come once each, in the order dumps writes them
+        ("n_total 6\nn_problem 4\n", "n_problem 4\nn_total 6\n"),
+        ("kind one_hot_general\nn_total 6\n", "n_total 6\nkind one_hot_general\n"),
+        ("lambda1 1\nlambda2 1\n", "lambda2 1\nlambda1 1\n"),
+        ("lambda2 1\n", "lambda2 1\nlambda2 1\n"),
+        # every line ends in \n alone, the last one too
+        ("\n5 5 8\n", "\n5 5 8"),
+        ("n_total 6\n", "n_total 6\r\n"),
+        ("\n0 0 1\n", "\n0 0 1\r\n"),
+        ("\n0 0 1\n", "\n0 0 1\x1c"),
+        ("\n0 0 1\n", "\n0 0 1\u2028"),
     ])
     def test_non_canonical_forms_are_refused(self, old, new):
         assert old in self.text
@@ -147,9 +192,16 @@ class TestParseErrors:
             loads(self.text.replace(old, new, 1))
         assert "\n" not in str(failure.value)
 
-    def test_refusal_names_the_line(self):
-        with pytest.raises(QuboFileError, match="line 13: expected 'i j coefficient'"):
-            loads(self.text.replace("\n0 2 2\n", "\n0 2 2/4\n"))
+    @pytest.mark.parametrize("old, new, number", [
+        pytest.param("\n0 3 2\n", "\n0 3\n", 14, id="shape"),
+        pytest.param("\n1 1 1\n1 2 2\n", "\n1 2 2\n1 1 1\n", 18, id="order"),
+        pytest.param("\n2 4 -2\n", "\n4 2 -2\n", 24, id="i > j"),
+        pytest.param("\n3 3 1\n", "\n3 3 0\n", 26, id="zero"),
+        pytest.param("\n0 2 2\n", "\n0 2 2/4\n", 13, id="not reduced"),
+    ])
+    def test_refusal_names_the_line(self, old, new, number):
+        with pytest.raises(QuboFileError, match=f"line {number}: expected 'i j coefficient'"):
+            loads(self.text.replace(old, new, 1))
 
     def test_index_beyond_n_total(self):
         with pytest.raises(QuboFileError, match=r"key \(5, 6\) is not an ordered in-range pair"):
