@@ -63,6 +63,16 @@ def _fraction_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _positive_flag(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _allowed_flag(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(token) for token in text.split(","))
@@ -238,7 +248,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="check a penalty file against its restriction")
     ver.add_argument("--qubo", type=Path, required=True, help="penalty file to check")
     _add_spec_flags(ver)
-    ver.add_argument("--max-bits", type=int)
+    ver.add_argument(
+        "--max-bits", type=_positive_flag,
+        help="largest n_total to enumerate for a model the twin-class table does not "
+             "take, since that costs 2**n_total states (default: 24)")
     ver.set_defaults(func=cmd_verify)
 
     sw = sub.add_parser("sweep", help="sweep a fractional target and sample each point")

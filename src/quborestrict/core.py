@@ -61,8 +61,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     Floats go through their shortest decimal repr, so 0.1 becomes 1/10
     rather than the binary expansion of the float.  A string is refused
     before any int is built when its digits and exponent could exceed
-    ``MAX_LITERAL_DIGITS``.
+    ``MAX_LITERAL_DIGITS``.  A bool is refused: True is no multiplier.
     """
+    if isinstance(value, bool):
+        raise ParameterError(f"expected a rational number, got {value!r}")
     if isinstance(value, float):
         value = str(value)
     if isinstance(value, str):

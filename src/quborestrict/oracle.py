@@ -7,16 +7,21 @@ exactly the allowed sums at the declared residual energy.
 Both engines work in integer arithmetic on the model's ints, which share
 one scale; energies convert back to Fractions at the end.  The engines:
 
-* the symmetric engine serves models whose energy depends on the problem
-  bits only through their sum s (every construction in ``encoders``), and
-  tabulates ``E(s, y)`` over sums and dummy patterns y in Python ints;
+* the twin-class table partitions the problem bits into classes of twins,
+  bits whose swap leaves every energy unchanged (each construction in
+  ``encoders`` is one class), and tabulates the energy over the per-class
+  counts of set bits and the dummy patterns, in Python ints.  It takes a
+  model with at most ``n_problem + 1`` dummies whose classes give at most
+  ``(n_problem + 1)**2`` count vectors, and is bounded by the physical
+  memory, not by ``max_bits``;
 * every other model takes the doubling sweep over all ``2**n_total``
-  assignments: the states with bit k set cost ``E[b] + Q_kk + h_k[b]`` for
-  ``b < 2**k``, and the field ``h_k`` on bit k is itself built by doubling,
-  so each state costs O(1) additions, in place, for int64 and object dtype.
+  assignments, capped at ``max_bits``: the states with bit k set cost
+  ``E[b] + Q_kk + h_k[b]`` for ``b < 2**k``, and the field ``h_k`` on bit k
+  is itself built by doubling, so each state costs O(1) additions, in
+  place, for int64 and object dtype.
 
 numpy is imported only by the functions that build arrays, so certifying a
-symmetric model never loads it.
+model the table takes never loads it.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
 from .core import (
@@ -77,57 +83,145 @@ def _check_size(n_total: int, max_bits: int) -> None:
             f"(pass a larger max_bits to override)")
 
 
-def symmetric_energies(
-    model: QuboModel, max_bits: int = DEFAULT_MAX_BITS
-) -> Optional[tuple[int, list[list[int]]]]:
-    """Energies ``E(s, y)`` of a model symmetric in its problem bits, or None.
+def twin_table(
+    model: QuboModel,
+) -> Optional[tuple[int, list[list[int]], list[tuple[tuple[int, ...], int, list[int]]]]]:
+    """``(scale, classes, rows)``: the model's twin-class table, or None for the sweep.
 
-    The model is symmetric when every problem bit has the same diagonal
-    coefficient, every pair of problem bits the same coupling, and each dummy
-    the same coupling to every problem bit (absent coefficients count as 0).
-    Its energy then depends on the problem bits only through their sum s:
-    ``E(s, y) = offset + a*s + b*s*(s-1)/2 + s*c(y) + D(y)`` for dummy
-    pattern y.  The structure is read from the coefficients, never from the
-    encoding kind, so a tampered file is judged by what it contains.
+    Problem bits are twins when they share a diagonal and couple equally to
+    every other bit (absent coefficients count as 0), so swapping them leaves
+    every energy unchanged.  ``classes`` partitions the problem bits into
+    classes of twins, ordered by first bit.  ``rows`` holds ``(counts,
+    multiplicity, energies)`` per vector of per-class set-bit counts, the
+    first class varying slowest: ``energies[y]`` is the energy times
+    ``scale`` of each assignment with those counts and dummy pattern y (bit
+    k of y is dummy k), and ``multiplicity = prod C(len(c), s_c)`` counts
+    them.
 
-    Returns ``(scale, table)``: ``table[s][y]`` is the energy times ``scale``
-    as a Python int, for s = 0..n_problem and y < 2**n_dummies (bit k of y is
-    dummy k).  Returns None for an asymmetric model, and for one with more
-    than ``n_problem + 1`` dummies, whose table would outgrow the doubling
-    sweep.  ``max_bits`` caps ``n_total`` as it does for the sweep.
+    Read from the coefficients, never from the kind: the table takes a model
+    with at most ``n_problem + 1`` dummies whose classes give at most
+    ``(n_problem + 1)**2`` count vectors.  One class is tried first, so a
+    symmetric model costs one pass over the terms; otherwise bits with equal
+    multisets of terms are proposed as classes and a second pass confirms
+    them, so a wrong proposal costs only speed.  No bit cap applies; a table
+    beyond the physical memory raises ``SizeLimitError`` before it is built.
     """
-    _check_size(model.n_total, max_bits)
     n, d = model.n_problem, model.n_dummies
     if d > n + 1:
         return None
     coeffs = model.int_coeffs
-    # the shared coefficients, read off problem bit 0
-    diagonal = coeffs.get((0, 0), 0) if n else 0
-    pair = coeffs.get((0, 1), 0) if n > 1 else 0
-    field = [coeffs.get((0, n + k), 0) if n else 0 for k in range(d)]
-    present = 0
-    for (i, j), q in coeffs.items():
+    present, bound = len(coeffs), abs(model.int_offset)
+    for (i, _), q in reversed(coeffs.items()):  # sorted keys put the dummy rows last
         if i < n:
-            if q != (diagonal if i == j else pair if j < n else field[j - n]):
-                return None
-            present += 1
-    # stored coefficients are never zero, so a missing one shows in the count
-    if present != n * (diagonal != 0) + n * (n - 1) // 2 * (pair != 0) + n * sum(
-            c != 0 for c in field):
-        return None
+            break
+        present, bound = present - 1, bound + abs(q)
+    _check_table_memory(n + 1, n, d, bound)  # no partition has fewer rows than one class
+    classes = [list(range(n))] if n else []
+    magnitude = _twin_magnitude(coeffs, present, classes, d)
+    if magnitude is None:
+        # propose classes of bits with equal multisets of terms: the diagonal, the
+        # couplings to problem bits by value alone (twins share their mutual one)
+        # and the dummy couplings by value and dummy
+        terms: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (i, j), q in islice(coeffs.items(), present):
+            term = (q, i == j if j < n else ~j)
+            terms[i].append(term)
+            if i != j < n:
+                terms[j].append(term)
+        groups: dict[tuple, list[int]] = {}
+        for i, bit_terms in enumerate(terms):
+            groups.setdefault(tuple(sorted(bit_terms)), []).append(i)
+        classes = list(groups.values())
+        if len(classes) == 1 or math.prod(len(c) + 1 for c in classes) > (n + 1) ** 2:
+            return None
+        magnitude = _twin_magnitude(coeffs, present, classes, d)
+        if magnitude is None:
+            return None
+    _check_table_memory(math.prod(len(c) + 1 for c in classes), n, d, bound + magnitude)
 
-    # D(y) plus the offset, and c(y), over the dummy patterns, by doubling
-    dummy_energy, slope = [model.int_offset], [0]
+    # the offset plus the dummy block over the dummy patterns, by doubling
+    dummy_energy = [model.int_offset]
     for k in range(d):
         kick = [coeffs.get((n + k, n + k), 0)]
         for l in range(k):
             coupling = coeffs.get((n + l, n + k), 0)
             kick += [x + coupling for x in kick]
         dummy_energy += [e + x for e, x in zip(dummy_energy, kick)]
-        slope += [t + field[k] for t in slope]
-    table = [[diagonal * s + pair * (s * (s - 1) // 2) + s * t + e
-              for t, e in zip(slope, dummy_energy)] for s in range(n + 1)]
-    return model.scale, table
+    # one more set bit in a class adds its diagonal, its pair coupling times the
+    # class's set bits, its links to the earlier classes' set bits, and its
+    # coupling to the dummy pattern (the slope, by doubling)
+    rows = [((), 1, dummy_energy)]
+    for c, members in enumerate(classes):
+        first, size = members[0], len(members)
+        pair = coeffs.get((first, members[1]), 0) if size > 1 else 0
+        links = [coeffs.get((other[0], first), 0) for other in classes[:c]]
+        slope = [0]
+        for k in range(d):
+            field = coeffs.get((first, n + k), 0)
+            slope += [t + field for t in slope]
+        grown = []
+        for counts, multiplicity, energies in rows:
+            step = coeffs.get((first, first), 0) + sum(w * s for w, s in zip(links, counts))
+            binomial = 1
+            for s in range(size + 1):
+                grown.append((counts + (s,), multiplicity * binomial, energies))
+                energies = [e + t + step + pair * s for e, t in zip(energies, slope)]
+                binomial = binomial * (size - s) // (s + 1)
+        rows = grown
+    return model.scale, classes, rows
+
+
+def _twin_magnitude(coeffs: dict[tuple[int, int], int], present: int, classes: list[list[int]],
+                    n_dummies: int) -> Optional[int]:
+    """Sum of ``|q|`` over the problem rows' terms if each block holds one value, else None.
+
+    Absent terms count as 0.  Each class and each dummy is a cell u with
+    column code ``2**u``.  The blocks are the diagonals of a class, keyed
+    ``-2**u``, and the pairs within a class or between a class and a later
+    cell, keyed ``2**u + 2**v``.
+    """
+    n = sum(map(len, classes))
+    cells = classes + [[j] for j in range(n, n + n_dummies)]
+    column = [0] * (n + n_dummies)
+    for u, members in enumerate(cells):
+        for i in members:
+            column[i] = 1 << u
+    values: dict[int, int] = {}
+    first = values.setdefault
+    for (i, j), q in islice(coeffs.items(), present):
+        if first(column[i] + column[j] if i != j else -column[i], q) != q:
+            return None
+    size = {}
+    for u, members in enumerate(classes):
+        size[-1 << u] = m = len(members)
+        for v in range(u, len(cells)):
+            size[(1 << u) + (1 << v)] = m * len(cells[v]) if u != v else m * (m - 1) // 2
+    # stored coefficients are never zero, so a block with a missing term shows in the count
+    if sum(size[key] for key in values) != present:
+        return None
+    return sum(abs(q) * size[key] for key, q in values.items())
+
+
+def table_bytes(n_rows: int, n_problem: int, n_dummies: int, bound: int) -> int:
+    """Estimated peak bytes of a twin-class table of ``n_rows`` rows, energies up to ``bound``.
+
+    A row costs about 256 bytes of tuples and list, a multiplicity of up to
+    ``n_problem`` bits and ``2**n_dummies`` energies, each a list slot and an
+    int with a spare digit; the level built before the last, at most as
+    large, is alive meanwhile.
+    """
+    entry = 8 + sys.getsizeof(bound) + sys.int_info.sizeof_digit
+    return 2 * n_rows * (256 + n_problem // 8 + (entry << n_dummies))
+
+
+def _check_table_memory(n_rows: int, n_problem: int, n_dummies: int, bound: int) -> None:
+    """Refuse a table whose ``table_bytes`` exceed the physical memory, before any shift."""
+    available = _physical_memory()
+    if available is not None and (
+            n_dummies >= available.bit_length()  # 2**n_dummies bytes alone would not fit
+            or table_bytes(n_rows, n_problem, n_dummies, bound) > available):
+        raise SizeLimitError(f"a twin-class table of {n_rows} rows of 2**{n_dummies} energies "
+                             f"needs more than the physical memory")
 
 
 def enumeration_bytes(n_total: int, entry_bytes: int = 8) -> int:
@@ -220,25 +314,29 @@ def _spectrum(
 ) -> tuple[dict[int, tuple[Fraction, int]], Optional[Fraction]]:
     """``by_sum`` and the lowest energy above the ground energy, if any.
 
-    Symmetric models are read off ``symmetric_energies``, where sum s stands
-    for ``C(n_problem, s)`` assignments per dummy pattern; every other model
-    takes the doubling sweep.
+    Models the twin-class table takes are read off its rows, where each
+    energy stands for ``multiplicity`` assignments; every other model takes
+    the doubling sweep, capped at ``max_bits``.
     """
-    symmetric = symmetric_energies(model, max_bits)
-    if symmetric is not None:
-        scale, table = symmetric
-        minima = [min(row) for row in table]
-        by_sum = {s: (Fraction(low, scale), math.comb(model.n_problem, s) * row.count(low))
-                  for s, (row, low) in enumerate(zip(table, minima))}
+    table = twin_table(model)
+    if table is not None:
+        scale, _, rows = table
+        minima = [None] * (model.n_problem + 1)
+        counts = [0] * (model.n_problem + 1)
+        for class_counts, multiplicity, energies in rows:
+            s, low = sum(class_counts), min(energies)
+            if minima[s] is None or low < minima[s]:
+                minima[s], counts[s] = low, 0
+            if low == minima[s]:
+                counts[s] += multiplicity * energies.count(low)
         ground = min(minima)
-        second = min((e for row in table for e in row if e != ground), default=None)
+        second = min((e for _, _, energies in rows for e in energies if e != ground), default=None)
     else:
         energies, scale = assignment_energies(model, max_bits)
         minima, counts = _minima_by_sum(energies, model)
-        by_sum = {s: (Fraction(int(e), scale), int(c))
-                  for s, (e, c) in enumerate(zip(minima, counts))}
         above = energies[energies != minima.min()]
         second = above.min() if above.size else None
+    by_sum = {s: (Fraction(int(e), scale), int(c)) for s, (e, c) in enumerate(zip(minima, counts))}
     return by_sum, None if second is None else Fraction(int(second), scale)
 
 

@@ -9,12 +9,12 @@ is never a confound.
 
 This module is the only floating-point corner of the package; everything it
 consumes is exact and everything it emits is an empirical or exact
-probability.  Distributions over the problem-bit sum of a model symmetric in
-its problem bits come from the sum law over ``oracle.symmetric_energies``,
-never from a per-assignment array.  Sweeps draw their reads with the
-standard library's ``random`` (a multinomial over the sums built from
-binomial draws), so a sweep of a symmetric model never imports numpy; only
-the per-assignment functions build arrays.
+probability.  Distributions over the problem-bit sum of a model that
+``oracle.twin_table`` takes come from the sum law over its rows, never from
+a per-assignment array.  Sweeps draw their reads with the standard
+library's ``random`` (a multinomial over the sums built from binomial
+draws), so a sweep never imports numpy; only the per-assignment functions
+build arrays.
 """
 
 from __future__ import annotations
@@ -143,9 +143,10 @@ def exact_sum_distribution(
 ) -> np.ndarray:
     """Exact Boltzmann probability of each problem-bit sum 0..n_problem.
 
-    A model symmetric in its problem bits takes the sum law
-    ``P(s) ~ C(n, s) * sum_y exp(-(E(s, y) - E0) / T)`` over its dummy
-    patterns y; any other model sums the per-assignment probabilities.
+    A model the twin-class table takes has the sum law
+    ``P(s) ~ sum_rows multiplicity * sum_y exp(-(E(row, y) - E0) / T)`` over
+    the table rows of sum s and the dummy patterns y; any other model sums
+    the per-assignment probabilities.
     """
     import numpy as np
 
@@ -158,24 +159,26 @@ def _sum_probabilities(
     """:func:`exact_sum_distribution` as Python floats; numpy only off the sum law."""
     if not temperature > 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    symmetric = oracle.symmetric_energies(model, max_bits)
-    if symmetric is None:
+    table = oracle.twin_table(model)
+    if table is None:
         import numpy as np
 
         probabilities = boltzmann_probabilities(model, temperature, max_bits)
         sums = oracle.problem_bit_sums(model.n_total, model.n_problem)
         return np.bincount(
             sums, weights=probabilities, minlength=model.n_problem + 1).tolist()
-    return _sum_law(model.n_problem, *symmetric, temperature)
+    scale, _, rows = table
+    return _sum_law(model.n_problem, scale, rows, temperature)
 
 
-def _sum_law(n: int, scale: int, table: list[list[int]], temperature: float) -> list[float]:
-    """Normalized ``C(n, s) * sum_y exp(-(E(s, y) - E0) / T)``, in log space.
+def _sum_law(n: int, scale: int, rows: list[tuple[tuple[int, ...], int, list[int]]],
+             temperature: float) -> list[float]:
+    """Normalized ``sum_rows multiplicity * sum_y exp(-(E - E0) / T)`` per sum, in log space.
 
     The excitations are shifted exactly in ints; one beyond the float range
     has weight 0.
     """
-    ground = min(min(row) for row in table)
+    ground = min(min(energies) for _, _, energies in rows)
 
     def exponent(e: int) -> float:
         try:
@@ -183,8 +186,11 @@ def _sum_law(n: int, scale: int, table: list[list[int]], temperature: float) -> 
         except OverflowError:
             return -math.inf
 
-    logs = [math.log(math.comb(n, s)) + _log_sum_exp([exponent(e) for e in row])
-            for s, row in enumerate(table)]
+    by_sum: list[list[float]] = [[] for _ in range(n + 1)]
+    for counts, multiplicity, energies in rows:
+        by_sum[sum(counts)].append(
+            math.log(multiplicity) + _log_sum_exp([exponent(e) for e in energies]))
+    logs = [_log_sum_exp(terms) for terms in by_sum]
     total = _log_sum_exp(logs)
     return [math.exp(x - total) for x in logs]
 

@@ -11,6 +11,7 @@ from quborestrict.core import (
     EncodingKind,
     QuboModel,
     RestrictionSpec,
+    combine,
     expand_squared_affine,
 )
 
@@ -82,3 +83,33 @@ def symmetric_models(draw, huge=False, perturbed=False, values=None):
         coeffs = {key: lam * q for key, q in coeffs.items()}
         offset = lam * (offset + 5 if offset >= 0 else offset - 5)
     return QuboModel(n + d, n, coeffs, offset)
+
+
+@st.composite
+def twin_class_models(draw, huge=False, values=None):
+    """Models with several classes of twin problem bits, n_total <= 14.
+
+    Either ``symmetric_models(perturbed=True)`` (``values`` goes to it), or a
+    sum of ``expand_squared_affine`` squares over one to three disjoint
+    blocks of problem bits, n_total <= 12 with at most n_problem + 1
+    dummies: block b weighs its bits b + 1 and may own up to two dummies, so
+    the bits of a block are twins.  One multiplier serves every block: 1 or
+    2, which keeps ``|E|`` under 700, or ``huge``, past the int64 bound.
+    """
+    if draw(st.booleans()):
+        return draw(symmetric_models(huge=huge, perturbed=True, values=values))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    dummies = [draw(st.integers(0, 2)) for _ in sizes]
+    # at most n_problem + 1 dummies, as the table requires, and 12 bits in all
+    while sum(dummies) > min(sum(sizes) + 1, 12 - sum(sizes)):
+        dummies[dummies.index(max(dummies))] -= 1
+    lam = draw(st.integers(10**18, 10**30) if huge else st.integers(1, 2))
+    n, n_total = sum(sizes), sum(sizes) + sum(dummies)
+    squares, bit, dummy = [], 0, n
+    for b, (size, d) in enumerate(zip(sizes, dummies)):
+        terms = [(i, b + 1) for i in range(bit, bit + size)]
+        terms += [(k, -draw(st.integers(1, 2))) for k in range(dummy, dummy + d)]
+        target = draw(st.fractions(min_value=0, max_value=size * (b + 1), max_denominator=3))
+        squares.append(expand_squared_affine(terms, -target, lam, n_total=n_total, n_problem=n))
+        bit, dummy = bit + size, dummy + d
+    return combine(*squares)

@@ -13,11 +13,24 @@ import pytest
 
 from quborestrict import qubofile
 from quborestrict.cli import main
-from quborestrict.core import EncodedRestriction, EncodingKind, QuboModel, RestrictionSpec
+from quborestrict.core import (
+    EncodedRestriction,
+    EncodingKind,
+    QuboModel,
+    RestrictionSpec,
+    expand_squared_affine,
+)
 
 from helpers import broken_one_hot
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table_m7_golden.txt"
+
+
+def twin_free_restriction(n: int) -> EncodedRestriction:
+    """A penalty with distinct problem weights: no two bits are twins, so the sweep runs."""
+    model = expand_squared_affine([(i, i + 1) for i in range(n)], -n, 1)
+    return EncodedRestriction(model=model, kind=EncodingKind.SINGLE_VALUE,
+                              residual_energy=F(0), lambda1=F(1))
 
 
 def run_cli(capsys, *args):
@@ -109,14 +122,17 @@ class TestEncode:
         ({"n_vars": True, "allowed": [True]}, "allowed a list of integers"),
         ({"n_vars": 5, "allowed": [1, 2], "lambda1": "abc"}, "Invalid literal for Fraction"),
         ({"n_vars": 5, "allowed": ["a", 1]}, "allowed a list of integers"),
+        ({"n_vars": 4, "allowed": [1, 3], "lambda1": True}, "expected a rational number, got True"),
+        ({"n_vars": 4, "allowed": [1, 3], "lambda2": False}, "expected a rational number, got False"),
     ])
     def test_mistyped_spec_json_is_a_usage_error(self, capsys, tmp_path, payload, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(payload))
-        code, _, err = run_cli(capsys, "encode", "--spec-json", spec_path)
-        assert code == 2
+        code, out, err = run_cli(capsys, "encode", "--spec-json", spec_path)
+        assert (code, out) == (2, "")
         assert message in err
         assert "Traceback" not in err
+        assert err.count("\n") == 1
 
     def test_invalid_spec_values(self, capsys):
         code, _, err = run_cli(capsys, "encode", "--n", 5, "--allowed", "6")
@@ -254,13 +270,25 @@ class TestVerify:
         assert err.startswith("error: header offset: bad rational") and err.count("\n") == 1
 
     def test_max_bits_cap_is_an_error(self, capsys, tmp_path):
-        out_path = tmp_path / "wide.qubo"
-        run_cli(capsys, "encode", "--n", 8, "--allowed", "1,2", "--out", out_path)
-        code, _, err = run_cli(
-            capsys, "verify", "--qubo", out_path, "--n", 8, "--allowed", "1,2",
-            "--max-bits", 6)
+        # the cap bounds only the doubling sweep, which a twin-free file takes
+        spec = ("--n", 8, "--allowed", "1,2")
+        twin_free = tmp_path / "twin_free.qubo"
+        qubofile.save(twin_free_restriction(8), twin_free)
+        code, _, err = run_cli(capsys, "verify", "--qubo", twin_free, *spec, "--max-bits", 6)
         assert code == 2
         assert "capped" in err
+        symmetric = tmp_path / "wide.qubo"
+        run_cli(capsys, "encode", *spec, "--out", symmetric)
+        code, out, _ = run_cli(capsys, "verify", "--qubo", symmetric, *spec, "--max-bits", 6)
+        assert code == 0
+        assert "verdict: PASS" in out
+
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_max_bits_must_be_positive(self, capsys, tmp_path, value):
+        code, out, err = run_cli(capsys, "verify", "--qubo", tmp_path / "absent.qubo",
+                                 "--n", 3, "--allowed", "1", "--max-bits", value)
+        assert (code, out) == (2, "")
+        assert err == f"error: argument --max-bits: not a positive integer: {value!r}\n"
 
 
 class TestSweep:
@@ -395,7 +423,8 @@ def test_numpy_loads_only_where_arrays_are_built(tmp_path):
                          "--out", "huge.qubo") == (0, "False", encode)
     assert probe_imports(tmp_path, "verify", "--qubo", "huge.qubo", *spec_flags) == (
         0, "False", verify)
-    # lowering one problem coupling breaks the symmetry: the doubling sweep needs numpy
+    # lowering one problem coupling splits bits 0 and 1 off as a class of twins,
+    # which the table still takes
     encoded = qubofile.load(tmp_path / "ok.qubo")
     coeffs = dict(encoded.model.coeffs)
     coeffs[(0, 1)] -= F(1, 2)
@@ -405,4 +434,8 @@ def test_numpy_loads_only_where_arrays_are_built(tmp_path):
         residual_energy=encoded.residual_energy, lambda1=encoded.lambda1,
         lambda2=encoded.lambda2), tmp_path / "broken.qubo")
     assert probe_imports(tmp_path, "verify", "--qubo", "broken.qubo", *spec_flags) == (
+        1, "False", verify)
+    # distinct weights leave no twins: the doubling sweep needs numpy
+    qubofile.save(twin_free_restriction(9), tmp_path / "twin_free.qubo")
+    assert probe_imports(tmp_path, "verify", "--qubo", "twin_free.qubo", *spec_flags) == (
         1, "True", verify)

@@ -220,6 +220,12 @@ class TestEncodedRestriction:
             EncodedRestriction(model, EncodingKind.SINGLE_VALUE, F(0), F(0))
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_as_fraction_refuses_booleans(value):
+    with pytest.raises(ParameterError, match=f"got {value}"):
+        as_fraction(value)
+
+
 def test_as_fraction_reads_decimal_floats_exactly():
     assert as_fraction(0.1) == F(1, 10)
     assert as_fraction("0.5") == F(1, 2)

@@ -322,12 +322,11 @@ class TestSelectOptimal:
         ((3, 250, 600, 999), EncodingKind.REDUCED_GENERAL),
     ])
     def test_certified_at_a_thousand_variables(self, allowed, kind):
-        # max_bits caps n_total on both engines; these models take the symmetric
-        # engine, whose table has only (n+1) * 2**d entries, so the cap is lifted
+        # the twin-class table takes these models, (n+1) * 2**d entries at the default cap
         spec = RestrictionSpec(1000, allowed)
         encoded = select_optimal(spec, EncoderParams(F(1, 7), F(3)))
         assert encoded.kind is kind
-        result = verify(encoded, spec, max_bits=encoded.model.n_total)
+        result = verify(encoded, spec)
         assert result.passed, result.diagnosis
 
     def test_log_preferred_at_ties(self):
@@ -343,6 +342,12 @@ class TestEncoderParams:
             EncoderParams(lambda1=0)
         with pytest.raises(ParameterError):
             EncoderParams(lambda2=F(-1))
+
+    @pytest.mark.parametrize("params", [{"lambda1": True}, {"lambda2": True}, {"lambda1": False}])
+    def test_rejects_booleans(self, params):
+        # True == 1 as an int, but it is no multiplier
+        with pytest.raises(ParameterError, match="got (True|False)"):
+            EncoderParams(**params)
 
     def test_two_term_encodings_record_both_multipliers(self):
         params = EncoderParams(lambda1=2, lambda2=F(3, 2))

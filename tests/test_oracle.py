@@ -39,11 +39,12 @@ from quborestrict.oracle import (
     fractional_energy_ladder,
     problem_bit_sums,
     sum_spectrum,
-    symmetric_energies,
+    table_bytes,
+    twin_table,
     verify,
 )
 
-from helpers import broken_one_hot, symmetric_models
+from helpers import broken_one_hot, symmetric_models, twin_class_models
 
 
 class TestEnumerateSpectrum:
@@ -331,58 +332,123 @@ class TestAgainstEinsumReference:
         assert sum_spectrum(model) == expected.by_sum
 
 
+def forced_sweep(encoded: EncodedRestriction, spec: RestrictionSpec) -> SpectrumReport:
+    """The report of the doubling sweep, with the twin-class table refused."""
+    with mock.patch.object(oracle, "twin_table", return_value=None):
+        return enumerate_spectrum(encoded, spec)
+
+
+def lowered_one_hot(i: int, j: int) -> EncodedRestriction:
+    """The 17 + 3 bit one-hot encoding with the coupling of bits i and j lowered by 1/2."""
+    encoded = encode_one_hot_general(RestrictionSpec(17, (2, 9, 15)))
+    coeffs = dict(encoded.model.coeffs)
+    coeffs[(i, j)] -= F(1, 2)
+    return EncodedRestriction(model=QuboModel(20, 17, coeffs, encoded.model.offset),
+                              kind=encoded.kind, residual_energy=encoded.residual_energy,
+                              lambda1=encoded.lambda1, lambda2=encoded.lambda2)
+
+
 class TestSymmetricEngine:
-    """The symmetric engine against the doubling sweep and the einsum reference."""
+    """The twin-class table against the doubling sweep and the einsum reference."""
 
     # the 14-bit reference costs about half a second per example
     @settings(deadline=None, max_examples=25)
     @given(st.one_of(symmetric_models(), symmetric_models(huge=True)), st.data())
     def test_reports_match_doubling_and_reference(self, model, data):
-        assert symmetric_energies(model) is not None
+        assert twin_table(model)[1] == [list(range(model.n_problem))]
         encoded, spec = drawn_restriction(model, data)
-        symmetric = enumerate_spectrum(encoded, spec)
-        with mock.patch.object(oracle, "symmetric_energies", return_value=None):
-            doubled = enumerate_spectrum(encoded, spec)
-        assert symmetric == doubled == reference_report(encoded, spec)
+        tabulated = enumerate_spectrum(encoded, spec)
+        assert tabulated == forced_sweep(encoded, spec) == reference_report(encoded, spec)
 
-    @settings(deadline=None, max_examples=20)
-    @given(st.one_of(symmetric_models(perturbed=True),
-                     symmetric_models(perturbed=True, huge=True)), st.data())
-    def test_perturbed_models_fall_back_and_match(self, model, data):
-        assert symmetric_energies(model) is None
+    @settings(deadline=None, max_examples=30)
+    @given(st.one_of(twin_class_models(), twin_class_models(huge=True)), st.data())
+    def test_multi_class_models_take_the_table_and_match(self, model, data):
+        # a perturbed symmetric model or a sum of squares over disjoint blocks
+        assert twin_table(model) is not None
         encoded, spec = drawn_restriction(model, data)
-        assert enumerate_spectrum(encoded, spec) == reference_report(encoded, spec)
+        tabulated = enumerate_spectrum(encoded, spec)
+        assert tabulated == forced_sweep(encoded, spec) == reference_report(encoded, spec)
 
     def test_table_of_a_one_hot_encoding(self):
         # (x0 + x1 - y0 - 2*y1)**2 plus the selector (y0 + y1 - 1)**2
         spec = RestrictionSpec(2, (1, 2))
-        scale, table = symmetric_energies(encode_one_hot_general(spec).model)
-        assert scale == 1
+        scale, classes, rows = twin_table(encode_one_hot_general(spec).model)
+        assert (scale, classes) == (1, [[0, 1]])
         # columns: dummy patterns y = 0b00, 0b01, 0b10, 0b11
-        assert table == [[1, 1, 4, 10], [2, 0, 1, 5], [5, 1, 0, 2]]
+        assert [energies for _, _, energies in rows] == [[1, 1, 4, 10], [2, 0, 1, 5], [5, 1, 0, 2]]
+        assert [(counts, multiplicity) for counts, multiplicity, _ in rows] == [
+            ((0,), 1), ((1,), 2), ((2,), 1)]
+
+    def test_lowered_coupling_splits_off_its_pair(self):
+        # the certify benchmark's broken file: the classes are {i, j} and the other 15 bits
+        encoded = lowered_one_hot(4, 11)
+        _, classes, rows = twin_table(encoded.model)
+        assert classes == [[0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16], [4, 11]]
+        assert sum(len(energies) for _, _, energies in rows) == 16 * 3 * 8 == 384
+        assert sum(multiplicity for _, multiplicity, _ in rows) == 2**17
+        spec = RestrictionSpec(17, (2, 9, 15))
+        report = enumerate_spectrum(encoded, spec)
+        assert report == forced_sweep(encoded, spec)
+        assert not report.passed
+
+    def test_twin_free_model_takes_the_sweep(self):
+        # distinct weights leave every bit in its own class: 2**8 count vectors > 9**2
+        model = expand_squared_affine([(i, i + 1) for i in range(8)], -10, 1)
+        assert twin_table(model) is None
+        encoded = EncodedRestriction(model=model, kind=EncodingKind.REDUCED_GENERAL,
+                                     residual_energy=F(0), lambda1=F(1))
+        spec = RestrictionSpec(8, (4,))
+        assert enumerate_spectrum(encoded, spec) == reference_report(encoded, spec)
 
     def test_too_many_dummies_take_the_sweep(self):
         model = QuboModel(5, 1, {(0, 0): F(1), (1, 4): F(2)})
-        assert symmetric_energies(model) is None
-        assert symmetric_energies(QuboModel(3, 1, {(0, 0): F(1), (1, 2): F(2)})) is not None
+        assert twin_table(model) is None
+        assert twin_table(QuboModel(3, 1, {(0, 0): F(1), (1, 2): F(2)})) is not None
 
     def test_missing_coefficient_breaks_symmetry(self):
         model = expand_squared_affine([(i, 1) for i in range(4)], -2, 1)
         coeffs = dict(model.coeffs)
         del coeffs[(1, 3)]
-        assert symmetric_energies(QuboModel(4, 4, coeffs, model.offset)) is None
+        # bits 1 and 3 lose only their mutual coupling, so they stay twins
+        assert twin_table(QuboModel(4, 4, coeffs, model.offset))[1] == [[0, 2], [1, 3]]
 
-    def test_cap_applies_to_symmetric_models(self):
+    def test_table_refused_beyond_the_physical_memory(self, monkeypatch):
         model = expand_squared_affine([(i, 1) for i in range(8)], -2, 1)
-        with pytest.raises(SizeLimitError, match="capped"):
-            symmetric_energies(model, max_bits=6)
+        estimates = []
+
+        def recorded(*args):
+            estimates.append(table_bytes(*args))
+            return estimates[-1]
+
+        monkeypatch.setattr(oracle, "table_bytes", recorded)
+        assert len(twin_table(model)[2]) == 9
+        needed = max(estimates)
+        monkeypatch.setattr(oracle, "_physical_memory", lambda: needed - 1)
+        with pytest.raises(SizeLimitError, match="physical memory"):
+            twin_table(model)
+        with pytest.raises(SizeLimitError, match="physical memory"):
+            sum_spectrum(model)
+        monkeypatch.setattr(oracle, "_physical_memory", lambda: needed)
+        assert len(twin_table(model)[2]) == 9
+        # 2**64 energies per row are refused before any shift or allocation
+        monkeypatch.setattr(oracle, "_physical_memory", lambda: 2**63)
+        with pytest.raises(SizeLimitError, match=r"2\*\*64 energies"):
+            twin_table(QuboModel(128, 64, {}))
+
+    def test_thirty_bit_symmetric_model_certifies_at_the_default_cap(self):
+        spec = RestrictionSpec(27, (2, 9, 20))
+        encoded = encode_one_hot_general(spec)
+        assert encoded.model.n_total == 30 > oracle.DEFAULT_MAX_BITS
+        result = verify(encoded, spec)
+        assert result.passed, result.diagnosis
+        assert result.report.ground_degeneracy == math.comb(27, 2) + math.comb(27, 9) + math.comb(27, 20)
 
 
 @pytest.mark.parametrize("lam", [1, 10**30])
 def test_traced_peak_within_the_memory_estimate(monkeypatch, lam):
-    # distinct problem weights: not symmetric, so the doubling sweep runs
-    model = expand_squared_affine([(i, i % 3 + 1) for i in range(16)], -7, lam, n_problem=12)
-    assert symmetric_energies(model) is None
+    # distinct problem weights: no twins, so the doubling sweep runs
+    model = expand_squared_affine([(i, i + 1) for i in range(16)], -7, lam, n_problem=12)
+    assert twin_table(model) is None
     spec = RestrictionSpec(12, (3,))
     encoded = EncodedRestriction(model=model, kind=EncodingKind.REDUCED_GENERAL,
                                  residual_energy=F(0), lambda1=F(1))
@@ -401,3 +467,27 @@ def test_traced_peak_within_the_memory_estimate(monkeypatch, lam):
         tracemalloc.stop()
     assert len(estimates) == 1
     assert peak <= estimates[0]
+
+
+@pytest.mark.parametrize("model", [
+    expand_squared_affine([(i, 1) for i in range(300)], -150, 1),
+    lowered_one_hot(4, 11).model,
+    encode_one_hot_general(RestrictionSpec(12, (2, 5, 9)), EncoderParams(10**30, 10**30)).model,
+], ids=["one class", "two classes", "huge multipliers"])
+def test_traced_table_within_its_estimate(monkeypatch, model):
+    estimates = []
+
+    def recorded(*args):
+        estimates.append(table_bytes(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(oracle, "table_bytes", recorded)
+    tracemalloc.start()
+    try:
+        twin_table(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the first estimate is the lower bound of one class, the last the table built
+    assert len(estimates) == 2
+    assert peak <= estimates[-1]

@@ -32,7 +32,7 @@ from quborestrict.sampler import (
     sweep_fractional_r,
 )
 
-from helpers import symmetric_models
+from helpers import symmetric_models, twin_class_models
 
 GRID_11 = tuple(F(10 + k, 10) for k in range(11))
 
@@ -127,14 +127,16 @@ class TestBoltzmannSample:
 
 
 class TestSumLaw:
-    """The sum law of symmetric models against the per-assignment distribution."""
+    """The sum law over the twin-class table against the per-assignment distribution."""
 
     # narrow integers keep |E|/T small, so the float rounding of the
     # per-assignment path stays far inside the tolerance
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=60)
     @given(st.one_of(symmetric_models(values=st.integers(-2, 2)),
                      symmetric_models(values=st.integers(-2, 2), perturbed=True),
-                     symmetric_models(huge=True)),
+                     symmetric_models(huge=True),
+                     twin_class_models(values=st.integers(-2, 2)),
+                     twin_class_models(huge=True)),
            st.sampled_from([1.0, 2.5, 10.0]))
     def test_matches_per_assignment_bincount(self, model, temperature):
         probabilities = boltzmann_probabilities(model, temperature)
