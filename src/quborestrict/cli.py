@@ -7,8 +7,10 @@ Subcommands: ``encode`` a restriction to a portable QUBO penalty file,
 encodings side by side.
 
 Exit codes: 0 success/verified, 1 verification refuted, 2 usage or parse
-errors (including inapplicable encodings), with one line on stderr.  Each
-command imports only the modules it uses.
+errors (including inapplicable encodings and work beyond the physical
+memory), with one line on stderr.  A sweep prints each warning as one
+``warning:`` line and keeps its exit code.  Each command imports only the
+modules it uses.
 """
 
 from __future__ import annotations
@@ -61,16 +63,6 @@ def _fraction_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
-
-
-def _positive_flag(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
 
 
 def _allowed_flag(text: str) -> tuple[int, ...]:
@@ -157,8 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     encoded = qubofile.load(args.qubo)
     spec, _ = _spec(args)
-    max_bits = oracle.DEFAULT_MAX_BITS if args.max_bits is None else args.max_bits
-    result = oracle.verify(encoded, spec, max_bits=max_bits)
+    result = oracle.verify(encoded, spec)
     print(_render_report(result.report))
     print(f"verdict: {'PASS' if result.passed else 'FAIL'}")
     print(result.diagnosis)
@@ -181,12 +172,18 @@ def _render_csv(curve: sampler.TransferCurve) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    import warnings
+
     from . import sampler
 
     config = sampler.SamplerConfig(
         temperature=args.temperature, n_reads=args.reads, seed=args.seed)
-    curve = sampler.sweep_fractional_r(
-        args.n, args.r_from, args.r_to, args.steps, args.lambda1, config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = sampler.sweep_fractional_r(
+            args.n, args.r_from, args.r_to, args.steps, args.lambda1, config)
+    for warning in caught:  # one line each, like the errors
+        print(f"warning: {warning.message}", file=sys.stderr)
     text = _render_csv(curve)
     if args.out is not None:
         args.out.write_text(text)
@@ -248,10 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="check a penalty file against its restriction")
     ver.add_argument("--qubo", type=Path, required=True, help="penalty file to check")
     _add_spec_flags(ver)
-    ver.add_argument(
-        "--max-bits", type=_positive_flag,
-        help="largest n_total to enumerate for a model the twin-class table does not "
-             "take, since that costs 2**n_total states (default: 24)")
     ver.set_defaults(func=cmd_verify)
 
     sw = sub.add_parser("sweep", help="sweep a fractional target and sample each point")

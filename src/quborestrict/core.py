@@ -12,10 +12,12 @@ sampler.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str, float]
 
@@ -44,7 +46,7 @@ class EncodingNotApplicableError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """An exhaustive operation would exceed its variable-count cap."""
+    """An operation's estimated peak memory exceeds the physical memory."""
 
 
 class DataQualityError(ValueError):
@@ -94,6 +96,28 @@ def common_denominator(denominators: Iterable[int]) -> int:
         scale = math.lcm(scale, den)
         _check_bits(scale)
     return scale
+
+
+def _physical_memory() -> Optional[int]:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # the platform cannot say
+        return None
+
+
+def check_memory(what: str, exponent: int, estimate: Callable[..., int], *args: int) -> None:
+    """Refuse ``what`` when its ``estimate(*args)`` peak bytes exceed the physical memory.
+
+    The work holds at least ``2**exponent`` entries of a byte or more, so an
+    exponent at or past the memory's bit length is refused before the
+    estimate makes any shift.  Where the platform cannot say how much
+    memory it has, the limit is what can be addressed, ``sys.maxsize``.
+    """
+    available = _physical_memory()
+    limit = sys.maxsize if available is None else available
+    if exponent >= limit.bit_length() or estimate(*args) > limit:
+        where = "the physical memory" if available is not None else "can be addressed"
+        raise SizeLimitError(f"{what} needs more than {where}")
 
 
 def is_integer(value: object) -> bool:
@@ -191,8 +215,9 @@ class QuboModel:
         """A model from ints that are ``scale`` times its coefficients and offset.
 
         Unless ``check`` is set, the keys must already be ordered in-range
-        pairs, sorted, with no zero value.  The common factor of the ints and
-        the scale is divided out either way.
+        pairs, sorted, with no zero value, and the model takes ``int_coeffs``
+        over rather than copying it.  The common factor of the ints and the
+        scale is divided out either way.
         """
         model = cls.__new__(cls)
         model._fill(n_total, n_problem, scale, int_coeffs, int_offset, check)
@@ -216,7 +241,8 @@ class QuboModel:
         if common > 1:
             scale //= common
             int_offset //= common
-            int_coeffs = {key: q // common for key, q in int_coeffs.items()}
+            for key, q in int_coeffs.items():  # in place: no second dict at the peak
+                int_coeffs[key] = q // common
         extremes = (min(int_coeffs.values()), max(int_coeffs.values())) if int_coeffs else ()
         _check_bits(max(abs(v) for v in (scale, int_offset, *extremes)))
         for name, value in (("n_total", n_total), ("n_problem", n_problem), ("scale", scale),
@@ -293,6 +319,19 @@ class EncodedRestriction:
         return self.model.n_dummies
 
 
+def expansion_bytes(n_weights: int, bound: int) -> int:
+    """Estimated peak bytes of expanding a square of ``n_weights`` weights, values up to ``bound``.
+
+    The model costs about 4 KiB and each weight about 256 bytes of input
+    tuples and Fractions.  Each of the ``n_weights * (n_weights + 1) / 2``
+    terms is a key tuple of 56 bytes, an int and dict slots of 16 bytes of
+    entry and up to 8 of index: 3 slots per key after a resize, 4.5 while
+    the old table is still alive.
+    """
+    n_terms = n_weights * (n_weights + 1) // 2
+    return 4096 + 256 * n_weights + n_terms * (56 + sys.getsizeof(bound) + 108)
+
+
 def expand_squared_affine(
     terms: Iterable[tuple[int, RationalLike]],
     constant: RationalLike,
@@ -330,6 +369,11 @@ def expand_squared_affine(
     c = c.numerator * (common // c.denominator)
     # a zero weight contributes nothing; sorted indices give sorted keys
     weights = sorted((i, a.numerator * (common // a.denominator)) for i, a in pairs if a)
+    # no diagonal, coupling or constant exceeds 2 * lam * (max|a| + |c|)**2
+    bound = 2 * lam.numerator * (max((abs(a) for _, a in weights), default=0) + abs(c)) ** 2
+    n_terms = len(weights) * (len(weights) + 1) // 2
+    check_memory(f"expanding a square of {len(weights)} weights into {n_terms} terms", 0,
+                 expansion_bytes, len(weights), bound)
     coeffs: dict[tuple[int, int], int] = {}
     for k, (i, a) in enumerate(weights):
         diagonal = lam.numerator * a * (a + 2 * c)

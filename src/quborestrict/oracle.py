@@ -12,22 +12,22 @@ one scale; energies convert back to Fractions at the end.  The engines:
   ``encoders`` is one class), and tabulates the energy over the per-class
   counts of set bits and the dummy patterns, in Python ints.  It takes a
   model with at most ``n_problem + 1`` dummies whose classes give at most
-  ``(n_problem + 1)**2`` count vectors, and is bounded by the physical
-  memory, not by ``max_bits``;
+  ``(n_problem + 1)**2`` count vectors;
 * every other model takes the doubling sweep over all ``2**n_total``
-  assignments, capped at ``max_bits``: the states with bit k set cost
-  ``E[b] + Q_kk + h_k[b]`` for ``b < 2**k``, and the field ``h_k`` on bit k
-  is itself built by doubling, so each state costs O(1) additions, in
-  place, for int64 and object dtype.
+  assignments: the states with bit k set cost ``E[b] + Q_kk + h_k[b]`` for
+  ``b < 2**k``, and the field ``h_k`` on bit k is itself built by doubling,
+  so each state costs O(1) additions, in place, for int64 and object dtype.
 
-numpy is imported only by the functions that build arrays, so certifying a
-model the table takes never loads it.
+One rule bounds both: ``core.check_memory`` refuses a table whose
+``table_bytes``, or a sweep whose ``enumeration_bytes``, exceed the physical
+memory, before anything is allocated.  numpy is imported only by the
+functions that build arrays, so certifying a model the table takes never
+loads it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,14 +41,12 @@ from .core import (
     QuboModel,
     RationalLike,
     RestrictionSpec,
-    SizeLimitError,
     as_fraction,
+    check_memory,
 )
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_MAX_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -76,11 +74,15 @@ class VerificationResult:
     report: SpectrumReport
 
 
-def _check_size(n_total: int, max_bits: int) -> None:
-    if n_total > max_bits:
-        raise SizeLimitError(
-            f"model has {n_total} variables; enumeration is capped at {max_bits} bits "
-            f"(pass a larger max_bits to override)")
+def _energy_bound(model: QuboModel) -> int:
+    """``sum |q| + |offset|`` over the model's ints: no partial energy exceeds it."""
+    return sum(map(abs, model.int_coeffs.values())) + abs(model.int_offset)
+
+
+def _entry_bytes(bound: int) -> int:
+    """Bytes of one stored energy up to ``bound``: a pointer and the Python int it
+    points to, which an addition allocates with one spare digit."""
+    return 8 + sys.getsizeof(bound) + sys.int_info.sizeof_digit
 
 
 def twin_table(
@@ -103,22 +105,25 @@ def twin_table(
     ``(n_problem + 1)**2`` count vectors.  One class is tried first, so a
     symmetric model costs one pass over the terms; otherwise bits with equal
     multisets of terms are proposed as classes and a second pass confirms
-    them, so a wrong proposal costs only speed.  No bit cap applies; a table
-    beyond the physical memory raises ``SizeLimitError`` before it is built.
+    them, so a wrong proposal costs only speed.  A table whose
+    ``table_bytes`` exceed the physical memory raises ``SizeLimitError``
+    before it is built.
     """
     n, d = model.n_problem, model.n_dummies
     if d > n + 1:
         return None
-    coeffs = model.int_coeffs
-    present, bound = len(coeffs), abs(model.int_offset)
-    for (i, _), q in reversed(coeffs.items()):  # sorted keys put the dummy rows last
+    coeffs, bound = model.int_coeffs, _energy_bound(model)
+    present = len(coeffs)
+    for i, _ in reversed(coeffs):  # sorted keys put the dummy rows last
         if i < n:
             break
-        present, bound = present - 1, bound + abs(q)
-    _check_table_memory(n + 1, n, d, bound)  # no partition has fewer rows than one class
+        present -= 1
+    # no partition has fewer rows than one class
+    check_memory(f"a twin-class table of {n + 1} rows of 2**{d} energies", d,
+                 table_bytes, n + 1, n, d, bound)
     classes = [list(range(n))] if n else []
-    magnitude = _twin_magnitude(coeffs, present, classes, d)
-    if magnitude is None:
+    n_rows = n + 1
+    if not _are_twins(coeffs, present, classes, d):
         # propose classes of bits with equal multisets of terms: the diagonal, the
         # couplings to problem bits by value alone (twins share their mutual one)
         # and the dummy couplings by value and dummy
@@ -132,12 +137,13 @@ def twin_table(
         for i, bit_terms in enumerate(terms):
             groups.setdefault(tuple(sorted(bit_terms)), []).append(i)
         classes = list(groups.values())
-        if len(classes) == 1 or math.prod(len(c) + 1 for c in classes) > (n + 1) ** 2:
+        n_rows = math.prod(len(c) + 1 for c in classes)
+        if len(classes) == 1 or n_rows > (n + 1) ** 2:
             return None
-        magnitude = _twin_magnitude(coeffs, present, classes, d)
-        if magnitude is None:
+        if not _are_twins(coeffs, present, classes, d):
             return None
-    _check_table_memory(math.prod(len(c) + 1 for c in classes), n, d, bound + magnitude)
+    check_memory(f"a twin-class table of {n_rows} rows of 2**{d} energies", d,
+                 table_bytes, n_rows, n, d, bound)
 
     # the offset plus the dummy block over the dummy patterns, by doubling
     dummy_energy = [model.int_offset]
@@ -171,9 +177,9 @@ def twin_table(
     return model.scale, classes, rows
 
 
-def _twin_magnitude(coeffs: dict[tuple[int, int], int], present: int, classes: list[list[int]],
-                    n_dummies: int) -> Optional[int]:
-    """Sum of ``|q|`` over the problem rows' terms if each block holds one value, else None.
+def _are_twins(coeffs: dict[tuple[int, int], int], present: int, classes: list[list[int]],
+               n_dummies: int) -> bool:
+    """Whether each block of the problem rows' terms holds one value.
 
     Absent terms count as 0.  Each class and each dummy is a cell u with
     column code ``2**u``.  The blocks are the diagonals of a class, keyed
@@ -190,16 +196,14 @@ def _twin_magnitude(coeffs: dict[tuple[int, int], int], present: int, classes: l
     first = values.setdefault
     for (i, j), q in islice(coeffs.items(), present):
         if first(column[i] + column[j] if i != j else -column[i], q) != q:
-            return None
+            return False
     size = {}
     for u, members in enumerate(classes):
         size[-1 << u] = m = len(members)
         for v in range(u, len(cells)):
             size[(1 << u) + (1 << v)] = m * len(cells[v]) if u != v else m * (m - 1) // 2
     # stored coefficients are never zero, so a block with a missing term shows in the count
-    if sum(size[key] for key in values) != present:
-        return None
-    return sum(abs(q) * size[key] for key, q in values.items())
+    return sum(size[key] for key in values) == present
 
 
 def table_bytes(n_rows: int, n_problem: int, n_dummies: int, bound: int) -> int:
@@ -210,18 +214,7 @@ def table_bytes(n_rows: int, n_problem: int, n_dummies: int, bound: int) -> int:
     int with a spare digit; the level built before the last, at most as
     large, is alive meanwhile.
     """
-    entry = 8 + sys.getsizeof(bound) + sys.int_info.sizeof_digit
-    return 2 * n_rows * (256 + n_problem // 8 + (entry << n_dummies))
-
-
-def _check_table_memory(n_rows: int, n_problem: int, n_dummies: int, bound: int) -> None:
-    """Refuse a table whose ``table_bytes`` exceed the physical memory, before any shift."""
-    available = _physical_memory()
-    if available is not None and (
-            n_dummies >= available.bit_length()  # 2**n_dummies bytes alone would not fit
-            or table_bytes(n_rows, n_problem, n_dummies, bound) > available):
-        raise SizeLimitError(f"a twin-class table of {n_rows} rows of 2**{n_dummies} energies "
-                             f"needs more than the physical memory")
+    return 2 * n_rows * (256 + n_problem // 8 + (_entry_bytes(bound) << n_dummies))
 
 
 def enumeration_bytes(n_total: int, entry_bytes: int = 8) -> int:
@@ -235,39 +228,24 @@ def enumeration_bytes(n_total: int, entry_bytes: int = 8) -> int:
     return (states + states // 2) * entry_bytes + states * 8
 
 
-def _physical_memory() -> Optional[int]:
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # the platform cannot say
-        return None
-
-
-def assignment_energies(
-    model: QuboModel, max_bits: int = DEFAULT_MAX_BITS
-) -> tuple[np.ndarray, int]:
+def assignment_energies(model: QuboModel) -> tuple[np.ndarray, int]:
     """Energies of all ``2**n_total`` assignments, times an integer ``scale``.
 
     Assignments are visited in plain counting order: assignment ``b`` sets
     bit ``i`` to ``(b >> i) & 1``.  Returns ``(scaled_energies, scale)``;
-    exact energies are ``Fraction(int(e), scale)``.
+    exact energies are ``Fraction(int(e), scale)``.  A sweep whose
+    ``enumeration_bytes`` exceed the physical memory raises
+    ``SizeLimitError`` before anything is built.
     """
+    n, bound = model.n_total, _energy_bound(model)
+    fits_int64 = bound < 2**62  # past int64, exact Python ints in object dtype
+    check_memory(f"enumerating 2**{n} assignments", n,
+                 enumeration_bytes, n, 8 if fits_int64 else _entry_bytes(bound))
     import numpy as np
 
-    n = model.n_total
-    _check_size(n, max_bits)
-    # no partial energy exceeds this bound; past int64, exact Python ints in object dtype
-    bound = sum(map(abs, model.int_coeffs.values())) + abs(model.int_offset)
-    q_matrix = np.zeros((n, n), dtype=np.int64 if bound < 2**62 else object)
+    q_matrix = np.zeros((n, n), dtype=np.int64 if fits_int64 else object)
     for (i, j), v in model.int_coeffs.items():
         q_matrix[i, j] = v
-    # object-dtype entries are a pointer plus the Python int they point to, which
-    # an addition allocates with one spare digit
-    object_entry = 8 + sys.getsizeof(bound) + sys.int_info.sizeof_digit
-    needed = enumeration_bytes(n, 8 if q_matrix.dtype != object else object_entry)
-    available = _physical_memory()
-    if available is not None and needed > available:
-        raise SizeLimitError(f"enumerating 2**{n} assignments needs about "
-                             f"{needed / 2**30:.3g} GiB, more than the physical memory")
     energies = np.empty(1 << n, dtype=q_matrix.dtype)
     field = np.empty((1 << n) // 2, dtype=q_matrix.dtype)
     energies[0] = model.int_offset
@@ -309,14 +287,13 @@ def _minima_by_sum(energies: np.ndarray, model: QuboModel) -> tuple[np.ndarray, 
     return minima, counts
 
 
-def _spectrum(
-    model: QuboModel, max_bits: int
-) -> tuple[dict[int, tuple[Fraction, int]], Optional[Fraction]]:
+def _spectrum(model: QuboModel) -> tuple[dict[int, tuple[Fraction, int]], Optional[Fraction]]:
     """``by_sum`` and the lowest energy above the ground energy, if any.
 
     Models the twin-class table takes are read off its rows, where each
     energy stands for ``multiplicity`` assignments; every other model takes
-    the doubling sweep, capped at ``max_bits``.
+    the doubling sweep.  Either is refused with ``SizeLimitError`` when its
+    estimate exceeds the physical memory.
     """
     table = twin_table(model)
     if table is not None:
@@ -332,7 +309,7 @@ def _spectrum(
         ground = min(minima)
         second = min((e for _, _, energies in rows for e in energies if e != ground), default=None)
     else:
-        energies, scale = assignment_energies(model, max_bits)
+        energies, scale = assignment_energies(model)
         minima, counts = _minima_by_sum(energies, model)
         above = energies[energies != minima.min()]
         second = above.min() if above.size else None
@@ -340,28 +317,22 @@ def _spectrum(
     return by_sum, None if second is None else Fraction(int(second), scale)
 
 
-def sum_spectrum(
-    model: QuboModel, max_bits: int = DEFAULT_MAX_BITS
-) -> dict[int, tuple[Fraction, int]]:
+def sum_spectrum(model: QuboModel) -> dict[int, tuple[Fraction, int]]:
     """Minimum energy and its degeneracy for each problem-bit sum.
 
     Dummy bits are minimized over: the value reported for sum s is the best
     energy any assignment with s active problem bits can reach.
     """
-    return _spectrum(model, max_bits)[0]
+    return _spectrum(model)[0]
 
 
-def enumerate_spectrum(
-    encoded: EncodedRestriction,
-    spec: RestrictionSpec,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> SpectrumReport:
+def enumerate_spectrum(encoded: EncodedRestriction, spec: RestrictionSpec) -> SpectrumReport:
     """Exhaustive spectrum of an encoding, with the pass/fail verdict filled in."""
     model = encoded.model
     if model.n_problem != spec.n_vars:
         raise DimensionError(
             f"model has {model.n_problem} problem bits, spec has {spec.n_vars}")
-    by_sum, second_energy = _spectrum(model, max_bits)
+    by_sum, second_energy = _spectrum(model)
     ground_energy = min(e for e, _ in by_sum.values())
     ground_sums = frozenset(s for s, (e, _) in by_sum.items() if e == ground_energy)
     ground_degeneracy = sum(by_sum[s][1] for s in ground_sums)
@@ -380,18 +351,16 @@ def enumerate_spectrum(
     )
 
 
-def verify(
-    encoded: EncodedRestriction,
-    spec: RestrictionSpec,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> VerificationResult:
+def verify(encoded: EncodedRestriction, spec: RestrictionSpec) -> VerificationResult:
     """Certify an encoding against its spec, with a human-readable diagnosis.
 
     Passes when the ground-state sums equal the allowed set and the ground
     energy equals the declared residual exactly.  The diagnosis of a pass
-    names the gap to the next distinct energy level, when one exists.
+    names the gap to the next distinct energy level, when one exists.  A
+    model whose exact engine would need more than the physical memory
+    raises ``SizeLimitError``.
     """
-    report = enumerate_spectrum(encoded, spec, max_bits)
+    report = enumerate_spectrum(encoded, spec)
     allowed = frozenset(spec.allowed)
     problems: list[str] = []
     missing = sorted(allowed - report.ground_sums)

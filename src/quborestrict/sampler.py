@@ -86,9 +86,7 @@ def fractional_restriction_model(
         [(i, 1) for i in range(n_vars)], -as_fraction(r), lam, n_total=n_vars)
 
 
-def boltzmann_probabilities(
-    model: QuboModel, temperature: float, max_bits: int = oracle.DEFAULT_MAX_BITS
-) -> np.ndarray:
+def boltzmann_probabilities(model: QuboModel, temperature: float) -> np.ndarray:
     """Exact Boltzmann distribution P(x) ~ exp(-E(x)/T) over all assignments.
 
     Returned in the oracle's counting order (assignment ``b`` sets bit ``i``
@@ -98,7 +96,7 @@ def boltzmann_probabilities(
 
     if not temperature > 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    energies, scale = oracle.assignment_energies(model, max_bits)
+    energies, scale = oracle.assignment_energies(model)
     # shift exactly: a float rounds energies beyond 2**53, and huge ones may not fit
     shifted = energies - energies.min()
     if energies.dtype == object:
@@ -110,9 +108,7 @@ def boltzmann_probabilities(
     return weights / weights.sum()
 
 
-def boltzmann_sample(
-    model: QuboModel, config: SamplerConfig, max_bits: int = oracle.DEFAULT_MAX_BITS
-) -> dict[int, float]:
+def boltzmann_sample(model: QuboModel, config: SamplerConfig) -> dict[int, float]:
     """Empirical frequencies of ``config.n_reads`` draws from the Boltzmann law.
 
     Keys are assignment integers (bit ``i`` of the key is variable ``i``);
@@ -121,7 +117,7 @@ def boltzmann_sample(
     """
     import numpy as np
 
-    probabilities = boltzmann_probabilities(model, config.temperature, max_bits)
+    probabilities = boltzmann_probabilities(model, config.temperature)
     rng = np.random.default_rng(config.seed)
     counts = rng.multinomial(config.n_reads, probabilities)
     hit = np.nonzero(counts)[0]
@@ -138,9 +134,7 @@ def sum_frequencies(frequencies: Mapping[int, float], n_problem: int) -> dict[in
     return out
 
 
-def exact_sum_distribution(
-    model: QuboModel, temperature: float, max_bits: int = oracle.DEFAULT_MAX_BITS
-) -> np.ndarray:
+def exact_sum_distribution(model: QuboModel, temperature: float) -> np.ndarray:
     """Exact Boltzmann probability of each problem-bit sum 0..n_problem.
 
     A model the twin-class table takes has the sum law
@@ -150,12 +144,10 @@ def exact_sum_distribution(
     """
     import numpy as np
 
-    return np.array(_sum_probabilities(model, temperature, max_bits))
+    return np.array(_sum_probabilities(model, temperature))
 
 
-def _sum_probabilities(
-    model: QuboModel, temperature: float, max_bits: int = oracle.DEFAULT_MAX_BITS
-) -> list[float]:
+def _sum_probabilities(model: QuboModel, temperature: float) -> list[float]:
     """:func:`exact_sum_distribution` as Python floats; numpy only off the sum law."""
     if not temperature > 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
@@ -163,7 +155,7 @@ def _sum_probabilities(
     if table is None:
         import numpy as np
 
-        probabilities = boltzmann_probabilities(model, temperature, max_bits)
+        probabilities = boltzmann_probabilities(model, temperature)
         sums = oracle.problem_bit_sums(model.n_total, model.n_problem)
         return np.bincount(
             sums, weights=probabilities, minlength=model.n_problem + 1).tolist()
@@ -354,7 +346,8 @@ def _assemble_curve(
     r_to: Fraction,
 ) -> TransferCurve:
     lower, upper = math.floor(r_from), math.ceil(r_to)
-    distance = _step_distance(grid, distributions, lower, upper)
+    # a warning names the line that called sweep_fractional_r or exact_transfer_curve
+    distance = _step_distance(grid, distributions, lower, upper, stacklevel=4)
     return TransferCurve(
         n_vars=n_vars,
         r_grid=grid,
@@ -371,7 +364,7 @@ def step_distance(curve: TransferCurve, lower_s: int, upper_s: int) -> float:
     exactly at it.  Mass on other sums is discarded by the normalization;
     if it exceeds 1% anywhere a :class:`StrayMassWarning` is emitted.
     """
-    return _step_distance(curve.r_grid, curve.distributions, lower_s, upper_s)
+    return _step_distance(curve.r_grid, curve.distributions, lower_s, upper_s, stacklevel=3)
 
 
 def _step_distance(
@@ -379,7 +372,9 @@ def _step_distance(
     distributions: Sequence[Sequence[float]],
     lower_s: int,
     upper_s: int,
+    stacklevel: int,
 ) -> float:
+    """:func:`step_distance` over a grid; ``stacklevel`` points a warning past the package."""
     n_sums = len(distributions[0])
     if not (0 <= lower_s < n_sums and 0 <= upper_s < n_sums and lower_s != upper_s):
         raise ParameterError(
@@ -408,6 +403,6 @@ def _step_distance(
             StrayMassWarning(
                 f"{worst_stray:.3g} of the mass lies outside sums "
                 f"({lower_s}, {upper_s}) at R={worst_r}"),
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     return sum(deviations) / len(deviations)

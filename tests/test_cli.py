@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quborestrict import qubofile
+from quborestrict import core, qubofile
 from quborestrict.cli import main
 from quborestrict.core import (
     EncodedRestriction,
@@ -270,25 +270,36 @@ class TestVerify:
         assert err.startswith("error: header offset: bad rational") and err.count("\n") == 1
 
     def test_max_bits_cap_is_an_error(self, capsys, tmp_path):
-        # the cap bounds only the doubling sweep, which a twin-free file takes
+        # the physical memory alone bounds both engines, so there is no cap to set
+        for value in ("6", "0", "-3", "x"):
+            code, out, err = run_cli(capsys, "verify", "--qubo", tmp_path / "absent.qubo",
+                                     "--n", 3, "--allowed", "1", "--max-bits", value)
+            assert (code, out) == (2, "")
+            assert err == f"error: unrecognized arguments: --max-bits {value}\n"
+
+    def test_memory_is_the_only_size_limit(self, capsys, tmp_path, monkeypatch):
         spec = ("--n", 8, "--allowed", "1,2")
         twin_free = tmp_path / "twin_free.qubo"
         qubofile.save(twin_free_restriction(8), twin_free)
-        code, _, err = run_cli(capsys, "verify", "--qubo", twin_free, *spec, "--max-bits", 6)
-        assert code == 2
-        assert "capped" in err
-        symmetric = tmp_path / "wide.qubo"
-        run_cli(capsys, "encode", *spec, "--out", symmetric)
-        code, out, _ = run_cli(capsys, "verify", "--qubo", symmetric, *spec, "--max-bits", 6)
-        assert code == 0
-        assert "verdict: PASS" in out
-
-    @pytest.mark.parametrize("value", ["0", "-3", "x"])
-    def test_max_bits_must_be_positive(self, capsys, tmp_path, value):
-        code, out, err = run_cli(capsys, "verify", "--qubo", tmp_path / "absent.qubo",
-                                 "--n", 3, "--allowed", "1", "--max-bits", value)
+        code, out, _ = run_cli(capsys, "verify", "--qubo", twin_free, *spec)
+        assert code == 1
+        assert "verdict: FAIL" in out
+        monkeypatch.setattr(core, "_physical_memory", lambda: 2**12)
+        code, out, err = run_cli(capsys, "verify", "--qubo", twin_free, *spec)
         assert (code, out) == (2, "")
-        assert err == f"error: argument --max-bits: not a positive integer: {value!r}\n"
+        assert err.startswith("error: ") and err.endswith(" needs more than the physical memory\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("encode", "--n", 20_000, "--allowed", 1),
+        ("sweep", "--n", 20_000, "--r-from", 0, "--r-to", 1, "--steps", 2),
+    ], ids=["encode", "sweep"])
+    def test_oversized_construction_is_refused_in_one_line(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 2**30)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: expanding a square of 20000 weights into 200010000 terms "
+                       "needs more than the physical memory\n")
 
 
 class TestSweep:
@@ -317,7 +328,6 @@ class TestSweep:
         assert lines[0].startswith("R,P0")
         assert lines[-1].startswith("step_distance=")
 
-    @pytest.mark.filterwarnings("ignore::quborestrict.sampler.StrayMassWarning")
     def test_hotter_sweep_has_larger_distance(self, capsys, tmp_path):
         distances = {}
         for temp in ("0.001", "0.5"):
@@ -328,6 +338,21 @@ class TestSweep:
             assert code == 0
             distances[temp] = float(out.split("=")[1])
         assert distances["0.5"] > distances["0.001"]
+
+    def test_warning_is_one_line(self, capsys, tmp_path):
+        argv = ("sweep", "--n", 16, "--r-from", 3, "--r-to", 4, "--temperature", 0.2,
+                "--reads", 1000, "--seed", 1, "--out", tmp_path / "f.csv")
+        expected = (0, "step_distance=0.1372\n",
+                    "warning: 0.012 of the mass lies outside sums (3, 4) at R=39/10\n")
+        assert run_cli(capsys, *argv) == expected
+        # a warning turned into an error does not change the exit code either
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "quborestrict.cli",
+                               *map(str, argv)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
     def test_huge_multiplier_does_not_overflow(self, capsys):
         code, out, _ = run_cli(

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
+from quborestrict import core
 from quborestrict.core import (
     ConstructionError,
     DimensionError,
@@ -231,3 +233,29 @@ def test_as_fraction_reads_decimal_floats_exactly():
     assert as_fraction("0.5") == F(1, 2)
     assert as_fraction("1/3") == F(1, 3)
     assert as_fraction(7) == F(7)
+
+
+@pytest.mark.parametrize("weights, constant, lam", [
+    ([1] * 300, -150, 1),
+    (range(1, 301), -7, 1),
+    ([1] * 300, -150, 10**30),
+    ([3] * 300, F(-3, 2), 6),  # every int shares a factor 2 with the scale
+], ids=["unit weights", "distinct weights", "huge multiplier", "common factor"])
+def test_traced_expansion_within_its_estimate(monkeypatch, weights, constant, lam):
+    estimates, expansion_bytes = [], core.expansion_bytes
+
+    def recorded(*args):
+        estimates.append(expansion_bytes(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(core, "expansion_bytes", recorded)
+    terms = list(enumerate(weights))
+    tracemalloc.start()
+    try:
+        model = expand_squared_affine(terms, constant, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model.int_coeffs) >= 300 * 299 // 2
+    assert len(estimates) == 1
+    assert peak <= estimates[0]

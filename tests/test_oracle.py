@@ -30,7 +30,7 @@ from quborestrict.encoders import (
     encode_reduced_general,
     encode_single_value,
 )
-from quborestrict import oracle
+from quborestrict import core, oracle
 from quborestrict.oracle import (
     SpectrumReport,
     assignment_energies,
@@ -71,15 +71,44 @@ class TestEnumerateSpectrum:
             bits = [(b >> i) & 1 for i in range(5)]
             assert F(int(energies[b]), scale) == model.energy(bits)
 
-    def test_size_cap(self):
-        model = QuboModel(25, 25, {(0, 0): F(1)})
-        with pytest.raises(SizeLimitError):
-            assignment_energies(model)
-        small = QuboModel(11, 11, {(0, 0): F(1)})
-        with pytest.raises(SizeLimitError):
-            assignment_energies(small, max_bits=10)
-        energies, _ = assignment_energies(small, max_bits=11)
-        assert energies.shape == (2**11,)
+    def test_size_cap(self, monkeypatch):
+        # the physical memory is the only cap: a 25-bit twin-free model is refused
+        # exactly when its estimate exceeds it
+        model = expand_squared_affine([(i, i + 1) for i in range(25)], -7, 1)
+        assert twin_table(model) is None
+        needed = enumeration_bytes(25)
+        monkeypatch.setattr(core, "_physical_memory", lambda: needed - 1)
+        with pytest.raises(SizeLimitError, match=r"2\*\*25 assignments needs more than"):
+            sum_spectrum(model)
+
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args, **kwargs):
+            raise Admitted
+
+        # admitted, the sweep goes on to allocate its arrays, which is where it stops here
+        monkeypatch.setattr(core, "_physical_memory", lambda: needed)
+        monkeypatch.setattr(np, "empty", admitted)
+        with pytest.raises(Admitted):
+            sum_spectrum(model)
+
+    def test_huge_model_refused_before_anything_is_built(self, monkeypatch):
+        # distinct diagonals leave no twins; nothing may be built for 2**100000 states
+        model = QuboModel(10**5, 10**5, {(i, i): i + 1 for i in range(10**5)})
+        monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 2**30)
+        monkeypatch.setattr(np, "zeros", mock.Mock(side_effect=AssertionError("built")))
+        with pytest.raises(SizeLimitError, match=r"2\*\*100000 assignments"):
+            sum_spectrum(model)
+
+    def test_unknown_memory_bounds_by_the_address_space(self, monkeypatch):
+        monkeypatch.setattr(core, "_physical_memory", lambda: None)
+        for n in (60, 63):  # 60 bits of states need 20 * 2**60 bytes; 63 bits fail the shift test
+            model = QuboModel(n, n, {(i, i): i + 1 for i in range(n)})
+            with pytest.raises(SizeLimitError, match="more than can be addressed"):
+                assignment_energies(model)
+        with pytest.raises(SizeLimitError, match=r"2\*\*64 energies needs more than can be"):
+            twin_table(QuboModel(128, 64, {}))
 
     def test_memory_estimate_at_40_bits(self):
         states = 2**40
@@ -89,15 +118,15 @@ class TestEnumerateSpectrum:
 
     def test_memory_check_precedes_allocation(self, monkeypatch):
         small = QuboModel(10, 10, {(0, 0): F(1)})
-        monkeypatch.setattr(oracle, "_physical_memory", lambda: enumeration_bytes(10) - 1)
+        monkeypatch.setattr(core, "_physical_memory", lambda: enumeration_bytes(10) - 1)
         with pytest.raises(SizeLimitError, match="physical memory"):
-            assignment_energies(small, max_bits=10)
-        monkeypatch.setattr(oracle, "_physical_memory", lambda: enumeration_bytes(10))
-        assert assignment_energies(small, max_bits=10)[0].shape == (2**10,)
+            assignment_energies(small)
+        monkeypatch.setattr(core, "_physical_memory", lambda: enumeration_bytes(10))
+        assert assignment_energies(small)[0].shape == (2**10,)
         # an object-dtype model needs more per entry than the int64 estimate
         huge = QuboModel(10, 10, {(0, 0): F(10**30)})
         with pytest.raises(SizeLimitError, match="physical memory"):
-            assignment_energies(huge, max_bits=10)
+            assignment_energies(huge)
 
     def test_spec_model_mismatch(self):
         spec = RestrictionSpec(4, (2,))
@@ -423,25 +452,43 @@ class TestSymmetricEngine:
         monkeypatch.setattr(oracle, "table_bytes", recorded)
         assert len(twin_table(model)[2]) == 9
         needed = max(estimates)
-        monkeypatch.setattr(oracle, "_physical_memory", lambda: needed - 1)
+        monkeypatch.setattr(core, "_physical_memory", lambda: needed - 1)
         with pytest.raises(SizeLimitError, match="physical memory"):
             twin_table(model)
         with pytest.raises(SizeLimitError, match="physical memory"):
             sum_spectrum(model)
-        monkeypatch.setattr(oracle, "_physical_memory", lambda: needed)
+        monkeypatch.setattr(core, "_physical_memory", lambda: needed)
         assert len(twin_table(model)[2]) == 9
         # 2**64 energies per row are refused before any shift or allocation
-        monkeypatch.setattr(oracle, "_physical_memory", lambda: 2**63)
+        monkeypatch.setattr(core, "_physical_memory", lambda: 2**63)
         with pytest.raises(SizeLimitError, match=r"2\*\*64 energies"):
             twin_table(QuboModel(128, 64, {}))
 
-    def test_thirty_bit_symmetric_model_certifies_at_the_default_cap(self):
+    def test_thirty_bit_symmetric_model_certifies(self):
         spec = RestrictionSpec(27, (2, 9, 20))
         encoded = encode_one_hot_general(spec)
-        assert encoded.model.n_total == 30 > oracle.DEFAULT_MAX_BITS
+        assert encoded.model.n_total == 30
         result = verify(encoded, spec)
         assert result.passed, result.diagnosis
         assert result.report.ground_degeneracy == math.comb(27, 2) + math.comb(27, 9) + math.comb(27, 20)
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: twin_table(QuboModel(39, 19, {})),  # one class of 19 bits, 20 dummies
+    lambda: sum_spectrum(QuboModel(21, 21, {(i, i): i + 1 for i in range(21)})),  # no twins
+    lambda: expand_squared_affine([(i, 1) for i in range(500)], -2, 1),
+], ids=["table", "sweep", "construction"])
+def test_every_refusal_comes_from_one_helper_before_allocating(monkeypatch, refused):
+    monkeypatch.setattr(core, "_physical_memory", lambda: 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="needs more than the physical memory") as caught:
+            refused()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caught.traceback[-1].name == "check_memory"
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("lam", [1, 10**30])

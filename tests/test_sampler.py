@@ -329,6 +329,17 @@ class TestStepDistance:
         with pytest.warns(StrayMassWarning):
             step_distance(curve_from(hot), 1, 2)
 
+    def test_stray_mass_warning_names_the_calling_line(self):
+        hot = [(0.0, 0.45, 0.45, 0.10, 0.0, 0.0)] * 11
+        for call in (
+            lambda: step_distance(curve_from(hot), 1, 2),
+            lambda: exact_transfer_curve(5, 1, 2, 5, temperature=0.5),
+            lambda: sweep_fractional_r(5, 1, 2, 5, config=SamplerConfig(0.5, n_reads=1000)),
+        ):
+            with pytest.warns(StrayMassWarning) as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
+
     def test_exact_curve_distance_grows_with_temperature(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StrayMassWarning)
