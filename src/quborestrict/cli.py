@@ -19,8 +19,6 @@ import argparse
 import math
 import sys
 from fractions import Fraction
-from pathlib import Path
-from typing import TYPE_CHECKING, Optional
 
 from .core import (
     ConstructionError,
@@ -34,7 +32,10 @@ from .core import (
     as_fraction,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Optional
+
     from . import oracle, sampler
 
 # --method name -> the encoders function it runs
@@ -72,12 +73,18 @@ def _allowed_flag(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+def _path(text: str) -> str:
+    """A path flag spelt as ``pathlib`` spells it: no empty or ``.`` parts, ``.`` if none."""
+    root = "//" if text[:2] == "//" and text[2:3] != "/" else "/" * text.startswith("/")
+    return root + "/".join(part for part in text.split("/") if part not in ("", ".")) or "."
+
+
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="number of problem variables")
     parser.add_argument(
         "--allowed", type=_allowed_flag, help="comma-separated allowed sums, e.g. 1,2,4")
     parser.add_argument(
-        "--spec-json", type=Path,
+        "--spec-json", type=_path,
         help="JSON file {n_vars, allowed[]} instead of --n/--allowed")
 
 
@@ -90,7 +97,8 @@ def _spec(args: argparse.Namespace) -> tuple[RestrictionSpec, dict]:
         import json
 
         try:
-            payload = json.loads(Path(args.spec_json).read_text())
+            with open(args.spec_json) as spec_file:
+                payload = json.load(spec_file)
             n_vars = payload["n_vars"]
             allowed = payload["allowed"]
             if not isinstance(allowed, list):
@@ -117,12 +125,12 @@ def cmd_encode(args: argparse.Namespace) -> int:
         raise ParameterError(f"bad spec JSON {args.spec_json}: {exc}") from exc
     params = encoders.EncoderParams(lambda1, lambda2)
     encoded = getattr(encoders, _METHODS[args.method])(spec, params)
-    text = qubofile.dumps(encoded) if args.format == "text" else qubofile.dumps_json(encoded)
     if args.out is not None:
-        args.out.write_text(text)
+        qubofile.save(encoded, args.out, args.format)
         summary_stream = sys.stdout
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(
+            qubofile.dumps(encoded) if args.format == "text" else qubofile.dumps_json(encoded))
         summary_stream = sys.stderr
     print(f"kind: {encoded.kind.value}", file=summary_stream)
     print(f"n_dummies: {encoded.n_dummies}", file=summary_stream)
@@ -186,7 +194,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"warning: {warning.message}", file=sys.stderr)
     text = _render_csv(curve)
     if args.out is not None:
-        args.out.write_text(text)
+        with open(args.out, "w") as out:
+            out.write(text)
         print(f"step_distance={curve.step_distance:.6g}")
     else:
         sys.stdout.write(text)
@@ -238,12 +247,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--lambda2", type=_fraction_flag, default=None,
         help="second multiplier for the two-term encodings (default: as for --lambda)")
     enc.add_argument("--method", choices=list(_METHODS), default="auto")
-    enc.add_argument("--out", type=Path, help="output path (default: stdout)")
+    enc.add_argument("--out", type=_path, help="output path (default: stdout)")
     enc.add_argument("--format", choices=("text", "json"), default="text")
     enc.set_defaults(func=cmd_encode)
 
     ver = sub.add_parser("verify", help="check a penalty file against its restriction")
-    ver.add_argument("--qubo", type=Path, required=True, help="penalty file to check")
+    ver.add_argument("--qubo", type=_path, required=True, help="penalty file to check")
     _add_spec_flags(ver)
     ver.set_defaults(func=cmd_verify)
 
@@ -257,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument(
         "--lambda", dest="lambda1", type=_fraction_flag, default=Fraction(1))
-    sw.add_argument("--out", type=Path, help="CSV path (default: stdout)")
+    sw.add_argument("--out", type=_path, help="CSV path (default: stdout)")
     sw.set_defaults(func=cmd_sweep)
 
     tab = sub.add_parser("table", help="compare dummy counts of chain and log encodings")

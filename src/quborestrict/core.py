@@ -14,12 +14,14 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-RationalLike = Union[Fraction, int, str, float]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+
+    RationalLike = Union[Fraction, int, str, float]
 
 # A literal may carry at most this many digits, counting its exponent, and a
 # model's scale and ints at most this many bits: 12,000 bits are 3,613
@@ -125,7 +127,50 @@ def is_integer(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+def record(cls: type) -> type:
+    """Make ``cls`` a frozen dataclass, without the start-up cost of ``dataclasses``.
+
+    The annotations name the fields; a class attribute is a default.  Unless
+    the class has its own, ``__init__`` takes the fields by position or
+    keyword and calls ``__post_init__``.  Records of one class with equal
+    fields are equal and hash alike; they print as ``Name(field=value, ...)``.
+    """
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+
+    def values(self: object) -> tuple:
+        return tuple(getattr(self, name) for name in fields)
+
+    def __init__(self: object, *args: object, **kwargs: object) -> None:
+        given = {**defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or kwargs.keys() & fields[:len(args)]
+                or given.keys() != set(fields)):
+            raise TypeError(f"{cls.__name__}() takes {', '.join(fields)}, each once")
+        for name in fields:
+            object.__setattr__(self, name, given[name])
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __eq__(self: object, other: object) -> bool:
+        return values(self) == values(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self: object) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def frozen(self: object, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")
+
+    methods = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__,
+               "__hash__": lambda self: hash(values(self)),
+               "__setattr__": frozen, "__delattr__": frozen}
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
+
+@record
 class RestrictionSpec:
     """Require the sum over a block of binary variables to land in a fixed set.
 
@@ -177,7 +222,7 @@ class RestrictionSpec:
         return self.spacing() == 1
 
 
-@dataclass(frozen=True, init=False)
+@record
 class QuboModel:
     """Upper-triangular QUBO with an exact constant offset.
 
@@ -287,7 +332,7 @@ class EncodingKind(Enum):
     REDUCED_GENERAL = "reduced_general"
 
 
-@dataclass(frozen=True)
+@record
 class EncodedRestriction:
     """A penalty model plus the metadata needed to verify it.
 
@@ -332,6 +377,13 @@ def expansion_bytes(n_weights: int, bound: int) -> int:
     return 4096 + 256 * n_weights + n_terms * (56 + sys.getsizeof(bound) + 108)
 
 
+def check_expansion(n_weights: int, bound: int) -> None:
+    """Refuse a square of ``n_weights`` nonzero weights up to ``bound`` beyond the memory."""
+    n_terms = n_weights * (n_weights + 1) // 2
+    check_memory(f"expanding a square of {n_weights} weights into {n_terms} terms", 0,
+                 expansion_bytes, n_weights, bound)
+
+
 def expand_squared_affine(
     terms: Iterable[tuple[int, RationalLike]],
     constant: RationalLike,
@@ -371,9 +423,7 @@ def expand_squared_affine(
     weights = sorted((i, a.numerator * (common // a.denominator)) for i, a in pairs if a)
     # no diagonal, coupling or constant exceeds 2 * lam * (max|a| + |c|)**2
     bound = 2 * lam.numerator * (max((abs(a) for _, a in weights), default=0) + abs(c)) ** 2
-    n_terms = len(weights) * (len(weights) + 1) // 2
-    check_memory(f"expanding a square of {len(weights)} weights into {n_terms} terms", 0,
-                 expansion_bytes, len(weights), bound)
+    check_expansion(len(weights), bound)
     coeffs: dict[tuple[int, int], int] = {}
     for k, (i, a) in enumerate(weights):
         diagonal = lam.numerator * a * (a + 2 * c)

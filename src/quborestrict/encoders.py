@@ -9,9 +9,7 @@ differ, so each construction is one row of a table that one builder expands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
 
 from .core import (
     EncodedRestriction,
@@ -20,14 +18,20 @@ from .core import (
     ParameterError,
     RestrictionSpec,
     as_fraction,
+    check_expansion,
     combine,
     expand_squared_affine,
+    record,
 )
 
-Encoder = Callable[[RestrictionSpec, "EncoderParams"], EncodedRestriction]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Optional
+
+    Encoder = Callable[[RestrictionSpec, "EncoderParams"], EncodedRestriction]
 
 
-@dataclass(frozen=True)
+@record
 class EncoderParams:
     """Lagrange multipliers; lambda2 only matters for the two-term encodings."""
 
@@ -51,7 +55,8 @@ def _log_weights(m: int, gap: int) -> list[int]:
     return [gap << t for t in range(gamma)] + ([gap * top] if top else [])
 
 
-class _Row(NamedTuple):
+@record
+class _Row:
     """One construction: when it applies, its dummy weights w, c, and c2 if it has a selector."""
 
     applies: Callable[[RestrictionSpec], bool]
@@ -134,6 +139,7 @@ def _build(kind: EncodingKind, spec: RestrictionSpec,
     if not row.applies(spec):
         raise EncodingNotApplicableError(
             f"{kind.value} encoding needs {row.needs}, got {spec.allowed}")
+    check_expansion(spec.n_vars, 1)  # the unit weights alone, before any list is built
     n, weights, constant = spec.n_vars, row.weights(spec), Fraction(row.constant(spec))
     n_total = n + len(weights)
     terms = [(i, 1) for i in range(n)] + list(zip(range(n, n_total), weights))

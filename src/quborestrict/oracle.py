@@ -29,27 +29,30 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import TYPE_CHECKING, Optional
 
 from .core import (
     DimensionError,
     EncodedRestriction,
     ParameterError,
     QuboModel,
-    RationalLike,
     RestrictionSpec,
     as_fraction,
     check_memory,
+    record,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Optional
+
     import numpy as np
 
+    from .core import RationalLike
 
-@dataclass(frozen=True)
+
+@record
 class SpectrumReport:
     """Exact spectrum of an encoded restriction, projected on the problem-bit sum.
 
@@ -67,7 +70,7 @@ class SpectrumReport:
     passed: bool
 
 
-@dataclass(frozen=True)
+@record
 class VerificationResult:
     passed: bool
     diagnosis: str
@@ -137,8 +140,11 @@ def twin_table(
         for i, bit_terms in enumerate(terms):
             groups.setdefault(tuple(sorted(bit_terms)), []).append(i)
         classes = list(groups.values())
+        # each class at least doubles the rows: this many give more than (n + 1)**2
+        if len(classes) == 1 or len(classes) >= 2 * (n + 1).bit_length():
+            return None
         n_rows = math.prod(len(c) + 1 for c in classes)
-        if len(classes) == 1 or n_rows > (n + 1) ** 2:
+        if n_rows > (n + 1) ** 2:
             return None
         if not _are_twins(coeffs, present, classes, d):
             return None

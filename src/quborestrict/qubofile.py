@@ -19,14 +19,13 @@ written against.
 
 from __future__ import annotations
 
+import gc
 import math
 import operator
 import re
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice, repeat, starmap
-from pathlib import Path
-from typing import Iterator, Optional, Union
 
 from .core import (
     MAX_LITERAL_DIGITS,
@@ -38,6 +37,11 @@ from .core import (
     common_denominator,
     is_integer,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from os import PathLike
+    from typing import Iterator, Optional, Union
 
 MAGIC = "qubo-restriction v1"
 
@@ -219,16 +223,22 @@ def loads(text: str) -> EncodedRestriction:
     if len(term_lines) != n_terms:
         raise QuboFileError(
             f"terms section announces {n_terms} lines but {len(term_lines)} follow")
-    terms = _read_terms(term_lines)
-    if terms is None:
-        # the rule holds for every prefix of a canonical section, so the
-        # shortest prefix that breaks it ends at the first bad line
-        bad = bisect_left(range(1, n_terms + 1), True,
-                          key=lambda size: _read_terms(term_lines[:size]) is None)
-        raise QuboFileError(f"line {cursor + 1 + bad}: expected 'i j coefficient' with a "
-                            f"nonzero coefficient, 0 <= i <= j and keys in increasing order, "
-                            f"got {term_lines[bad]!r}")
-    encoded = _build(header, *terms)
+    enabled = gc.isenabled()
+    gc.disable()  # the collector would walk the fresh key tuples again and again, freeing none
+    try:
+        terms = _read_terms(term_lines)
+        if terms is None:
+            # the rule holds for every prefix of a canonical section, so the
+            # shortest prefix that breaks it ends at the first bad line
+            bad = bisect_left(range(1, n_terms + 1), True,
+                              key=lambda size: _read_terms(term_lines[:size]) is None)
+            raise QuboFileError(f"line {cursor + 1 + bad}: expected 'i j coefficient' with a "
+                                f"nonzero coefficient, 0 <= i <= j and keys in increasing "
+                                f"order, got {term_lines[bad]!r}")
+        encoded = _build(header, *terms)
+    finally:
+        if enabled:  # the caller's setting, also when the file is malformed
+            gc.enable()
     if list(header) != [key for key in _HEADER if key in header]:
         raise QuboFileError(f"header keys out of order: expected {', '.join(_HEADER)}")
     return encoded
@@ -272,14 +282,15 @@ def loads_json(text: str) -> EncodedRestriction:
     return _build(header, list(terms), list(terms.values()))
 
 
-def load(path: Union[str, Path]) -> EncodedRestriction:
+def load(path: Union[str, PathLike[str]]) -> EncodedRestriction:
     """Read either serialization format, sniffing JSON by its leading brace.
 
     The bytes are decoded as UTF-8 with no newline translation, so a line
     end other than ``\\n`` reaches the parser and is refused there.
     """
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise QuboFileError(f"{path}: not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):
@@ -287,10 +298,9 @@ def load(path: Union[str, Path]) -> EncodedRestriction:
     return loads(text)
 
 
-def save(encoded: EncodedRestriction, path: Union[str, Path], fmt: str = "text") -> None:
-    if fmt == "text":
-        Path(path).write_text(dumps(encoded))
-    elif fmt == "json":
-        Path(path).write_text(dumps_json(encoded))
-    else:
+def save(encoded: EncodedRestriction, path: Union[str, PathLike[str]], fmt: str = "text") -> None:
+    if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}")
+    text = dumps(encoded) if fmt == "text" else dumps_json(encoded)
+    with open(path, "w") as file:
+        file.write(text)

@@ -22,30 +22,34 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import oracle
 from .core import (
     DataQualityError,
     ParameterError,
     QuboModel,
-    RationalLike,
     as_fraction,
+    check_expansion,
     expand_squared_affine,
     is_integer,
+    record,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Mapping, Optional, Sequence
+
     import numpy as np
+
+    from .core import RationalLike
 
 
 class StrayMassWarning(UserWarning):
     """More than 1% of the measured mass sits outside the transfer pair."""
 
 
-@dataclass(frozen=True)
+@record
 class SamplerConfig:
     """Boltzmann temperature (in the model's energy units), reads, and seed."""
 
@@ -62,7 +66,7 @@ class SamplerConfig:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
+@record
 class TransferCurve:
     """Per-target distributions of the problem-bit sum along a target sweep.
 
@@ -82,6 +86,7 @@ def fractional_restriction_model(
     n_vars: int, r: RationalLike, lam: RationalLike = 1
 ) -> QuboModel:
     """``lam * (sum(x) - R)**2`` with an arbitrary, possibly fractional, target R."""
+    check_expansion(n_vars, 1)  # before the list of weights is built
     return expand_squared_affine(
         [(i, 1) for i in range(n_vars)], -as_fraction(r), lam, n_total=n_vars)
 

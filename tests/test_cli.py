@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import site
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -419,24 +420,40 @@ def test_unknown_command_exits_2(capsys):
 
 # Runs one command in a fresh interpreter and reports, last, whether numpy got
 # loaded and which package modules did.
+# Standard modules whose import is a large share of start-up and that no command needs
+STARTUP_HEAVY = {"dataclasses", "inspect", "typing", "pathlib"}
+
 IMPORT_PROBE = """
 import sys
+before = set(sys.modules)
 from quborestrict.cli import main
 code = main(sys.argv[1:])
-print("numpy" in sys.modules)
-print(",".join(sorted(name for name in sys.modules if name.startswith("quborestrict."))))
+print(",".join(sorted(set(sys.modules) - before)))
 sys.exit(code)
 """
 
 
-def probe_imports(cwd, *args):
+def loaded_modules(cwd, *args):
+    """Exit code of one command and the modules it adds to ``sys.modules``.
+
+    The command runs under ``python -S`` with this interpreter's
+    site-packages on the path, so no ``.pth`` start-up hook can import a
+    module first and hide that the command imports it.
+    """
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *map(str, args)], cwd=cwd,
+    paths = [src, env.get("PYTHONPATH"), *site.getsitepackages(), site.getusersitepackages()]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE, *map(str, args)], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
-    numpy, modules = proc.stdout.splitlines()[-2:]
-    return proc.returncode, numpy, {name.split(".")[1] for name in modules.split(",")}
+    return proc.returncode, set(proc.stdout.splitlines()[-1].split(","))
+
+
+def probe_imports(cwd, *args):
+    """Exit code, whether numpy was loaded, and the package's submodules a command loads."""
+    code, added = loaded_modules(cwd, *args)
+    package = {name.split(".")[1] for name in added if name.startswith("quborestrict.")}
+    return code, str("numpy" in added), package
 
 
 def test_numpy_loads_only_where_arrays_are_built(tmp_path):
@@ -471,3 +488,19 @@ def test_numpy_loads_only_where_arrays_are_built(tmp_path):
     qubofile.save(twin_free_restriction(9), tmp_path / "twin_free.qubo")
     assert probe_imports(tmp_path, "verify", "--qubo", "twin_free.qubo", *spec_flags) == (
         1, "True", verify)
+
+
+def test_no_command_loads_dataclasses_typing_or_pathlib(tmp_path):
+    spec_flags = ("--n", 9, "--allowed", "2,5,9")
+    (tmp_path / "spec.json").write_text('{"n_vars": 9, "allowed": [2, 5, 9]}')
+    for argv in [
+        ("table", "--max-m", 7),
+        ("sweep", "--n", 16, "--r-from", 3, "--r-to", 4, "--out", "sweep.csv"),
+        ("encode", *spec_flags, "--out", "ok.qubo"),
+        ("encode", "--spec-json", "spec.json", "--format", "json", "--out", "ok.json"),
+        ("verify", "--qubo", "ok.qubo", *spec_flags),
+        ("verify", "--qubo", "ok.json", "--spec-json", "spec.json"),
+    ]:
+        code, added = loaded_modules(tmp_path, *argv)
+        assert code == 0 and "quborestrict.cli" in added, argv
+        assert not added & STARTUP_HEAVY, (argv, added & STARTUP_HEAVY)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -18,10 +19,13 @@ from quborestrict.core import (
     ParameterError,
     QuboModel,
     RestrictionSpec,
+    SizeLimitError,
     as_fraction,
     combine,
     expand_squared_affine,
 )
+from quborestrict.encoders import EncoderParams, encode_one_hot_general, encode_single_value
+from quborestrict.sampler import fractional_restriction_model
 
 
 def affine_square(terms, constant, lam, assignment):
@@ -222,6 +226,63 @@ class TestEncodedRestriction:
             EncodedRestriction(model, EncodingKind.SINGLE_VALUE, F(0), F(0))
 
 
+class TestRecord:
+    def test_behaves_as_a_frozen_dataclass(self):
+        reference = dataclasses.make_dataclass(
+            "RestrictionSpec", [("n_vars", int), ("allowed", tuple)], frozen=True)
+        spec = RestrictionSpec(5, (3, 1))
+        assert repr(spec) == repr(reference(5, (1, 3)))
+        assert repr(spec) == "RestrictionSpec(n_vars=5, allowed=(1, 3))"
+        assert hash(spec) == hash(reference(5, (1, 3)))
+
+    def test_hashes_its_fields(self):
+        specs = {RestrictionSpec(5, (3, 1)), RestrictionSpec(allowed=[1, 3], n_vars=5)}
+        assert specs == {RestrictionSpec(5, (1, 3))}
+        assert RestrictionSpec(5, (1, 3)) in specs and RestrictionSpec(5, (1, 4)) not in specs
+        with pytest.raises(TypeError):  # a dict field is unhashable, as in a dataclass
+            hash(QuboModel(2, 2, {(0, 1): 1}))
+
+    def test_equal_only_to_its_own_class(self):
+        @core.record
+        class Lookalike:
+            lambda1: F = F(1)
+            lambda2: F = F(1)
+
+        assert EncoderParams() == EncoderParams(F(1), 1)
+        assert EncoderParams() != Lookalike() and Lookalike() != EncoderParams()
+        assert RestrictionSpec(5, (1, 3)) != (5, (1, 3))
+        assert QuboModel(2, 2, {(0, 1): 1}) == QuboModel(2, 2, {(0, 1): F(2, 2)})
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((5,), {}),
+        ((5, (1,), 3), {}),
+        ((5, (1,)), {"extra": 1}),
+        ((5, (1,)), {"n_vars": 5}),
+        ((), {"allowed": (1,)}),
+    ], ids=["missing", "too many", "unknown", "repeated", "missing keyword"])
+    def test_bad_arguments_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError, match=r"^RestrictionSpec\(\) "):
+            RestrictionSpec(*args, **kwargs)
+
+    def test_defaults(self):
+        assert EncoderParams().lambda1 == EncoderParams().lambda2 == 1
+        assert EncoderParams(lambda2=3) == EncoderParams(1, 3)
+        model = expand_squared_affine([(0, 1)], -1, 1)
+        encoded = EncodedRestriction(model, EncodingKind.SINGLE_VALUE, F(0), F(1))
+        assert encoded.lambda2 is None
+        assert encoded == EncodedRestriction(model, EncodingKind.SINGLE_VALUE, 0, 1, lambda2=None)
+
+    def test_fields_are_frozen(self):
+        spec = RestrictionSpec(5, (1, 3))
+        with pytest.raises(AttributeError):
+            spec.n_vars = 6
+        with pytest.raises(AttributeError):
+            del spec.allowed
+        with pytest.raises(AttributeError):
+            QuboModel(2, 2, {}).scale = 2
+        assert spec == RestrictionSpec(5, (1, 3))
+
+
 @pytest.mark.parametrize("value", [True, False])
 def test_as_fraction_refuses_booleans(value):
     with pytest.raises(ParameterError, match=f"got {value}"):
@@ -259,3 +320,22 @@ def test_traced_expansion_within_its_estimate(monkeypatch, weights, constant, la
     assert len(model.int_coeffs) >= 300 * 299 // 2
     assert len(estimates) == 1
     assert peak <= estimates[0]
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: encode_single_value(RestrictionSpec(10**6, (1,))),
+    lambda: encode_one_hot_general(RestrictionSpec(10**6, (1, 5, 9))),
+    lambda: fractional_restriction_model(10**6, F(1, 2)),
+], ids=["single value", "one-hot", "fractional target"])
+def test_construction_refused_before_its_terms_are_listed(monkeypatch, refused):
+    # the n unit weights alone are a lower bound, checked before any O(n) list exists
+    monkeypatch.setattr(core, "_physical_memory", lambda: 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="^expanding a square of 1000000 weights into "
+                                                 "500000500000 terms needs more than the physical"):
+            refused()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -429,6 +429,18 @@ class TestSymmetricEngine:
         spec = RestrictionSpec(8, (4,))
         assert enumerate_spectrum(encoded, spec) == reference_report(encoded, spec)
 
+    def test_many_classes_are_refused_without_their_row_product(self, monkeypatch):
+        def forbidden(factors):
+            raise RuntimeError("math.prod was called")
+
+        monkeypatch.setattr(math, "prod", forbidden)
+        # 10**4 classes of one bit: more than 2 * (n + 1).bit_length() = 28, so no product
+        n = 10**4
+        assert twin_table(QuboModel._scaled(n, n, 1, {(i, i): i + 1 for i in range(n)}, 0)) is None
+        # 3 classes are fewer than 2 * (3 + 1).bit_length() = 6: the product decides
+        with pytest.raises(RuntimeError, match="math.prod"):
+            twin_table(QuboModel(3, 3, {(0, 0): 1, (1, 1): 2, (2, 2): 3}))
+
     def test_too_many_dummies_take_the_sweep(self):
         model = QuboModel(5, 1, {(0, 0): F(1), (1, 4): F(2)})
         assert twin_table(model) is None

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quborestrict import qubofile
 from quborestrict.core import RestrictionSpec
 from quborestrict.encoders import (
     EncoderParams,
@@ -92,6 +94,28 @@ class TestTextRoundTrip:
         except QuboFileError:
             return
         assert dumps(parsed) == text
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+    def test_collector_paused_while_parsing(self, monkeypatch, enabled):
+        text = dumps(encode_one_hot_general(RestrictionSpec(9, (2, 5, 9))))
+        read_terms, during = qubofile._read_terms, []
+
+        def recorded(lines):
+            during.append(gc.isenabled())
+            return read_terms(lines)
+
+        monkeypatch.setattr(qubofile, "_read_terms", recorded)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert dumps(loads(text)) == text
+            assert gc.isenabled() is enabled
+            with pytest.raises(QuboFileError, match="expected 'i j coefficient'"):
+                loads(text[:-1] + " 7\n")  # the last term line has a fourth token
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert len(during) > 1 and not any(during)
 
     def test_no_lambda2_line_for_single_term_encodings(self):
         encoded = encode_half_integer_chain(RestrictionSpec(5, (1, 2, 3)))
