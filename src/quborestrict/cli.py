@@ -30,6 +30,7 @@ from .core import (
     RestrictionSpec,
     SizeLimitError,
     as_fraction,
+    check_memory,
 )
 
 TYPE_CHECKING = False
@@ -202,12 +203,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def dummy_table_bytes(columns: int) -> int:
+    """Estimated peak bytes of a dummy table of ``columns`` columns.
+
+    Each column holds three list slots and ints, three 5-character cells and
+    their share of the joined text: about 170 bytes, rounded up to 256.
+    """
+    return 4096 + 256 * columns
+
+
 def render_dummy_table(max_m: int) -> str:
     """Dummy-count comparison of the chain and binary-weighted encodings."""
     from . import encoders
 
     if max_m < 2:
         raise ParameterError(f"--max-m must be at least 2, got {max_m}")
+    check_memory(f"a table of {max_m - 1} columns", 0, dummy_table_bytes, max_m - 1)
     ms = list(range(2, max_m + 1))
     rows = [
         ("M", ms),

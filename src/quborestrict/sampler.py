@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from .core import (
     QuboModel,
     as_fraction,
     check_expansion,
+    check_memory,
     expand_squared_affine,
     is_integer,
     record,
@@ -38,7 +40,7 @@ from .core import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Mapping, Optional, Sequence
+    from typing import Callable, Mapping, Optional, Sequence
 
     import numpy as np
 
@@ -272,26 +274,6 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-def _target_grid(r_from: Fraction, r_to: Fraction, steps: int) -> tuple[Fraction, ...]:
-    span = r_to - r_from
-    return tuple(r_from + span * i / (steps - 1) for i in range(steps))
-
-
-def _validate_sweep(n_vars: int, r_from: Fraction, r_to: Fraction, steps: int) -> None:
-    if steps < 2:
-        raise ParameterError(f"a sweep needs at least 2 grid points, got {steps}")
-    if not r_from < r_to:
-        raise ParameterError(f"sweep range must be increasing, got [{r_from}, {r_to}]")
-    if r_from < 0 or r_to > n_vars:
-        raise ParameterError(
-            f"sweep range [{r_from}, {r_to}] must lie within [0, {n_vars}]")
-    lower, upper = math.floor(r_from), math.ceil(r_to)
-    if upper - lower > 1:
-        raise ParameterError(
-            f"sweep range [{r_from}, {r_to}] is bracketed by ({lower}, {upper}); "
-            f"the transfer needs two consecutive integers")
-
-
 def sweep_fractional_r(
     n_vars: int,
     r_from: RationalLike,
@@ -305,24 +287,21 @@ def sweep_fractional_r(
     For each target on the grid a single-term penalty with that (fractional)
     target is built and sampled ``config.n_reads`` times.  The range must lie
     between two consecutive integers, the transfer pair.  A master
-    ``random.Random(config.seed)`` first draws one 128-bit seed per grid
-    point, and each point draws from its own ``random.Random`` seeded with
-    it, so the curve is identical regardless of evaluation order.  The reads
-    are one multinomial draw over the n+1 sums of the exact sum distribution,
-    at a cost per point that does not grow with ``config.n_reads``.
+    ``random.Random(config.seed)`` draws one 128-bit seed per grid point, in
+    grid order, and each point draws from its own ``random.Random`` seeded
+    with it, so the curve is identical regardless of evaluation order.  The
+    reads are one multinomial draw over the n+1 sums of the exact sum
+    distribution, at a cost per point that does not grow with
+    ``config.n_reads``.
     """
-    r_from, r_to = as_fraction(r_from), as_fraction(r_to)
-    _validate_sweep(n_vars, r_from, r_to, steps)
-    grid = _target_grid(r_from, r_to, steps)
     master = random.Random(config.seed)
-    seeds = [master.getrandbits(128) for _ in grid]
-    distributions: list[tuple[float, ...]] = []
-    for r, seed in zip(grid, seeds):
-        probabilities = _sum_probabilities(
-            fractional_restriction_model(n_vars, r, lam), config.temperature)
-        counts = _multinomial(random.Random(seed), config.n_reads, probabilities)
-        distributions.append(tuple(c / config.n_reads for c in counts))
-    return _assemble_curve(n_vars, grid, distributions, r_from, r_to)
+
+    def draw(probabilities: list[float]) -> tuple[float, ...]:
+        rng = random.Random(master.getrandbits(128))
+        counts = _multinomial(rng, config.n_reads, probabilities)
+        return tuple(c / config.n_reads for c in counts)
+
+    return _transfer_curve(n_vars, r_from, r_to, steps, lam, config.temperature, draw)
 
 
 def exact_transfer_curve(
@@ -334,31 +313,59 @@ def exact_transfer_curve(
     temperature: float = 0.05,
 ) -> TransferCurve:
     """Infinite-read limit of :func:`sweep_fractional_r`: exact Boltzmann curves."""
-    r_from, r_to = as_fraction(r_from), as_fraction(r_to)
-    _validate_sweep(n_vars, r_from, r_to, steps)
-    grid = _target_grid(r_from, r_to, steps)
-    distributions = [
-        tuple(_sum_probabilities(fractional_restriction_model(n_vars, r, lam), temperature))
-        for r in grid]
-    return _assemble_curve(n_vars, grid, distributions, r_from, r_to)
+    return _transfer_curve(n_vars, r_from, r_to, steps, lam, temperature, tuple)
 
 
-def _assemble_curve(
+def _transfer_curve(
     n_vars: int,
-    grid: tuple[Fraction, ...],
-    distributions: list[tuple[float, ...]],
-    r_from: Fraction,
-    r_to: Fraction,
+    r_from: RationalLike,
+    r_to: RationalLike,
+    steps: int,
+    lam: RationalLike,
+    temperature: float,
+    draw: Callable[[list[float]], tuple[float, ...]],
 ) -> TransferCurve:
+    """The curve of ``draw`` applied to each grid point's exact sum distribution, in grid order.
+
+    A grid whose ``curve_bytes`` exceed the physical memory raises
+    ``SizeLimitError`` before it is built.
+    """
+    r_from, r_to = as_fraction(r_from), as_fraction(r_to)
+    if steps < 2:
+        raise ParameterError(f"a sweep needs at least 2 grid points, got {steps}")
+    if not r_from < r_to:
+        raise ParameterError(f"sweep range must be increasing, got [{r_from}, {r_to}]")
+    if r_from < 0 or r_to > n_vars:
+        raise ParameterError(
+            f"sweep range [{r_from}, {r_to}] must lie within [0, {n_vars}]")
     lower, upper = math.floor(r_from), math.ceil(r_to)
+    if upper - lower > 1:
+        raise ParameterError(
+            f"sweep range [{r_from}, {r_to}] is bracketed by ({lower}, {upper}); "
+            f"the transfer needs two consecutive integers")
+    # no grid value's numerator or denominator exceeds this
+    bound = max(n_vars, 1) * r_from.denominator * r_to.denominator * (steps - 1)
+    check_memory(f"a sweep of {steps} grid points", 0, curve_bytes, steps, n_vars + 1, bound)
+    span = r_to - r_from
+    grid = tuple(r_from + span * i / (steps - 1) for i in range(steps))
+    distributions = tuple(
+        draw(_sum_probabilities(fractional_restriction_model(n_vars, r, lam), temperature))
+        for r in grid)
     # a warning names the line that called sweep_fractional_r or exact_transfer_curve
     distance = _step_distance(grid, distributions, lower, upper, stacklevel=4)
     return TransferCurve(
-        n_vars=n_vars,
-        r_grid=grid,
-        distributions=tuple(distributions),
-        step_distance=distance,
-    )
+        n_vars=n_vars, r_grid=grid, distributions=distributions, step_distance=distance)
+
+
+def curve_bytes(steps: int, n_sums: int, bound: int) -> int:
+    """Estimated peak bytes of a curve of ``steps`` points over ``n_sums`` sums.
+
+    Each point holds a grid Fraction of two ints up to ``bound``, a tuple of
+    ``n_sums`` floats (32 bytes a sum) and its CSV row, as a line and again
+    in the joined text (up to 32 bytes a sum more); 256 bytes cover the
+    headers of these objects.
+    """
+    return steps * (256 + 2 * sys.getsizeof(bound) + 64 * n_sums)
 
 
 def step_distance(curve: TransferCurve, lower_s: int, upper_s: int) -> float:

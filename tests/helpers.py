@@ -52,6 +52,16 @@ def broken_one_hot(spec: RestrictionSpec) -> EncodedRestriction:
     )
 
 
+def offset_tampered(encoded: EncodedRestriction) -> EncodedRestriction:
+    """The encoding with its offset raised by ``lambda1 / 2``, as the certify benchmark tampers it."""
+    model = encoded.model
+    return EncodedRestriction(
+        model=QuboModel(model.n_total, model.n_problem, model.coeffs,
+                        model.offset + encoded.lambda1 / 2),
+        kind=encoded.kind, residual_energy=encoded.residual_energy,
+        lambda1=encoded.lambda1, lambda2=encoded.lambda2)
+
+
 @st.composite
 def symmetric_models(draw, huge=False, perturbed=False, values=None):
     """Models symmetric in their problem bits, n_total <= 14 with at most 4 dummies.
@@ -113,3 +123,20 @@ def twin_class_models(draw, huge=False, values=None):
         squares.append(expand_squared_affine(terms, -target, lam, n_total=n_total, n_problem=n))
         bit, dummy = bit + size, dummy + d
     return combine(*squares)
+
+
+@st.composite
+def twin_free_models(draw, huge=False):
+    """Models the twin-class table refuses, so the doubling sweep serves them.
+
+    One square over n = 6..10 problem bits of distinct weights 1..n and up
+    to two dummies, n_total <= 12: no two bits are twins, and n classes of
+    one bit give more count vectors than the table takes.  The multiplier is
+    1 or 2, or ``huge``, past the int64 bound.
+    """
+    n = draw(st.integers(6, 10))
+    d = draw(st.integers(0, min(2, 12 - n)))
+    lam = draw(st.integers(10**18, 10**30) if huge else st.integers(1, 2))
+    terms = [(i, i + 1) for i in range(n)] + [(n + k, -draw(st.integers(1, n))) for k in range(d)]
+    target = draw(st.fractions(min_value=0, max_value=n, max_denominator=3))
+    return expand_squared_affine(terms, -target, lam, n_total=n + d, n_problem=n)

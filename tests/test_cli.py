@@ -21,8 +21,9 @@ from quborestrict.core import (
     RestrictionSpec,
     expand_squared_affine,
 )
+from quborestrict.encoders import encode_single_value
 
-from helpers import broken_one_hot
+from helpers import broken_one_hot, offset_tampered
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table_m7_golden.txt"
 
@@ -179,6 +180,14 @@ class TestVerify:
         assert "verdict: FAIL" in out
         assert "spurious" in out
 
+    def test_offset_tampered_file_is_refuted(self, capsys, tmp_path):
+        bad_path = tmp_path / "offset.qubo"
+        qubofile.save(offset_tampered(encode_single_value(RestrictionSpec(4, (2,)))), bad_path)
+        code, out, _ = run_cli(capsys, "verify", "--qubo", bad_path, "--n", 4, "--allowed", "2")
+        assert code == 1
+        assert out.endswith("verdict: FAIL\n"
+                            "ground energy 1/2 differs from the declared residual 0\n")
+
     def test_truncated_file_is_a_parse_error(self, capsys, tmp_path):
         good = tmp_path / "good.qubo"
         run_cli(capsys, "encode", "--n", 5, "--allowed", "1,2,3", "--out", good)
@@ -308,6 +317,17 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == ("error: expanding a square of 20000 weights into 200010000 terms "
                        "needs more than the physical memory\n")
+
+    @pytest.mark.parametrize("argv, what", [
+        (("table", "--max-m", 10**8), "a table of 99999999 columns"),
+        (("sweep", "--n", 2, "--r-from", 0, "--r-to", 1, "--steps", 10**8),
+         "a sweep of 100000000 grid points"),
+    ], ids=["table", "sweep"])
+    def test_oversized_output_is_refused_in_one_line(self, capsys, monkeypatch, argv, what):
+        monkeypatch.setattr(core, "_physical_memory", lambda: 2**20)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {what} needs more than the physical memory\n"
 
 
 class TestSweep:

@@ -31,6 +31,7 @@ from quborestrict.encoders import (
     encode_single_value,
 )
 from quborestrict import core, oracle
+from quborestrict.cli import render_dummy_table
 from quborestrict.oracle import (
     SpectrumReport,
     assignment_energies,
@@ -43,8 +44,9 @@ from quborestrict.oracle import (
     twin_table,
     verify,
 )
+from quborestrict.sampler import exact_transfer_curve, sweep_fractional_r
 
-from helpers import broken_one_hot, symmetric_models, twin_class_models
+from helpers import broken_one_hot, offset_tampered, symmetric_models, twin_class_models
 
 
 class TestEnumerateSpectrum:
@@ -184,6 +186,15 @@ class TestVerify:
         result = verify(encode_half_integer_m2(spec), spec)
         assert result.passed
         assert result.report.second_energy is None
+
+    def test_diagnoses_a_ground_energy_off_the_declared_residual(self):
+        # the right ground sums at the wrong energy: the offset raised by lambda1 / 2
+        spec = RestrictionSpec(4, (2,))
+        tampered = offset_tampered(encode_single_value(spec))
+        result = verify(tampered, spec)
+        assert not result.passed
+        assert result.report.ground_sums == {2}
+        assert result.diagnosis == "ground energy 1/2 differs from the declared residual 0"
 
 
 class TestDummyMinimization:
@@ -429,6 +440,19 @@ class TestSymmetricEngine:
         spec = RestrictionSpec(8, (4,))
         assert enumerate_spectrum(encoded, spec) == reference_report(encoded, spec)
 
+    def test_equal_term_multisets_that_are_not_twins_take_the_sweep(self):
+        # bits 0-3 each have diagonal 1 and couplings 1, 2 and 3 to the other three, so
+        # they are proposed as one class; the couplings within it differ, so the
+        # second check refuses it
+        model = QuboModel(5, 5, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1, (4, 4): 5,
+                                 (0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2,
+                                 (0, 3): 3, (1, 2): 3})
+        assert twin_table(model) is None
+        encoded = EncodedRestriction(model=model, kind=EncodingKind.REDUCED_GENERAL,
+                                     residual_energy=F(0), lambda1=F(1))
+        spec = RestrictionSpec(5, (0,))
+        assert enumerate_spectrum(encoded, spec) == reference_report(encoded, spec)
+
     def test_many_classes_are_refused_without_their_row_product(self, monkeypatch):
         def forbidden(factors):
             raise RuntimeError("math.prod was called")
@@ -489,7 +513,10 @@ class TestSymmetricEngine:
     lambda: twin_table(QuboModel(39, 19, {})),  # one class of 19 bits, 20 dummies
     lambda: sum_spectrum(QuboModel(21, 21, {(i, i): i + 1 for i in range(21)})),  # no twins
     lambda: expand_squared_affine([(i, 1) for i in range(500)], -2, 1),
-], ids=["table", "sweep", "construction"])
+    lambda: render_dummy_table(10**8),
+    lambda: sweep_fractional_r(2, 0, 1, 10**8),
+    lambda: exact_transfer_curve(2, 0, 1, 10**8),
+], ids=["table", "sweep", "construction", "dummy-table", "sampled-grid", "exact-grid"])
 def test_every_refusal_comes_from_one_helper_before_allocating(monkeypatch, refused):
     monkeypatch.setattr(core, "_physical_memory", lambda: 2**20)
     tracemalloc.start()

@@ -137,6 +137,10 @@ class TestParseErrors:
         with pytest.raises(QuboFileError, match="terms"):
             loads("\n".join(lines[:-3]) + "\n")
 
+    def test_header_without_terms(self):
+        with pytest.raises(QuboFileError, match="^truncated file: no terms section$"):
+            loads("qubo-restriction v1\nkind single_value\n")
+
     def test_missing_header_key(self):
         lines = [ln for ln in self.text.splitlines() if not ln.startswith("offset")]
         with pytest.raises(QuboFileError, match="missing header"):

@@ -32,7 +32,7 @@ from quborestrict.sampler import (
     sweep_fractional_r,
 )
 
-from helpers import symmetric_models, twin_class_models
+from helpers import symmetric_models, twin_class_models, twin_free_models
 
 GRID_11 = tuple(F(10 + k, 10) for k in range(11))
 
@@ -127,7 +127,10 @@ class TestBoltzmannSample:
 
 
 class TestSumLaw:
-    """The sum law over the twin-class table against the per-assignment distribution."""
+    """The sum law over the twin-class table against the per-assignment distribution.
+
+    A twin-free model takes the per-assignment fallback itself.
+    """
 
     # narrow integers keep |E|/T small, so the float rounding of the
     # per-assignment path stays far inside the tolerance
@@ -136,7 +139,9 @@ class TestSumLaw:
                      symmetric_models(values=st.integers(-2, 2), perturbed=True),
                      symmetric_models(huge=True),
                      twin_class_models(values=st.integers(-2, 2)),
-                     twin_class_models(huge=True)),
+                     twin_class_models(huge=True),
+                     twin_free_models(),
+                     twin_free_models(huge=True)),
            st.sampled_from([1.0, 2.5, 10.0]))
     def test_matches_per_assignment_bincount(self, model, temperature):
         probabilities = boltzmann_probabilities(model, temperature)
