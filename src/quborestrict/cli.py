@@ -11,14 +11,20 @@ errors (including inapplicable encodings and work beyond the physical
 memory), with one line on stderr.  A sweep prints each warning as one
 ``warning:`` line and keeps its exit code.  Each command imports only the
 modules it uses.
+
+The commands and their flags are one table, ``COMMANDS``, which
+:func:`parse_args` reads.  ``python -m quborestrict.cli`` and the
+``quborestrict`` script run the process through :func:`run`.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import math
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .core import (
     ConstructionError,
@@ -35,7 +41,7 @@ from .core import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Optional
+    from typing import Callable, Iterable, NoReturn, Optional
 
     from . import oracle, sampler
 
@@ -52,26 +58,30 @@ _METHODS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:
-        """A usage error is one line, like every other error of the command line."""
-        self.exit(2, f"error: {message}\n")
-
-
 def _fraction_flag(text: str) -> Fraction:
     try:
         return as_fraction(text)
-    except ParameterError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    except ParameterError:
+        raise
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+        raise ParameterError(f"not a rational number: {text!r}") from None
 
 
 def _allowed_flag(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(token) for token in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+        raise ParameterError(f"not a comma-separated integer list: {text!r}") from None
+
+
+def _choice(*names: str) -> Callable[[str], str]:
+    """A converter that takes one of ``names``."""
+    def choose(text: str) -> str:
+        if text not in names:
+            raise ParameterError(
+                f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})")
+        return text
+    return choose
 
 
 def _path(text: str) -> str:
@@ -80,16 +90,7 @@ def _path(text: str) -> str:
     return root + "/".join(part for part in text.split("/") if part not in ("", ".")) or "."
 
 
-def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, help="number of problem variables")
-    parser.add_argument(
-        "--allowed", type=_allowed_flag, help="comma-separated allowed sums, e.g. 1,2,4")
-    parser.add_argument(
-        "--spec-json", type=_path,
-        help="JSON file {n_vars, allowed[]} instead of --n/--allowed")
-
-
-def _spec(args: argparse.Namespace) -> tuple[RestrictionSpec, dict]:
+def _spec(args: SimpleNamespace) -> tuple[RestrictionSpec, dict]:
     """The restriction from the flags or the spec JSON, and the spec JSON object ({} if unset)."""
     payload: dict = {}
     if args.spec_json is not None:
@@ -115,7 +116,7 @@ def _spec(args: argparse.Namespace) -> tuple[RestrictionSpec, dict]:
     return RestrictionSpec(n_vars, tuple(allowed)), payload
 
 
-def cmd_encode(args: argparse.Namespace) -> int:
+def cmd_encode(args: SimpleNamespace) -> int:
     from . import encoders, qubofile
 
     spec, payload = _spec(args)
@@ -153,7 +154,7 @@ def _render_report(report: oracle.SpectrumReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from . import oracle, qubofile
 
     encoded = qubofile.load(args.qubo)
@@ -171,7 +172,8 @@ def _render_csv(curve: sampler.TransferCurve) -> str:
     header = "R," + ",".join(f"P{s}" for s in range(curve.n_vars + 1)) + ",p_norm"
     lines = [header]
     for r, dist in zip(curve.r_grid, curve.distributions):
-        transfer = dist[upper] / (dist[lower] + dist[upper])
+        pair_mass = dist[lower] + dist[upper]
+        transfer = dist[upper] / pair_mass if pair_mass else math.nan
         cells = [f"{float(r):.6g}"]
         cells.extend(f"{p:.6g}" for p in dist)
         cells.append(f"{transfer:.6g}")
@@ -180,7 +182,7 @@ def _render_csv(curve: sampler.TransferCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: SimpleNamespace) -> int:
     import warnings
 
     from . import sampler
@@ -233,64 +235,207 @@ def render_dummy_table(max_m: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     sys.stdout.write(render_dummy_table(args.max_m))
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="quborestrict",
-        description=(
-            "Encode cardinality restrictions on binary variables as QUBO penalty "
-            "models, verify them by exhaustive enumeration, and benchmark a "
-            "Boltzmann annealer stand-in."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+REQUIRED = object()  # the default of a flag that must be given
 
-    enc = sub.add_parser("encode", help="encode a restriction as a QUBO penalty file")
-    _add_spec_flags(enc)
-    enc.add_argument(
-        "--lambda", dest="lambda1", type=_fraction_flag, default=None,
-        help="first Lagrange multiplier (exact rational; default: the spec JSON's lambda1, or 1)")
-    enc.add_argument(
-        "--lambda2", type=_fraction_flag, default=None,
-        help="second multiplier for the two-term encodings (default: as for --lambda)")
-    enc.add_argument("--method", choices=list(_METHODS), default="auto")
-    enc.add_argument("--out", type=_path, help="output path (default: stdout)")
-    enc.add_argument("--format", choices=("text", "json"), default="text")
-    enc.set_defaults(func=cmd_encode)
+_SPEC_FLAGS = (
+    ("--n", int, None, "number of problem variables"),
+    ("--allowed", _allowed_flag, None, "comma-separated allowed sums, e.g. 1,2,4"),
+    ("--spec-json", _path, None, "JSON file {n_vars, allowed[]} instead of --n/--allowed"),
+)
 
-    ver = sub.add_parser("verify", help="check a penalty file against its restriction")
-    ver.add_argument("--qubo", type=_path, required=True, help="penalty file to check")
-    _add_spec_flags(ver)
-    ver.set_defaults(func=cmd_verify)
+# command -> (name of the function that runs it, help, flags).  A flag is
+# (option, converter, default or REQUIRED, help), and its value is stored
+# under the option's name (see _dest).  main looks the function up by name
+# when it runs, so a wrapper set on the module attribute is the one called.
+COMMANDS = {
+    "encode": ("cmd_encode", "encode a restriction as a QUBO penalty file", (
+        *_SPEC_FLAGS,
+        ("--lambda", _fraction_flag, None,
+         "first Lagrange multiplier (exact rational; default: the spec JSON's lambda1, or 1)"),
+        ("--lambda2", _fraction_flag, None,
+         "second multiplier for the two-term encodings (default: as for --lambda)"),
+        ("--method", _choice(*_METHODS), "auto", "construction: " + ", ".join(_METHODS)),
+        ("--out", _path, None, "output path (default: stdout)"),
+        ("--format", _choice("text", "json"), "text", "penalty file format: text or json"),
+    )),
+    "verify": ("cmd_verify", "check a penalty file against its restriction", (
+        ("--qubo", _path, REQUIRED, "penalty file to check"),
+        *_SPEC_FLAGS,
+    )),
+    "sweep": ("cmd_sweep", "sweep a fractional target and sample each point", (
+        ("--n", int, REQUIRED, "number of problem variables"),
+        ("--r-from", _fraction_flag, REQUIRED, "first target R, an exact rational"),
+        ("--r-to", _fraction_flag, REQUIRED,
+         "last target R; the range lies between two consecutive integers"),
+        ("--steps", int, 11, "grid points from --r-from to --r-to"),
+        ("--temperature", float, 0.05, "Boltzmann temperature in the model's energy units"),
+        ("--reads", int, 10_000, "samples drawn at each grid point"),
+        ("--seed", int, 0, "seed of the random draws, non-negative"),
+        ("--lambda", _fraction_flag, Fraction(1), "Lagrange multiplier of the restriction"),
+        ("--out", _path, None, "CSV path (default: stdout)"),
+    )),
+    "table": ("cmd_table", "compare dummy counts of chain and log encodings", (
+        ("--max-m", int, 7, "largest number of allowed values M in the table"),
+    )),
+}
 
-    sw = sub.add_parser("sweep", help="sweep a fractional target and sample each point")
-    sw.add_argument("--n", type=int, required=True)
-    sw.add_argument("--r-from", type=_fraction_flag, required=True)
-    sw.add_argument("--r-to", type=_fraction_flag, required=True)
-    sw.add_argument("--steps", type=int, default=11)
-    sw.add_argument("--temperature", type=float, default=0.05)
-    sw.add_argument("--reads", type=int, default=10_000)
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument(
-        "--lambda", dest="lambda1", type=_fraction_flag, default=Fraction(1))
-    sw.add_argument("--out", type=_path, help="CSV path (default: stdout)")
-    sw.set_defaults(func=cmd_sweep)
+_DESCRIPTION = """\
+Encode cardinality restrictions on binary variables as QUBO penalty models,
+verify them by exhaustive enumeration, and benchmark a Boltzmann annealer
+stand-in."""
+_HELP = ("-h", "--help")
+# argparse reads an argument like these as a value, not as an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    tab = sub.add_parser("table", help="compare dummy counts of chain and log encodings")
-    tab.add_argument("--max-m", type=int, default=7)
-    tab.set_defaults(func=cmd_table)
-    return parser
+
+def _dest(option: str) -> str:
+    """The attribute of a flag: ``--r-from`` is ``r_from``; ``--lambda`` is ``lambda1``."""
+    return "lambda1" if option == "--lambda" else option[2:].replace("-", "_")
+
+
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(command: Optional[str], option: str, joined: Optional[str]) -> NoReturn:
+    """Print the help of the program or of one command and exit 0.
+
+    Text joined to the help option is refused as argparse refuses it, but
+    ``-hh`` is still help.
+    """
+    while joined is not None:
+        if option == "--help" or joined[:1] != "h":
+            _usage_error(f"argument -h/--help: ignored explicit argument {joined!r}")
+        joined = joined[1:] or None
+    if command is None:
+        lines = ["usage: quborestrict [-h] command [flags]", "", _DESCRIPTION, "", "commands:"]
+        lines += [f"  {name:<8}{entry[1]}" for name, entry in COMMANDS.items()]
+        lines += ["", "'quborestrict <command> -h' lists the flags of a command."]
+    else:
+        _, text, flags = COMMANDS[command]
+        lines = [f"usage: quborestrict {command} [flags]", "", text, "", "flags:",
+                 f"  {'-h, --help':<15}show this help and exit"]
+        for flag, _, default, flag_help in flags:
+            note = ("" if default is None
+                    else " (required)" if default is REQUIRED else f" (default: {default})")
+            lines.append(f"  {flag:<15}{flag_help}{note}")
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _read(arg: str, options: Iterable[str]) -> Optional[tuple[Optional[str], Optional[str]]]:
+    """How argparse reads one argument against ``options``.
+
+    None for a value; otherwise the option it names (None if it names none)
+    and the text joined to it by ``=`` (or, for ``-h``, written after it).
+    A prefix of two or more options is a usage error.
+    """
+    if arg[:1] != "-":
+        return None
+    if arg in options:
+        return arg, None
+    if len(arg) == 1:
+        return None
+    name, equals, joined = arg.partition("=")
+    if equals and name in options:
+        return name, joined
+    if arg[1] == "-":
+        matches = [(option, joined if equals else None)
+                   for option in options if option.startswith(name)]
+    else:  # a short option with text written after it
+        matches = [(arg[:2], arg[2:])] if arg[:2] in options else []
+    if len(matches) > 1:
+        _usage_error(f"ambiguous option: {arg} could match {', '.join(m for m, _ in matches)}")
+    if matches:
+        return matches[0]
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _convert(name: str, convert: Callable[[str], object], text: str) -> object:
+    try:
+        return convert(text)
+    except ParameterError as exc:  # the converters of this module say what is wrong
+        message = str(exc)
+    except ValueError:
+        message = f"invalid {convert.__name__} value: {text!r}"
+    _usage_error(f"argument {name}: {message}")
+
+
+def parse_args(argv: list[str]) -> tuple[str, SimpleNamespace]:
+    """The command of ``argv`` and its flags; a usage error or help exits.
+
+    Reads what argparse read: ``--flag value``, ``--flag=value``, a unique
+    prefix of a flag, a repeated flag (the last one wins) and ``-h`` or
+    ``--help`` before or after the command.  Errors come in argparse's order
+    with its one-line text: an ambiguous prefix, then a bad or missing value
+    as the flags are read, then missing required flags, then unrecognized
+    arguments.
+    """
+    unrecognized = []
+    at = 0
+    while at < len(argv) and argv[at] != "--":
+        read = _read(argv[at], _HELP)
+        if read is None:
+            break
+        option, joined = read
+        if option is not None:
+            _help(None, option, joined)
+        unrecognized.append(argv[at])
+        at += 1
+    if argv[at:] in ([], ["--"]):
+        _usage_error("the following arguments are required: command")
+    command = _convert("command", _choice(*COMMANDS), argv[at])
+    function, _, flags = COMMANDS[command]
+    options = {option: convert for option, convert, _, _ in flags}
+    args = SimpleNamespace(**{_dest(option): None if default is REQUIRED else default
+                              for option, _, default, _ in flags})
+
+    words = argv[at + 1:]
+    end = words.index("--") if "--" in words else len(words)
+    # every word is read before any value is taken; "--" is an unrecognized
+    # argument that takes no value, and every word after it is a value
+    known = [*_HELP, *options]
+    reads = [_read(word, known) for word in words[:end]]
+    if end < len(words):
+        reads += [(None, None)] + [None] * (len(words) - end - 1)
+    given = set()
+    at = 0
+    while at < len(words):
+        option, joined = reads[at] or (None, None)
+        if option is None:
+            unrecognized.append(words[at])
+        elif option in _HELP:
+            _help(command, option, joined)
+        else:
+            if joined is None:
+                if at + 1 == len(words) or reads[at + 1] is not None:
+                    _usage_error(f"argument {option}: expected one argument")
+                at += 1
+                joined = words[at]
+            setattr(args, _dest(option), _convert(option, options[option], joined))
+            given.add(option)
+        at += 1
+    missing = [option for option, _, default, _ in flags
+               if default is REQUIRED and option not in given]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        _usage_error(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return function, args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    function, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return globals()[function](args)
     except (
         QuboFileError,
         ConstructionError,
@@ -305,5 +450,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Run :func:`main` as the whole process and exit with its status.
+
+    Before exiting it freezes the garbage collector: every live object moves
+    to the permanent generation, which the collections at interpreter
+    shutdown skip, so the exit no longer walks every object the process
+    loaded.  Nothing else changes: the std streams are still flushed,
+    ``atexit`` handlers and ``weakref.finalize`` callbacks still run, every
+    file the package writes is closed by a ``with`` block before this point,
+    and Python never promised ``__del__`` for objects alive at exit.
+    """
+    try:
+        status = main()
+    finally:
+        gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

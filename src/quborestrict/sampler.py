@@ -374,7 +374,10 @@ def step_distance(curve: TransferCurve, lower_s: int, upper_s: int) -> float:
     The transfer is ``p(R) = P(upper_s) / (P(lower_s) + P(upper_s))``; the
     ideal step is 0 below the midpoint of the two sums, 1 above it, and 0.5
     exactly at it.  Mass on other sums is discarded by the normalization;
-    if it exceeds 1% anywhere a :class:`StrayMassWarning` is emitted.
+    if it exceeds 1% anywhere a :class:`StrayMassWarning` is emitted.  A grid
+    point with no mass on the pair is left out of the mean, and its stray
+    mass of 1 is warned of; with no such mass anywhere the distance is
+    undefined and :class:`DataQualityError` is raised.
     """
     return _step_distance(curve.r_grid, curve.distributions, lower_s, upper_s, stacklevel=3)
 
@@ -397,19 +400,20 @@ def _step_distance(
     worst_r: Optional[Fraction] = None
     for r, dist in zip(r_grid, distributions):
         pair_mass = dist[lower_s] + dist[upper_s]
-        if pair_mass == 0:
-            raise DataQualityError(
-                f"no mass on sums {lower_s} or {upper_s} at R={r}; "
-                f"the transfer ratio is undefined")
         stray = 1.0 - pair_mass
         if stray > worst_stray:
             worst_stray, worst_r = stray, r
+        if pair_mass == 0:  # no transfer here
+            continue
         transfer = dist[upper_s] / pair_mass
         if r == midpoint:
             ideal = 0.5
         else:
             ideal = 0.0 if r < midpoint else 1.0
         deviations.append(abs(transfer - ideal))
+    if not deviations:
+        raise DataQualityError(
+            f"no mass on sums {lower_s} or {upper_s} at any R; the transfer ratio is undefined")
     if worst_stray > 0.01:
         warnings.warn(
             StrayMassWarning(

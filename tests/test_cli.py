@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import site
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from quborestrict import core, qubofile
-from quborestrict.cli import main
+from quborestrict.cli import main, parse_args
 from quborestrict.core import (
     EncodedRestriction,
     EncodingKind,
@@ -42,6 +43,16 @@ def run_cli(capsys, *args):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def spawn(cwd, *args, python=("-m", "quborestrict.cli")):
+    """Exit code, stdout and stderr of `python *python *args` run as a process of its own."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *python, *map(str, args)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestEncode:
@@ -374,13 +385,18 @@ class TestSweep:
                     "warning: 0.012 of the mass lies outside sums (3, 4) at R=39/10\n")
         assert run_cli(capsys, *argv) == expected
         # a warning turned into an error does not change the exit code either
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "quborestrict.cli",
-                               *map(str, argv)], env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+        assert spawn(None, *argv, python=("-W", "error", "-m", "quborestrict.cli")) == expected
+
+    def test_point_without_pair_mass_is_a_nan_cell(self, capsys):
+        # at R=0 and T=100 all 10,000 reads of this seed miss sums 0 and 1:
+        # a sampling outcome, not a usage error
+        code, out, err = run_cli(capsys, "sweep", "--n", 16, "--r-from", 0, "--r-to", 1,
+                                 "--temperature", 100, "--seed", 2)
+        assert (code, err) == (0, "warning: 1 of the mass lies outside sums (0, 1) at R=0\n")
+        rows = [line.split(",") for line in out.splitlines()[1:-1]]
+        assert len(rows) == 11 and rows[0][0] == "0" and rows[0][-1] == "nan"
+        assert "nan" not in [row[-1] for row in rows[1:]]
+        assert out.splitlines()[-1].startswith("step_distance=")
 
     def test_huge_multiplier_does_not_overflow(self, capsys):
         code, out, _ = run_cli(
@@ -438,10 +454,103 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
+METHOD_CHOICES = "'auto', 'single', 'onehot', 'linear', 'log', 'half2', 'halfchain', 'reduced'"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' "
+                "(choose from 'encode', 'verify', 'sweep', 'table')"),
+    (["sweep", "--n", "5"], "the following arguments are required: --r-from, --r-to"),
+    # a bad value comes before a missing required flag
+    (["sweep", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["sweep", "--n", "5", "--r-from", "0", "--r-to", "1", "--temperature", "hot"],
+     "argument --temperature: invalid float value: 'hot'"),
+    # and before an unrecognized argument
+    (["encode", "--bogus", "--method", "nope"],
+     f"argument --method: invalid choice: 'nope' (choose from {METHOD_CHOICES})"),
+    (["sweep", "--r-from", "0", "--r-to", "1", "--n"], "argument --n: expected one argument"),
+    (["sweep", "--n", "x", "--r", "1"],
+     "ambiguous option: --r could match --r-from, --r-to, --reads"),
+    (["verify", "--qubo", "a.qubo", "--lambda", "2"], "unrecognized arguments: --lambda 2"),
+    (["encode", "--n", "4", "--allowed", "1", "--lambda", "abc"],
+     "argument --lambda: not a rational number: 'abc'"),
+])
+def test_usage_errors_keep_their_text(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+FLAGS = {
+    "encode": ["--n", "--allowed", "--spec-json", "--lambda", "--lambda2", "--method", "--out",
+               "--format"],
+    "verify": ["--qubo", "--n", "--allowed", "--spec-json"],
+    "sweep": ["--n", "--r-from", "--r-to", "--steps", "--temperature", "--reads", "--seed",
+              "--lambda", "--out"],
+    "table": ["--max-m"],
+}
+
+
+@pytest.mark.parametrize("command", [None, *FLAGS])
+def test_help_names_every_command_and_flag(capsys, command):
+    prefix = [] if command is None else [command]
+    code, out, err = run_cli(capsys, *prefix, "-h")
+    assert (code, err) == (0, "")
+    words = out.replace(",", " ").split()
+    for name in FLAGS if command is None else ["-h", "--help", *FLAGS[command]]:
+        assert name in words, (command, name)
+    # --help, a prefix of it or -hh is the same help, also after other flags
+    for spelling in (["--help"], ["--he"], ["-hh"], ["--bogus", "-h"]):
+        assert run_cli(capsys, *prefix, *spelling) == (0, out, "")
+
+
+def test_joined_and_prefix_flags_parse_as_long_forms():
+    long = ["sweep", "--n", "5", "--r-from", "0", "--r-to", "1", "--temperature", "0.2"]
+    function, args = parse_args(long)
+    assert function == "cmd_sweep"
+    assert (args.r_from, args.temperature, args.lambda1) == (F(0), 0.2, F(1))
+    for spelling in (["sweep", "--n", "5", "--r-from=0", "--r-to", "1", "--temp", "0.2"],
+                     ["sweep", "--n=5", "--r-f", "0", "--r-to=1", "--te=0.2"],
+                     # a repeated flag: the last one wins
+                     [*long[:2], "7", *long[1:]]):
+        assert vars(parse_args(spelling)[1]) == vars(args), spelling
+
+
+def test_process_exit_loses_no_output(capsys, tmp_path, monkeypatch):
+    # the process entry freezes the collector before it exits: each stream and
+    # file is still complete, and main alone leaves the collector as it was
+    monkeypatch.chdir(tmp_path)
+    qubofile.save(broken_one_hot(RestrictionSpec(4, (1, 3))), tmp_path / "bad.qubo")
+    frozen = gc.get_freeze_count()
+    for argv, written in [
+        (("sweep", "--n", 16, "--r-from", 3, "--r-to", 4, "--seed", 5, "--out", "f.csv"), "f.csv"),
+        (("encode", "--n", 12, "--allowed", "2,5,9", "--method", "onehot", "--out", "f.qubo"),
+         "f.qubo"),
+        (("verify", "--qubo", "bad.qubo", "--n", 4, "--allowed", "1,3"), None),
+    ]:
+        spawned = spawn(tmp_path, *argv)
+        spawned_file = written and (tmp_path / written).read_text()
+        assert run_cli(capsys, *argv) == spawned
+        assert (written and (tmp_path / written).read_text()) == spawned_file
+    assert spawned[0] == 1 and "verdict: FAIL" in spawned[1]
+    assert gc.get_freeze_count() == frozen
+    # atexit handlers and weakref.finalize callbacks still run, after the freeze
+    program = (
+        "import atexit, gc, sys, weakref\n"
+        "class Box: pass\n"
+        "box = Box()\n"
+        "weakref.finalize(box, print, 'finalize ran')\n"
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+        "from quborestrict.cli import run\n"
+        "run()\n")
+    code, out, err = spawn(tmp_path, "table", "--max-m", 3, python=("-c", program))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == ["frozen at exit: True", "finalize ran"]
+
+
 # Runs one command in a fresh interpreter and reports, last, whether numpy got
 # loaded and which package modules did.
 # Standard modules whose import is a large share of start-up and that no command needs
-STARTUP_HEAVY = {"dataclasses", "inspect", "typing", "pathlib"}
+STARTUP_HEAVY = {"dataclasses", "inspect", "typing", "pathlib", "argparse", "gettext", "locale"}
 
 IMPORT_PROBE = """
 import sys

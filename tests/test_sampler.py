@@ -317,6 +317,15 @@ class TestStepDistance:
         assert step_distance(curve_from(distributions), 1, 2) == pytest.approx(expected)
         assert expected == pytest.approx(5 / 11)
 
+    def test_point_without_pair_mass_is_left_out(self):
+        # R = 1.2 draws nothing on sums 1 or 2: the mean runs over the other 10
+        # points, and the stray mass of 1 there is warned of
+        distributions = [(0.0, 0.5, 0.5, 0.0, 0.0, 0.0)] * 11
+        distributions[2] = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.warns(StrayMassWarning, match=r"^1 of the mass .* at R=6/5$"):
+            distance = step_distance(curve_from(distributions), 1, 2)
+        assert distance == pytest.approx(9 * 0.5 / 10)
+
     def test_degenerate_transfer_mass_raises(self):
         distributions = [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * 11
         with pytest.raises(DataQualityError):
