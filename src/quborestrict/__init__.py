@@ -22,10 +22,10 @@ _EXPORTS = {
         encode_half_integer_m2 encode_one_hot_general encode_reduced_general
         encode_single_value log_dummy_count select_optimal""",
     "oracle": """SpectrumReport VerificationResult enumerate_spectrum fractional_energy_ladder
-        sum_spectrum verify""",
+        verify""",
     "sampler": """SamplerConfig StrayMassWarning TransferCurve boltzmann_probabilities
-        boltzmann_sample exact_sum_distribution exact_transfer_curve
-        fractional_restriction_model step_distance sum_frequencies sweep_fractional_r""",
+        exact_sum_distribution exact_transfer_curve fractional_restriction_model
+        step_distance sweep_fractional_r""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -294,7 +294,7 @@ def _minima_by_sum(energies: np.ndarray, model: QuboModel) -> tuple[np.ndarray, 
 
 
 def _spectrum(model: QuboModel) -> tuple[dict[int, tuple[Fraction, int]], Optional[Fraction]]:
-    """``by_sum`` and the lowest energy above the ground energy, if any.
+    """``SpectrumReport.by_sum`` of any model and its lowest energy above the ground, if any.
 
     Models the twin-class table takes are read off its rows, where each
     energy stands for ``multiplicity`` assignments; every other model takes
@@ -321,15 +321,6 @@ def _spectrum(model: QuboModel) -> tuple[dict[int, tuple[Fraction, int]], Option
         second = above.min() if above.size else None
     by_sum = {s: (Fraction(int(e), scale), int(c)) for s, (e, c) in enumerate(zip(minima, counts))}
     return by_sum, None if second is None else Fraction(int(second), scale)
-
-
-def sum_spectrum(model: QuboModel) -> dict[int, tuple[Fraction, int]]:
-    """Minimum energy and its degeneracy for each problem-bit sum.
-
-    Dummy bits are minimized over: the value reported for sum s is the best
-    energy any assignment with s active problem bits can reach.
-    """
-    return _spectrum(model)[0]
 
 
 def enumerate_spectrum(encoded: EncodedRestriction, spec: RestrictionSpec) -> SpectrumReport:

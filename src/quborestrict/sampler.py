@@ -1,25 +1,27 @@
 """Parametric stand-in for a noisy annealer.
 
-Samples assignments from the exact Boltzmann distribution of a penalty model
-at temperature T: the T -> 0 limit recovers an ideal annealer that only ever
-returns ground states, while finite T smears probability onto excited states
-as a monotone-decreasing function of the energy gap.  Sampling is exact
-categorical (the full partition function is enumerated once), so convergence
-is never a confound.
+Samples the problem-bit sum of a penalty model from the exact Boltzmann
+distribution at temperature T: the T -> 0 limit recovers an ideal annealer
+that only ever returns ground states, while finite T smears probability onto
+excited states as a monotone-decreasing function of the energy gap.
+Sampling is exact categorical (the full partition function is enumerated
+once), so convergence is never a confound.
 
 This module is the only floating-point corner of the package; everything it
 consumes is exact and everything it emits is an empirical or exact
-probability.  Distributions over the problem-bit sum of a model that
-``oracle.twin_table`` takes come from the sum law over its rows, never from
-a per-assignment array.  Sweeps draw their reads with the standard
-library's ``random`` (a multinomial over the sums built from binomial
-draws), so a sweep never imports numpy; only the per-assignment functions
-build arrays.
+probability.  :func:`exact_sum_distribution` is the one exact law over the
+sums: for a model that ``oracle.twin_table`` takes it is the sum law over
+the table's rows, never a per-assignment array.  Sweeps draw their reads
+with the standard library's ``random`` (one multinomial over the sums built
+from binomial draws), so a sweep never imports numpy; only
+:func:`boltzmann_probabilities`, the per-assignment law of a model the table
+does not take, builds arrays.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import sys
 import warnings
@@ -40,7 +42,7 @@ from .core import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Callable, Mapping, Optional, Sequence
+    from typing import Callable, Optional, Sequence
 
     import numpy as np
 
@@ -49,6 +51,14 @@ if TYPE_CHECKING:
 
 class StrayMassWarning(UserWarning):
     """More than 1% of the measured mass sits outside the transfer pair."""
+
+
+def _check_temperature(temperature: object) -> None:
+    """Refuse anything but a positive real number: a bool, a string, None, NaN, T <= 0."""
+    if isinstance(temperature, bool) or not isinstance(temperature, numbers.Real):
+        raise ParameterError(f"temperature must be a positive number, got {temperature!r}")
+    if not temperature > 0:
+        raise ParameterError(f"temperature must be positive, got {temperature}")
 
 
 @record
@@ -60,8 +70,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.temperature > 0:
-            raise ParameterError(f"temperature must be positive, got {self.temperature}")
+        _check_temperature(self.temperature)
         if not is_integer(self.n_reads) or self.n_reads < 1:
             raise ParameterError(f"n_reads must be an integer of at least 1, got {self.n_reads!r}")
         if not is_integer(self.seed) or self.seed < 0:
@@ -99,10 +108,9 @@ def boltzmann_probabilities(model: QuboModel, temperature: float) -> np.ndarray:
     Returned in the oracle's counting order (assignment ``b`` sets bit ``i``
     to ``(b >> i) & 1``).
     """
+    _check_temperature(temperature)
     import numpy as np
 
-    if not temperature > 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
     energies, scale = oracle.assignment_energies(model)
     # shift exactly: a float rounds energies beyond 2**53, and huge ones may not fit
     shifted = energies - energies.min()
@@ -115,49 +123,15 @@ def boltzmann_probabilities(model: QuboModel, temperature: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def boltzmann_sample(model: QuboModel, config: SamplerConfig) -> dict[int, float]:
-    """Empirical frequencies of ``config.n_reads`` draws from the Boltzmann law.
-
-    Keys are assignment integers (bit ``i`` of the key is variable ``i``);
-    only assignments that were actually drawn appear.  Frequencies sum to 1
-    exactly.
-    """
-    import numpy as np
-
-    probabilities = boltzmann_probabilities(model, config.temperature)
-    rng = np.random.default_rng(config.seed)
-    counts = rng.multinomial(config.n_reads, probabilities)
-    hit = np.nonzero(counts)[0]
-    return {int(b): counts[b] / config.n_reads for b in hit}
-
-
-def sum_frequencies(frequencies: Mapping[int, float], n_problem: int) -> dict[int, float]:
-    """Aggregate an assignment-frequency map by problem-bit sum."""
-    mask = (1 << n_problem) - 1
-    out: dict[int, float] = {}
-    for key, f in frequencies.items():
-        s = (key & mask).bit_count()
-        out[s] = out.get(s, 0.0) + f
-    return out
-
-
-def exact_sum_distribution(model: QuboModel, temperature: float) -> np.ndarray:
+def exact_sum_distribution(model: QuboModel, temperature: float) -> list[float]:
     """Exact Boltzmann probability of each problem-bit sum 0..n_problem.
 
     A model the twin-class table takes has the sum law
     ``P(s) ~ sum_rows multiplicity * sum_y exp(-(E(row, y) - E0) / T)`` over
-    the table rows of sum s and the dummy patterns y; any other model sums
-    the per-assignment probabilities.
+    the table rows of sum s and the dummy patterns y, in Python floats
+    without numpy; any other model sums the per-assignment probabilities.
     """
-    import numpy as np
-
-    return np.array(_sum_probabilities(model, temperature))
-
-
-def _sum_probabilities(model: QuboModel, temperature: float) -> list[float]:
-    """:func:`exact_sum_distribution` as Python floats; numpy only off the sum law."""
-    if not temperature > 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
+    _check_temperature(temperature)
     table = oracle.twin_table(model)
     if table is None:
         import numpy as np
@@ -349,7 +323,7 @@ def _transfer_curve(
     span = r_to - r_from
     grid = tuple(r_from + span * i / (steps - 1) for i in range(steps))
     distributions = tuple(
-        draw(_sum_probabilities(fractional_restriction_model(n_vars, r, lam), temperature))
+        draw(exact_sum_distribution(fractional_restriction_model(n_vars, r, lam), temperature))
         for r in grid)
     # a warning names the line that called sweep_fractional_r or exact_transfer_curve
     distance = _step_distance(grid, distributions, lower, upper, stacklevel=4)

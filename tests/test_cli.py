@@ -27,6 +27,7 @@ from quborestrict.encoders import encode_single_value
 from helpers import broken_one_hot, offset_tampered
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table_m7_golden.txt"
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_n16_golden.csv"
 
 
 def twin_free_restriction(n: int) -> EncodedRestriction:
@@ -387,6 +388,15 @@ class TestSweep:
         # a warning turned into an error does not change the exit code either
         assert spawn(None, *argv, python=("-W", "error", "-m", "quborestrict.cli")) == expected
 
+    def test_seeded_sweep_matches_golden_file(self, capsys):
+        # every cell of a seeded 11-point sweep, not only its distance
+        code, out, err = run_cli(capsys, "sweep", "--n", 16, "--r-from", 3, "--r-to", 4,
+                                 "--steps", 11, "--temperature", 0.2, "--reads", 10000,
+                                 "--seed", 5)
+        assert code == 0
+        assert out.encode() == GOLDEN_SWEEP.read_bytes()
+        assert err == "warning: 0.0161 of the mass lies outside sums (3, 4) at R=4\n"
+
     def test_point_without_pair_mass_is_a_nan_cell(self, capsys):
         # at R=0 and T=100 all 10,000 reads of this seed miss sums 0 and 1:
         # a sampling outcome, not a usage error
@@ -562,18 +572,33 @@ sys.exit(code)
 """
 
 
-def loaded_modules(cwd, *args):
+SUM_LAW_PROBE = """
+import sys
+before = set(sys.modules)
+from quborestrict.core import expand_squared_affine
+from quborestrict.sampler import exact_sum_distribution, fractional_restriction_model
+if sys.argv[1] == "twin-free":  # distinct weights: no two bits are twins
+    model = expand_squared_affine([(i, i + 1) for i in range(16)], -16, 1)
+else:
+    model = fractional_restriction_model(16, "37/10")
+exact_sum_distribution(model, 0.2)
+print(",".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def loaded_modules(cwd, *args, probe=IMPORT_PROBE):
     """Exit code of one command and the modules it adds to ``sys.modules``.
 
     The command runs under ``python -S`` with this interpreter's
     site-packages on the path, so no ``.pth`` start-up hook can import a
-    module first and hide that the command imports it.
+    module first and hide that the command imports it.  ``probe`` is the
+    script run with ``args``; the default runs them as a CLI command.
     """
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     paths = [src, env.get("PYTHONPATH"), *site.getsitepackages(), site.getusersitepackages()]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE, *map(str, args)], cwd=cwd,
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, *map(str, args)], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
     return proc.returncode, set(proc.stdout.splitlines()[-1].split(","))
 
@@ -617,6 +642,14 @@ def test_numpy_loads_only_where_arrays_are_built(tmp_path):
     qubofile.save(twin_free_restriction(9), tmp_path / "twin_free.qubo")
     assert probe_imports(tmp_path, "verify", "--qubo", "twin_free.qubo", *spec_flags) == (
         1, "True", verify)
+
+
+def test_sum_law_loads_numpy_only_off_the_twin_table(tmp_path):
+    # the exact sum distribution of a model the table takes is Python floats
+    # throughout; a twin-free model sums numpy's per-assignment probabilities
+    for model, loads_numpy in (("fractional", False), ("twin-free", True)):
+        code, added = loaded_modules(tmp_path, model, probe=SUM_LAW_PROBE)
+        assert (code, "numpy" in added) == (0, loads_numpy), model
 
 
 def test_no_command_loads_dataclasses_typing_or_pathlib(tmp_path):

@@ -39,7 +39,6 @@ from quborestrict.oracle import (
     enumeration_bytes,
     fractional_energy_ladder,
     problem_bit_sums,
-    sum_spectrum,
     table_bytes,
     twin_table,
     verify,
@@ -81,7 +80,7 @@ class TestEnumerateSpectrum:
         needed = enumeration_bytes(25)
         monkeypatch.setattr(core, "_physical_memory", lambda: needed - 1)
         with pytest.raises(SizeLimitError, match=r"2\*\*25 assignments needs more than"):
-            sum_spectrum(model)
+            oracle._spectrum(model)
 
         class Admitted(Exception):
             pass
@@ -93,7 +92,7 @@ class TestEnumerateSpectrum:
         monkeypatch.setattr(core, "_physical_memory", lambda: needed)
         monkeypatch.setattr(np, "empty", admitted)
         with pytest.raises(Admitted):
-            sum_spectrum(model)
+            oracle._spectrum(model)
 
     def test_huge_model_refused_before_anything_is_built(self, monkeypatch):
         # distinct diagonals leave no twins; nothing may be built for 2**100000 states
@@ -101,7 +100,7 @@ class TestEnumerateSpectrum:
         monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 2**30)
         monkeypatch.setattr(np, "zeros", mock.Mock(side_effect=AssertionError("built")))
         with pytest.raises(SizeLimitError, match=r"2\*\*100000 assignments"):
-            sum_spectrum(model)
+            oracle._spectrum(model)
 
     def test_unknown_memory_bounds_by_the_address_space(self, monkeypatch):
         monkeypatch.setattr(core, "_physical_memory", lambda: None)
@@ -202,7 +201,7 @@ class TestDummyMinimization:
         rng = random.Random(31337)
         spec = RestrictionSpec(6, (1, 4, 6))
         model = encode_one_hot_general(spec).model
-        by_sum = sum_spectrum(model)
+        by_sum = oracle._spectrum(model)[0]
         for _ in range(300):
             bits = tuple(rng.randint(0, 1) for _ in range(model.n_total))
             s = sum(bits[: model.n_problem])
@@ -211,7 +210,7 @@ class TestDummyMinimization:
     def test_matches_exhaustive_fraction_arithmetic(self):
         # independent route: plain Python enumeration with Fraction energies
         model = encode_reduced_general(RestrictionSpec(4, (0, 2, 3))).model
-        by_sum = sum_spectrum(model)
+        by_sum = oracle._spectrum(model)[0]
         direct: dict[int, list] = {}
         for bits in itertools.product((0, 1), repeat=model.n_total):
             s = sum(bits[: model.n_problem])
@@ -262,7 +261,7 @@ class TestFractionalEnergyLadder:
     def test_matches_enumerated_spectrum_of_fractional_model(self):
         n, r = 8, F("6.4")
         model = expand_squared_affine([(i, 1) for i in range(n)], -r, 1)
-        by_sum = sum_spectrum(model)
+        by_sum = oracle._spectrum(model)[0]
         for s, energy in fractional_energy_ladder(n, r, 1):
             assert by_sum[s][0] == energy
 
@@ -369,7 +368,7 @@ class TestAgainstEinsumReference:
         encoded, spec = drawn_restriction(model, data)
         expected = reference_report(encoded, spec)
         assert enumerate_spectrum(encoded, spec) == expected
-        assert sum_spectrum(model) == expected.by_sum
+        assert oracle._spectrum(model)[0] == expected.by_sum
 
 
 def forced_sweep(encoded: EncodedRestriction, spec: RestrictionSpec) -> SpectrumReport:
@@ -492,7 +491,7 @@ class TestSymmetricEngine:
         with pytest.raises(SizeLimitError, match="physical memory"):
             twin_table(model)
         with pytest.raises(SizeLimitError, match="physical memory"):
-            sum_spectrum(model)
+            oracle._spectrum(model)
         monkeypatch.setattr(core, "_physical_memory", lambda: needed)
         assert len(twin_table(model)[2]) == 9
         # 2**64 energies per row are refused before any shift or allocation
@@ -511,7 +510,7 @@ class TestSymmetricEngine:
 
 @pytest.mark.parametrize("refused", [
     lambda: twin_table(QuboModel(39, 19, {})),  # one class of 19 bits, 20 dummies
-    lambda: sum_spectrum(QuboModel(21, 21, {(i, i): i + 1 for i in range(21)})),  # no twins
+    lambda: oracle._spectrum(QuboModel(21, 21, {(i, i): i + 1 for i in range(21)})),  # no twins
     lambda: expand_squared_affine([(i, 1) for i in range(500)], -2, 1),
     lambda: render_dummy_table(10**8),
     lambda: sweep_fractional_r(2, 0, 1, 10**8),

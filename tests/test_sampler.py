@@ -23,12 +23,10 @@ from quborestrict.sampler import (
     _binomial,
     _multinomial,
     boltzmann_probabilities,
-    boltzmann_sample,
     exact_sum_distribution,
     exact_transfer_curve,
     fractional_restriction_model,
     step_distance,
-    sum_frequencies,
     sweep_fractional_r,
 )
 
@@ -84,46 +82,23 @@ class TestBoltzmannProbabilities:
         with pytest.raises(ParameterError):
             exact_sum_distribution(model, temperature=0.0)
 
-
-class TestBoltzmannSample:
-    def test_cold_limit_mass(self):
-        spec = RestrictionSpec(4, (2,))
-        model = encode_single_value(spec).model
-        freqs = boltzmann_sample(model, SamplerConfig(temperature=1e-3, n_reads=10_000, seed=3))
-        by_sum = sum_frequencies(freqs, n_problem=4)
-        assert by_sum.get(2, 0.0) >= 0.99
-
-    def test_hot_limit_is_uniform_within_3_sigma(self):
-        spec = RestrictionSpec(4, (2,))
-        model = encode_single_value(spec).model
-        n_reads = 10_000
-        freqs = boltzmann_sample(model, SamplerConfig(temperature=1e6, n_reads=n_reads, seed=11))
-        sigma = math.sqrt((1 / 16) * (15 / 16) / n_reads)
-        for b in range(16):
-            assert abs(freqs.get(b, 0.0) - 1 / 16) <= 3 * sigma
-
-    def test_frequencies_sum_to_one(self):
-        model = fractional_restriction_model(5, F(3, 2), 1)
-        config = SamplerConfig(temperature=0.3, n_reads=4_096, seed=5)
-        freqs = boltzmann_sample(model, config)
-        counts = [round(f * config.n_reads) for f in freqs.values()]
-        assert sum(counts) == config.n_reads
-        assert sum(freqs.values()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_seed_determinism(self):
-        model = fractional_restriction_model(4, F(5, 4), 1)
-        config = SamplerConfig(temperature=0.2, n_reads=2_000, seed=42)
-        assert boltzmann_sample(model, config) == boltzmann_sample(model, config)
-
-    def test_degeneracy_ratio_at_half_integer_target(self):
-        # both neighbouring sums share the residual energy, so their exact
-        # probability ratio is the degeneracy ratio C(5,2)/C(5,1) = 2
-        model = fractional_restriction_model(5, F(3, 2), 1)
-        exact = exact_sum_distribution(model, temperature=0.05)
-        assert exact[2] / exact[1] == pytest.approx(2.0, rel=1e-12)
-        freqs = boltzmann_sample(model, SamplerConfig(temperature=0.05, n_reads=20_000, seed=9))
-        by_sum = sum_frequencies(freqs, n_problem=5)
-        assert by_sum[2] / by_sum[1] == pytest.approx(2.0, rel=0.1)
+    @pytest.mark.parametrize("entry", [
+        lambda t: SamplerConfig(temperature=t),
+        lambda t: boltzmann_probabilities(fractional_restriction_model(2, 1, 1), t),
+        lambda t: exact_sum_distribution(fractional_restriction_model(2, 1, 1), t),
+        lambda t: exact_transfer_curve(5, 1, 2, 3, 1, temperature=t),
+    ], ids=["config", "probabilities", "sum-distribution", "exact-curve"])
+    @pytest.mark.parametrize("temperature, message", [
+        (True, "a positive number, got True"),  # True is no temperature
+        ("0.2", "a positive number, got '0.2'"),
+        (None, "a positive number, got None"),
+        (0, "positive, got 0"),
+        (-1, "positive, got -1"),
+        (math.nan, "positive, got nan"),
+    ], ids=["True", "str", "None", "0", "-1", "nan"])
+    def test_temperature_must_be_a_positive_number(self, entry, temperature, message):
+        with pytest.raises(ParameterError, match=f"^temperature must be {re.escape(message)}$"):
+            entry(temperature)
 
 
 class TestSumLaw:
@@ -157,19 +132,20 @@ class TestSumLaw:
         per_assignment = boltzmann_probabilities(model, 1.0)
         assert np.bincount([0, 1, 1, 2], weights=per_assignment).tolist() == pytest.approx(
             expected, rel=1e-12)
-        assert exact_sum_distribution(model, 1.0).tolist() == pytest.approx(expected, rel=1e-12)
+        assert exact_sum_distribution(model, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_excitations_beyond_the_float_range_weigh_nothing(self):
         model = fractional_restriction_model(4, F(3, 2), 10**400)
         # only the ground sums 1 and 2 keep weight, in the ratio C(4,1) : C(4,2)
-        assert exact_sum_distribution(model, 0.05).tolist() == pytest.approx(
+        assert exact_sum_distribution(model, 0.05) == pytest.approx(
             [0.0, 0.4, 0.6, 0.0, 0.0], rel=1e-12, abs=0)
 
-
-def test_sum_frequencies_ignores_dummy_bits():
-    # three bits, two of them problem bits: key 0b101 has problem sum 1
-    freqs = {0b101: 0.25, 0b011: 0.5, 0b100: 0.25}
-    assert sum_frequencies(freqs, n_problem=2) == {1: 0.25, 2: 0.5, 0: 0.25}
+    def test_degeneracy_ratio_at_half_integer_target(self):
+        # both neighbouring sums share the residual energy, so their exact
+        # probability ratio is the degeneracy ratio C(5,2)/C(5,1) = 2
+        model = fractional_restriction_model(5, F(3, 2), 1)
+        exact = exact_sum_distribution(model, temperature=0.05)
+        assert exact[2] / exact[1] == pytest.approx(2.0, rel=1e-12)
 
 
 class TestSweep:
@@ -242,7 +218,7 @@ class TestDraw:
         model = fractional_restriction_model(16, F(37, 10), 1)
         for n_reads in (1, 2, 10_000):
             for temperature in (0.05, 1.0, 100.0):
-                probabilities = exact_sum_distribution(model, temperature).tolist()
+                probabilities = exact_sum_distribution(model, temperature)
                 counts = _multinomial(rng, n_reads, probabilities)
                 assert len(counts) == 17 and min(counts) >= 0 and sum(counts) == n_reads
 
