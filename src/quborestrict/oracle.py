@@ -7,12 +7,11 @@ exactly the allowed sums at the declared residual energy.
 Both engines work in integer arithmetic on the model's ints, which share
 one scale; energies convert back to Fractions at the end.  The engines:
 
-* the twin-class table partitions the problem bits into classes of twins,
-  bits whose swap leaves every energy unchanged (each construction in
-  ``encoders`` is one class), and tabulates the energy over the per-class
-  counts of set bits and the dummy patterns, in Python ints.  It takes a
-  model with at most ``n_problem + 1`` dummies whose classes give at most
-  ``(n_problem + 1)**2`` count vectors;
+* the twin-class table splits each kind of bit, problem or dummy, into
+  classes of twins, whose swap leaves every energy unchanged, and tabulates
+  the energy over per-class set-bit counts in Python ints, ``weights``
+  counting each entry's dummy patterns: ``(n + 1) * prod(|c| + 1)`` entries
+  over dummy classes c for one problem class; at most ``(n + 1)**2`` rows;
 * every other model takes the doubling sweep over all ``2**n_total``
   assignments: the states with bit k set cost ``E[b] + Q_kk + h_k[b]`` for
   ``b < 2**k``, and the field ``h_k`` on bit k is itself built by doubling,
@@ -28,9 +27,9 @@ loads it.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
-from itertools import islice
 
 from .core import (
     DimensionError,
@@ -45,7 +44,7 @@ from .core import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Optional
+    from typing import Iterator, Optional
 
     import numpy as np
 
@@ -90,137 +89,141 @@ def _entry_bytes(bound: int) -> int:
 
 def twin_table(
     model: QuboModel,
-) -> Optional[tuple[int, list[list[int]], list[tuple[tuple[int, ...], int, list[int]]]]]:
-    """``(scale, classes, rows)``: the model's twin-class table, or None for the sweep.
+) -> Optional[tuple[int, list[list[int]], list[int], list[tuple[tuple[int, ...], int, list[int]]]]]:
+    """``(scale, classes, weights, rows)``: the model's twin-class table, or None for the sweep.
 
-    Problem bits are twins when they share a diagonal and couple equally to
-    every other bit (absent coefficients count as 0), so swapping them leaves
-    every energy unchanged.  ``classes`` partitions the problem bits into
-    classes of twins, ordered by first bit.  ``rows`` holds ``(counts,
-    multiplicity, energies)`` per vector of per-class set-bit counts, the
-    first class varying slowest: ``energies[y]`` is the energy times
-    ``scale`` of each assignment with those counts and dummy pattern y (bit
-    k of y is dummy k), and ``multiplicity = prod C(len(c), s_c)`` counts
-    them.
+    Two bits of one kind, problem or dummy, are twins when they share a
+    diagonal and couple equally to every other bit (absent coefficients count
+    as 0), so swapping them leaves every energy unchanged.  Each kind is
+    partitioned into classes of twins, ordered by first bit; ``classes``
+    holds the problem classes.  Entry y is a vector of set-bit counts k_c
+    over the dummy classes, the first varying fastest, and ``weights[y] =
+    prod C(|c|, k_c)`` counts its dummy patterns.  ``rows`` holds ``(counts,
+    multiplicity, energies)`` per vector of set-bit counts s_c over the
+    problem classes, the first varying slowest: ``energies[y]`` is the energy
+    times ``scale`` of ``multiplicity * weights[y]`` assignments, where
+    ``multiplicity = prod C(|c|, s_c)``.
 
-    Read from the coefficients, never from the kind: the table takes a model
-    with at most ``n_problem + 1`` dummies whose classes give at most
-    ``(n_problem + 1)**2`` count vectors.  One class is tried first, so a
-    symmetric model costs one pass over the terms; otherwise bits with equal
-    multisets of terms are proposed as classes and a second pass confirms
-    them, so a wrong proposal costs only speed.  A table whose
-    ``table_bytes`` exceed the physical memory raises ``SizeLimitError``
-    before it is built.
+    Read from the coefficients, never from the kind: the table takes at most
+    ``(n_problem + 1)**2`` rows of ``2**(n_problem + 1)`` entries.  Bits of
+    one kind with equal diagonals are tried first as classes, then bits with
+    equal multisets of terms, and a pass over the terms confirms them, so a
+    wrong proposal costs only speed.  A table whose ``table_bytes`` exceed
+    the physical memory raises ``SizeLimitError`` before it is built.
     """
     n, d = model.n_problem, model.n_dummies
-    if d > n + 1:
-        return None
     coeffs, bound = model.int_coeffs, _energy_bound(model)
-    present = len(coeffs)
-    for i, _ in reversed(coeffs):  # sorted keys put the dummy rows last
-        if i < n:
-            break
-        present -= 1
-    # no partition has fewer rows than one class
-    check_memory(f"a twin-class table of {n + 1} rows of 2**{d} energies", d,
-                 table_bytes, n + 1, n, d, bound)
-    classes = [list(range(n))] if n else []
-    n_rows = n + 1
-    if not _are_twins(coeffs, present, classes, d):
-        # propose classes of bits with equal multisets of terms: the diagonal, the
-        # couplings to problem bits by value alone (twins share their mutual one)
-        # and the dummy couplings by value and dummy
-        terms: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (i, j), q in islice(coeffs.items(), present):
-            term = (q, i == j if j < n else ~j)
-            terms[i].append(term)
-            if i != j < n:
-                terms[j].append(term)
+    # no partition has fewer rows, or fewer entries, than one class of each kind
+    check_memory(f"a twin-class table of {n + 1} rows of {d + 1} energies", 0,
+                 table_bytes, n + 1, d + 1, n, d, bound)
+    # propose bits of one kind with equal diagonals as classes, then, refining those,
+    # bits with equal multisets of terms: couplings within the kind by value alone
+    # (twins share their mutual one), those to the other kind by value and bit
+    keys: list = [coeffs.get((i, i), 0) for i in range(n + d)]
+    for proposal in range(2):
+        if proposal:
+            keys = [[] for _ in range(n + d)]
+            for (i, j), q in coeffs.items():
+                keys[i].append((q, ~j if i < n <= j else i == j))
+                if i != j:
+                    keys[j].append((q, ~i if i < n <= j else False))
+            keys = [tuple(sorted(bit_terms)) for bit_terms in keys]
         groups: dict[tuple, list[int]] = {}
-        for i, bit_terms in enumerate(terms):
-            groups.setdefault(tuple(sorted(bit_terms)), []).append(i)
-        classes = list(groups.values())
-        # each class at least doubles the rows: this many give more than (n + 1)**2
-        if len(classes) == 1 or len(classes) >= 2 * (n + 1).bit_length():
+        for i, key in enumerate(keys):
+            groups.setdefault((i >= n, key), []).append(i)
+        problem = [members for (is_dummy, _), members in groups.items() if not is_dummy]
+        dummy = [members for (is_dummy, _), members in groups.items() if is_dummy]
+        # each class at least doubles the rows or entries: this many give more than the caps
+        if len(problem) >= 2 * (n + 1).bit_length() or len(dummy) > n + 1:
             return None
-        n_rows = math.prod(len(c) + 1 for c in classes)
-        if n_rows > (n + 1) ** 2:
+        n_rows = math.prod(len(c) + 1 for c in problem)
+        n_entries = math.prod(len(c) + 1 for c in dummy)
+        if n_rows > (n + 1) ** 2 or n_entries > 2 << n:
             return None
-        if not _are_twins(coeffs, present, classes, d):
-            return None
-    check_memory(f"a twin-class table of {n_rows} rows of 2**{d} energies", d,
-                 table_bytes, n_rows, n, d, bound)
+        check_memory(f"a twin-class table of {n_rows} rows of {n_entries} energies", 0,
+                     table_bytes, n_rows, n_entries, n, d, bound)
+        if _are_twins(coeffs, problem + dummy):
+            break
+    else:
+        return None
 
-    # the offset plus the dummy block over the dummy patterns, by doubling
-    dummy_energy = [model.int_offset]
-    for k in range(d):
-        kick = [coeffs.get((n + k, n + k), 0)]
-        for l in range(k):
-            coupling = coeffs.get((n + l, n + k), 0)
-            kick += [x + coupling for x in kick]
-        dummy_energy += [e + x for e, x in zip(dummy_energy, kick)]
-    # one more set bit in a class adds its diagonal, its pair coupling times the
-    # class's set bits, its links to the earlier classes' set bits, and its
-    # coupling to the dummy pattern (the slope, by doubling)
-    rows = [((), 1, dummy_energy)]
-    for c, members in enumerate(classes):
-        first, size = members[0], len(members)
-        pair = coeffs.get((first, members[1]), 0) if size > 1 else 0
-        links = [coeffs.get((other[0], first), 0) for other in classes[:c]]
-        slope = [0]
-        for k in range(d):
-            field = coeffs.get((first, n + k), 0)
-            slope += [t + field for t in slope]
-        grown = []
-        for counts, multiplicity, energies in rows:
-            step = coeffs.get((first, first), 0) + sum(w * s for w, s in zip(links, counts))
-            binomial = 1
-            for s in range(size + 1):
-                grown.append((counts + (s,), multiplicity * binomial, energies))
-                energies = [e + t + step + pair * s for e, t in zip(energies, slope)]
-                binomial = binomial * (size - s) // (s + 1)
-        rows = grown
-    return model.scale, classes, rows
+    # the entries one dummy class at a time from the offset, then the rows over them
+    energies, weights = [model.int_offset], [1]
+    for c, members in enumerate(dummy):
+        levels = list(_levels(coeffs, members, energies, _field(coeffs, members[0], dummy[:c]), 0))
+        energies = [e for _, level in levels for e in level]
+        weights = [w * binomial for binomial, _ in levels for w in weights]
+    rows = [((), 1, energies)]
+    for c, members in enumerate(problem):
+        slope = _field(coeffs, members[0], dummy)
+        links = [coeffs.get((other[0], members[0]), 0) for other in problem[:c]]
+        rows = [(counts + (s,), multiplicity * binomial, level)
+                for counts, multiplicity, energies in rows
+                for s, (binomial, level) in enumerate(_levels(
+                    coeffs, members, energies, slope, sum(map(operator.mul, links, counts))))]
+    return model.scale, problem, weights, rows
 
 
-def _are_twins(coeffs: dict[tuple[int, int], int], present: int, classes: list[list[int]],
-               n_dummies: int) -> bool:
-    """Whether each block of the problem rows' terms holds one value.
+def _field(coeffs: dict[tuple[int, int], int], bit: int, cells: list[list[int]]) -> list[int]:
+    """``bit``'s coupling to the set bits of each count vector over ``cells``, first fastest."""
+    field = [0]
+    for members in cells:
+        q = coeffs.get((min(bit, members[0]), max(bit, members[0])), 0)
+        field += [t + k * q for k in range(1, len(members) + 1) for t in field]
+    return field
 
-    Absent terms count as 0.  Each class and each dummy is a cell u with
-    column code ``2**u``.  The blocks are the diagonals of a class, keyed
-    ``-2**u``, and the pairs within a class or between a class and a later
-    cell, keyed ``2**u + 2**v``.
+
+def _levels(coeffs: dict[tuple[int, int], int], members: list[int], energies: list[int],
+            slope: list[int], step: int) -> Iterator[tuple[int, list[int]]]:
+    """``(C(|c|, s), energies)`` for s = 0..|c| set bits of class c, each adding its
+    diagonal, ``step``, its pair coupling times the set bits before it and ``slope``."""
+    first, size = members[0], len(members)
+    pair = coeffs.get((first, members[1]), 0) if size > 1 else 0
+    step += coeffs.get((first, first), 0)
+    binomial = 1
+    yield binomial, energies
+    for s in range(size):
+        energies = [e + t + step + pair * s for e, t in zip(energies, slope)]
+        binomial = binomial * (size - s) // (s + 1)
+        yield binomial, energies
+
+
+def _are_twins(coeffs: dict[tuple[int, int], int], cells: list[list[int]]) -> bool:
+    """Whether each block of the terms holds one value, the cells partitioning every bit.
+
+    Absent terms count as 0.  Cell u has column code ``2**u``.  The blocks
+    are the diagonals of a cell, keyed ``-2**u``, and the pairs within a
+    cell or between two cells, keyed ``2**u + 2**v``.
     """
-    n = sum(map(len, classes))
-    cells = classes + [[j] for j in range(n, n + n_dummies)]
-    column = [0] * (n + n_dummies)
+    column = [0] * sum(map(len, cells))
     for u, members in enumerate(cells):
         for i in members:
             column[i] = 1 << u
     values: dict[int, int] = {}
     first = values.setdefault
-    for (i, j), q in islice(coeffs.items(), present):
+    for (i, j), q in coeffs.items():
         if first(column[i] + column[j] if i != j else -column[i], q) != q:
             return False
     size = {}
-    for u, members in enumerate(classes):
+    for u, members in enumerate(cells):
         size[-1 << u] = m = len(members)
         for v in range(u, len(cells)):
             size[(1 << u) + (1 << v)] = m * len(cells[v]) if u != v else m * (m - 1) // 2
     # stored coefficients are never zero, so a block with a missing term shows in the count
-    return sum(size[key] for key in values) == present
+    return sum(size[key] for key in values) == len(coeffs)
 
 
-def table_bytes(n_rows: int, n_problem: int, n_dummies: int, bound: int) -> int:
-    """Estimated peak bytes of a twin-class table of ``n_rows`` rows, energies up to ``bound``.
+def table_bytes(n_rows: int, n_entries: int, n_problem: int, n_dummies: int, bound: int) -> int:
+    """Estimated peak bytes of a twin-class table of ``n_rows`` rows of ``n_entries`` energies.
 
     A row costs about 256 bytes of tuples and list, a multiplicity of up to
-    ``n_problem`` bits and ``2**n_dummies`` energies, each a list slot and an
-    int with a spare digit; the level built before the last, at most as
-    large, is alive meanwhile.
+    ``n_problem`` bits and its energies up to ``bound``, each a list slot and
+    an int with a spare digit; the level built before the last, at most as
+    large, is alive meanwhile.  The weights cost a list slot and an int of
+    up to ``n_dummies`` bits per entry, twice while the last is built.
     """
-    return 2 * n_rows * (256 + n_problem // 8 + (_entry_bytes(bound) << n_dummies))
+    return (2 * n_rows * (256 + n_problem // 8 + n_entries * _entry_bytes(bound))
+            + 2 * n_entries * (40 + n_dummies // 8))
 
 
 def enumeration_bytes(n_total: int, entry_bytes: int = 8) -> int:
@@ -297,13 +300,14 @@ def _spectrum(model: QuboModel) -> tuple[dict[int, tuple[Fraction, int]], Option
     """``SpectrumReport.by_sum`` of any model and its lowest energy above the ground, if any.
 
     Models the twin-class table takes are read off its rows, where each
-    energy stands for ``multiplicity`` assignments; every other model takes
-    the doubling sweep.  Either is refused with ``SizeLimitError`` when its
-    estimate exceeds the physical memory.
+    energy stands for ``multiplicity`` times its entry's weight of
+    assignments; every other model takes the doubling sweep.  Either is
+    refused with ``SizeLimitError`` when its estimate exceeds the physical
+    memory.
     """
     table = twin_table(model)
     if table is not None:
-        scale, _, rows = table
+        scale, _, weights, rows = table
         minima = [None] * (model.n_problem + 1)
         counts = [0] * (model.n_problem + 1)
         for class_counts, multiplicity, energies in rows:
@@ -311,7 +315,10 @@ def _spectrum(model: QuboModel) -> tuple[dict[int, tuple[Fraction, int]], Option
             if minima[s] is None or low < minima[s]:
                 minima[s], counts[s] = low, 0
             if low == minima[s]:
-                counts[s] += multiplicity * energies.count(low)
+                y = -1
+                for _ in range(energies.count(low)):  # each entry at the minimum, by its weight
+                    y = energies.index(low, y + 1)
+                    counts[s] += multiplicity * weights[y]
         ground = min(minima)
         second = min((e for _, _, energies in rows for e in energies if e != ground), default=None)
     else:

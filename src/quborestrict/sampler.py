@@ -127,9 +127,11 @@ def exact_sum_distribution(model: QuboModel, temperature: float) -> list[float]:
     """Exact Boltzmann probability of each problem-bit sum 0..n_problem.
 
     A model the twin-class table takes has the sum law
-    ``P(s) ~ sum_rows multiplicity * sum_y exp(-(E(row, y) - E0) / T)`` over
-    the table rows of sum s and the dummy patterns y, in Python floats
-    without numpy; any other model sums the per-assignment probabilities.
+    ``P(s) ~ sum_rows multiplicity * sum_y weight_y * exp(-(E(row, y) - E0) / T)``
+    over the table rows of sum s and the dummy entries y, summed in log space
+    in Python floats without numpy; the excitations are shifted exactly in
+    ints, and one beyond the float range has weight 0.  Any other model sums
+    the per-assignment probabilities.
     """
     _check_temperature(temperature)
     table = oracle.twin_table(model)
@@ -140,18 +142,9 @@ def exact_sum_distribution(model: QuboModel, temperature: float) -> list[float]:
         sums = oracle.problem_bit_sums(model.n_total, model.n_problem)
         return np.bincount(
             sums, weights=probabilities, minlength=model.n_problem + 1).tolist()
-    scale, _, rows = table
-    return _sum_law(model.n_problem, scale, rows, temperature)
-
-
-def _sum_law(n: int, scale: int, rows: list[tuple[tuple[int, ...], int, list[int]]],
-             temperature: float) -> list[float]:
-    """Normalized ``sum_rows multiplicity * sum_y exp(-(E - E0) / T)`` per sum, in log space.
-
-    The excitations are shifted exactly in ints; one beyond the float range
-    has weight 0.
-    """
+    scale, _, weights, rows = table
     ground = min(min(energies) for _, _, energies in rows)
+    log_weights = [math.log(w) for w in weights]
 
     def exponent(e: int) -> float:
         try:
@@ -159,10 +152,10 @@ def _sum_law(n: int, scale: int, rows: list[tuple[tuple[int, ...], int, list[int
         except OverflowError:
             return -math.inf
 
-    by_sum: list[list[float]] = [[] for _ in range(n + 1)]
+    by_sum: list[list[float]] = [[] for _ in range(model.n_problem + 1)]
     for counts, multiplicity, energies in rows:
-        by_sum[sum(counts)].append(
-            math.log(multiplicity) + _log_sum_exp([exponent(e) for e in energies]))
+        by_sum[sum(counts)].append(math.log(multiplicity) + _log_sum_exp(
+            [exponent(e) + w for e, w in zip(energies, log_weights)]))
     logs = [_log_sum_exp(terms) for terms in by_sum]
     total = _log_sum_exp(logs)
     return [math.exp(x - total) for x in logs]

@@ -14,6 +14,11 @@ from quborestrict.core import (
     combine,
     expand_squared_affine,
 )
+from quborestrict.encoders import (
+    EncoderParams,
+    encode_equispaced_linear,
+    encode_half_integer_chain,
+)
 
 # tokens a fuzz test swaps into a file: non-canonical integers and fractions,
 # and literals whose exponent or digits would build a gigantic int if they
@@ -123,6 +128,32 @@ def twin_class_models(draw, huge=False, values=None):
         squares.append(expand_squared_affine(terms, -target, lam, n_total=n_total, n_problem=n))
         bit, dummy = bit + size, dummy + d
     return combine(*squares)
+
+
+@st.composite
+def twin_dummy_models(draw, huge=False, perturbed=False):
+    """Half-integer chain and linear encodings, whose dummies are twins, n_total <= 12.
+
+    The allowed sums are a run of consecutive values or, for the linear row,
+    values 1 or 2 apart.  ``perturbed`` changes or deletes one coefficient,
+    which may split a class of problem bits or of dummies.  The multiplier is
+    1 or 1/2, or ``huge``, past the int64 bound.
+    """
+    n = draw(st.integers(1, 8))
+    gap = draw(st.integers(1, min(2, n)))
+    m = draw(st.integers(2, min(n // gap + 1, 13 - n)))
+    start = draw(st.integers(0, n - gap * (m - 1)))
+    spec = RestrictionSpec(n, tuple(range(start, start + gap * m, gap)))
+    lam = draw(st.integers(10**18, 10**30) if huge else st.sampled_from([F(1), F(1, 2)]))
+    chain = gap == 1 and draw(st.booleans())
+    model = (encode_half_integer_chain if chain else encode_equispaced_linear)(
+        spec, EncoderParams(lam)).model
+    coeffs = dict(model.coeffs)
+    if not perturbed or not coeffs:  # (x - 1/2)**2 on one bit has no terms
+        return model
+    key = draw(st.sampled_from(sorted(coeffs)))
+    coeffs[key] += draw(st.sampled_from([-coeffs[key], -lam, lam / 2, 3 * lam]))
+    return QuboModel(model.n_total, model.n_problem, coeffs, model.offset)
 
 
 @st.composite

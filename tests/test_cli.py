@@ -644,6 +644,17 @@ def test_numpy_loads_only_where_arrays_are_built(tmp_path):
         1, "True", verify)
 
 
+def test_long_chain_certifies_without_numpy(tmp_path):
+    # 22 twin dummies form one class, so the table has 41 rows of 23 energies
+    spec_flags = ("--n", 40, "--allowed", ",".join(map(str, range(3, 27))))
+    assert probe_imports(tmp_path, "encode", *spec_flags, "--method", "halfchain", "--out",
+                         "chain.qubo") == (0, "False", {"cli", "core", "encoders", "qubofile"})
+    assert probe_imports(tmp_path, "verify", "--qubo", "chain.qubo", *spec_flags) == (
+        0, "False", {"cli", "core", "oracle", "qubofile"})
+    code, out, _ = spawn(tmp_path, "verify", "--qubo", "chain.qubo", *spec_flags)
+    assert code == 0 and "verdict: PASS" in out.splitlines()
+
+
 def test_sum_law_loads_numpy_only_off_the_twin_table(tmp_path):
     # the exact sum distribution of a model the table takes is Python floats
     # throughout; a twin-free model sums numpy's per-assignment probabilities

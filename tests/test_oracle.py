@@ -25,6 +25,8 @@ from quborestrict.core import (
 )
 from quborestrict.encoders import (
     EncoderParams,
+    encode_equispaced_linear,
+    encode_half_integer_chain,
     encode_half_integer_m2,
     encode_one_hot_general,
     encode_reduced_general,
@@ -45,7 +47,13 @@ from quborestrict.oracle import (
 )
 from quborestrict.sampler import exact_transfer_curve, sweep_fractional_r
 
-from helpers import broken_one_hot, offset_tampered, symmetric_models, twin_class_models
+from helpers import (
+    broken_one_hot,
+    offset_tampered,
+    symmetric_models,
+    twin_class_models,
+    twin_dummy_models,
+)
 
 
 class TestEnumerateSpectrum:
@@ -108,8 +116,9 @@ class TestEnumerateSpectrum:
             model = QuboModel(n, n, {(i, i): i + 1 for i in range(n)})
             with pytest.raises(SizeLimitError, match="more than can be addressed"):
                 assignment_energies(model)
-        with pytest.raises(SizeLimitError, match=r"2\*\*64 energies needs more than can be"):
-            twin_table(QuboModel(128, 64, {}))
+        # 64 dummies of distinct diagonals: 2**64 entries per row
+        with pytest.raises(SizeLimitError, match=f"{2**64} energies needs more than can be"):
+            twin_table(distinct_dummies(64, 64))
 
     def test_memory_estimate_at_40_bits(self):
         states = 2**40
@@ -371,6 +380,11 @@ class TestAgainstEinsumReference:
         assert oracle._spectrum(model)[0] == expected.by_sum
 
 
+def distinct_dummies(n: int, d: int) -> QuboModel:
+    """n empty problem bits and d dummies of distinct diagonals, so each dummy is a class of one."""
+    return QuboModel._scaled(n + d, n, 1, {(n + k, n + k): k + 1 for k in range(d)}, 0)
+
+
 def forced_sweep(encoded: EncodedRestriction, spec: RestrictionSpec) -> SpectrumReport:
     """The report of the doubling sweep, with the twin-class table refused."""
     with mock.patch.object(oracle, "twin_table", return_value=None):
@@ -408,12 +422,73 @@ class TestSymmetricEngine:
         tabulated = enumerate_spectrum(encoded, spec)
         assert tabulated == forced_sweep(encoded, spec) == reference_report(encoded, spec)
 
+    @settings(deadline=None, max_examples=30)
+    @given(st.one_of(twin_dummy_models(), twin_dummy_models(huge=True),
+                     twin_dummy_models(perturbed=True)), st.data())
+    def test_twin_dummy_models_match_doubling_and_reference(self, model, data):
+        encoded, spec = drawn_restriction(model, data)
+        tabulated = enumerate_spectrum(encoded, spec)
+        assert tabulated == forced_sweep(encoded, spec) == reference_report(encoded, spec)
+
+    def test_chain_dummies_form_one_class(self):
+        # (sum(x) - y0 - y1 - y2 - 3/2)**2: three twin dummies, four count vectors
+        encoded = encode_half_integer_chain(RestrictionSpec(6, (1, 2, 3, 4, 5)))
+        _, classes, weights, rows = twin_table(encoded.model)
+        assert (classes, weights) == ([list(range(6))], [1, 3, 3, 1])
+        assert [len(energies) for _, _, energies in rows] == [4] * 7
+        spec = RestrictionSpec(6, (1, 2, 3, 4, 5))
+        assert enumerate_spectrum(encoded, spec) == forced_sweep(encoded, spec)
+
+    def test_changed_problem_coupling_splits_its_dummy_off(self):
+        # dummy 6 of the chain's twins 6, 7, 8 couples differently to bit 0: bit 0 and
+        # dummy 6 each become a class of one
+        spec = RestrictionSpec(6, (1, 2, 3, 4, 5))
+        encoded = encode_half_integer_chain(spec)
+        coeffs = dict(encoded.model.coeffs)
+        coeffs[(0, 6)] += F(1, 2)
+        changed = EncodedRestriction(model=QuboModel(9, 6, coeffs, encoded.model.offset),
+                                     kind=encoded.kind, residual_energy=encoded.residual_energy,
+                                     lambda1=encoded.lambda1)
+        _, classes, weights, _ = twin_table(changed.model)
+        assert classes == [[0], [1, 2, 3, 4, 5]]
+        assert weights == [1, 1, 2, 2, 1, 1]  # {6} varies fastest, then {7, 8}
+        assert enumerate_spectrum(changed, spec) == forced_sweep(changed, spec)
+
+    def test_removed_dummy_coupling_keeps_the_pair_that_lost_it(self):
+        # dummies 6 and 7 lose only their mutual coupling, so they stay twins; 8 splits off
+        spec = RestrictionSpec(6, (1, 2, 3, 4, 5))
+        encoded = encode_half_integer_chain(spec)
+        coeffs = dict(encoded.model.coeffs)
+        del coeffs[(6, 7)]
+        removed = EncodedRestriction(model=QuboModel(9, 6, coeffs, encoded.model.offset),
+                                     kind=encoded.kind, residual_energy=encoded.residual_energy,
+                                     lambda1=encoded.lambda1)
+        _, classes, weights, _ = twin_table(removed.model)
+        assert (classes, weights) == ([list(range(6))], [1, 2, 1, 1, 2, 1])
+        assert enumerate_spectrum(removed, spec) == forced_sweep(removed, spec)
+
+    @pytest.mark.parametrize("encode, m", [
+        (encode_half_integer_chain, 18), (encode_half_integer_chain, 24),
+        (encode_half_integer_chain, 41), (encode_equispaced_linear, 24),
+        (encode_equispaced_linear, 41),
+    ])
+    def test_long_chains_certify_at_forty_bits(self, encode, m):
+        # M - 2 or M - 1 twin dummies: one class, so each row holds M - 1 or M energies
+        spec = RestrictionSpec(40, tuple(range(3, 3 + m)) if m < 41 else tuple(range(41)))
+        encoded = encode(spec)
+        result = verify(encoded, spec)
+        assert result.passed, result.diagnosis
+        low = spec.allowed[0]
+        assert result.report.by_sum[low][1] == math.comb(40, low)
+        assert len(twin_table(encoded.model)[2]) == encoded.model.n_dummies + 1
+
     def test_table_of_a_one_hot_encoding(self):
         # (x0 + x1 - y0 - 2*y1)**2 plus the selector (y0 + y1 - 1)**2
         spec = RestrictionSpec(2, (1, 2))
-        scale, classes, rows = twin_table(encode_one_hot_general(spec).model)
+        scale, classes, weights, rows = twin_table(encode_one_hot_general(spec).model)
         assert (scale, classes) == (1, [[0, 1]])
-        # columns: dummy patterns y = 0b00, 0b01, 0b10, 0b11
+        # columns: dummy patterns y = 0b00, 0b01, 0b10, 0b11, each a class of one
+        assert weights == [1, 1, 1, 1]
         assert [energies for _, _, energies in rows] == [[1, 1, 4, 10], [2, 0, 1, 5], [5, 1, 0, 2]]
         assert [(counts, multiplicity) for counts, multiplicity, _ in rows] == [
             ((0,), 1), ((1,), 2), ((2,), 1)]
@@ -421,8 +496,9 @@ class TestSymmetricEngine:
     def test_lowered_coupling_splits_off_its_pair(self):
         # the certify benchmark's broken file: the classes are {i, j} and the other 15 bits
         encoded = lowered_one_hot(4, 11)
-        _, classes, rows = twin_table(encoded.model)
+        _, classes, weights, rows = twin_table(encoded.model)
         assert classes == [[0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16], [4, 11]]
+        assert weights == [1] * 8  # three dummies of distinct weights
         assert sum(len(energies) for _, _, energies in rows) == 16 * 3 * 8 == 384
         assert sum(multiplicity for _, multiplicity, _ in rows) == 2**17
         spec = RestrictionSpec(17, (2, 9, 15))
@@ -465,9 +541,14 @@ class TestSymmetricEngine:
             twin_table(QuboModel(3, 3, {(0, 0): 1, (1, 1): 2, (2, 2): 3}))
 
     def test_too_many_dummies_take_the_sweep(self):
-        model = QuboModel(5, 1, {(0, 0): F(1), (1, 4): F(2)})
-        assert twin_table(model) is None
-        assert twin_table(QuboModel(3, 1, {(0, 0): F(1), (1, 2): F(2)})) is not None
+        # one problem bit takes at most 2**(1 + 1) dummy count vectors: three distinct
+        # dummies give 2**3, and the twin pairs {1, 4} and {2, 3} give 3 * 3
+        assert twin_table(distinct_dummies(1, 3)) is None
+        assert twin_table(QuboModel(5, 1, {(0, 0): F(1), (1, 4): F(2)})) is None
+        assert twin_table(distinct_dummies(1, 2)) is not None
+        # four twin dummies on two problem bits are one class of 5 count vectors
+        assert twin_table(QuboModel(6, 2, {}))[2] == [1, 4, 6, 4, 1]
+        assert twin_table(distinct_dummies(2, 4)) is None
 
     def test_missing_coefficient_breaks_symmetry(self):
         model = expand_squared_affine([(i, 1) for i in range(4)], -2, 1)
@@ -485,7 +566,7 @@ class TestSymmetricEngine:
             return estimates[-1]
 
         monkeypatch.setattr(oracle, "table_bytes", recorded)
-        assert len(twin_table(model)[2]) == 9
+        assert len(twin_table(model)[3]) == 9
         needed = max(estimates)
         monkeypatch.setattr(core, "_physical_memory", lambda: needed - 1)
         with pytest.raises(SizeLimitError, match="physical memory"):
@@ -493,11 +574,11 @@ class TestSymmetricEngine:
         with pytest.raises(SizeLimitError, match="physical memory"):
             oracle._spectrum(model)
         monkeypatch.setattr(core, "_physical_memory", lambda: needed)
-        assert len(twin_table(model)[2]) == 9
-        # 2**64 energies per row are refused before any shift or allocation
+        assert len(twin_table(model)[3]) == 9
+        # 2**64 entries per row are refused before any allocation
         monkeypatch.setattr(core, "_physical_memory", lambda: 2**63)
-        with pytest.raises(SizeLimitError, match=r"2\*\*64 energies"):
-            twin_table(QuboModel(128, 64, {}))
+        with pytest.raises(SizeLimitError, match=f"{2**64} energies"):
+            twin_table(distinct_dummies(64, 64))
 
     def test_thirty_bit_symmetric_model_certifies(self):
         spec = RestrictionSpec(27, (2, 9, 20))
@@ -509,7 +590,7 @@ class TestSymmetricEngine:
 
 
 @pytest.mark.parametrize("refused", [
-    lambda: twin_table(QuboModel(39, 19, {})),  # one class of 19 bits, 20 dummies
+    lambda: twin_table(distinct_dummies(19, 20)),  # one class of 19 bits, 20 distinct dummies
     lambda: oracle._spectrum(QuboModel(21, 21, {(i, i): i + 1 for i in range(21)})),  # no twins
     lambda: expand_squared_affine([(i, 1) for i in range(500)], -2, 1),
     lambda: render_dummy_table(10**8),
@@ -527,6 +608,21 @@ def test_every_refusal_comes_from_one_helper_before_allocating(monkeypatch, refu
         tracemalloc.stop()
     assert caught.traceback[-1].name == "check_memory"
     assert peak < 2**20
+
+
+def test_a_billion_problem_bits_are_refused_before_any_list(monkeypatch):
+    # n + 1 rows are the fewest any partition gives; nothing O(n) may be built first
+    model = QuboModel(10**9, 10**9, {})
+    monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 2**30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=f"{10**9 + 1} rows of 1 energies") as caught:
+            twin_table(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caught.traceback[-1].name == "check_memory"
+    assert peak < 2**16
 
 
 @pytest.mark.parametrize("lam", [1, 10**30])
@@ -558,7 +654,9 @@ def test_traced_peak_within_the_memory_estimate(monkeypatch, lam):
     expand_squared_affine([(i, 1) for i in range(300)], -150, 1),
     lowered_one_hot(4, 11).model,
     encode_one_hot_general(RestrictionSpec(12, (2, 5, 9)), EncoderParams(10**30, 10**30)).model,
-], ids=["one class", "two classes", "huge multipliers"])
+    encode_half_integer_chain(RestrictionSpec(60, tuple(range(5, 45)))).model,
+    encode_equispaced_linear(RestrictionSpec(60, tuple(range(0, 61, 3)))).model,
+], ids=["one class", "two classes", "huge multipliers", "chain", "linear"])
 def test_traced_table_within_its_estimate(monkeypatch, model):
     estimates = []
 
@@ -573,6 +671,7 @@ def test_traced_table_within_its_estimate(monkeypatch, model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the first estimate is the lower bound of one class, the last the table built
-    assert len(estimates) == 2
+    # the first estimate is the lower bound of one class per kind, then one per
+    # proposal, each refining the one before it; the last is the table built
+    assert len(estimates) in (2, 3) and estimates == sorted(estimates)
     assert peak <= estimates[-1]

@@ -30,7 +30,7 @@ from quborestrict.sampler import (
     sweep_fractional_r,
 )
 
-from helpers import symmetric_models, twin_class_models, twin_free_models
+from helpers import symmetric_models, twin_class_models, twin_dummy_models, twin_free_models
 
 GRID_11 = tuple(F(10 + k, 10) for k in range(11))
 
@@ -109,12 +109,15 @@ class TestSumLaw:
 
     # narrow integers keep |E|/T small, so the float rounding of the
     # per-assignment path stays far inside the tolerance
-    @settings(deadline=None, max_examples=60)
+    @settings(deadline=None, max_examples=90)
     @given(st.one_of(symmetric_models(values=st.integers(-2, 2)),
                      symmetric_models(values=st.integers(-2, 2), perturbed=True),
                      symmetric_models(huge=True),
                      twin_class_models(values=st.integers(-2, 2)),
                      twin_class_models(huge=True),
+                     twin_dummy_models(),
+                     twin_dummy_models(perturbed=True),
+                     twin_dummy_models(huge=True),
                      twin_free_models(),
                      twin_free_models(huge=True)),
            st.sampled_from([1.0, 2.5, 10.0]))
