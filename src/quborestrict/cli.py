@@ -13,15 +13,16 @@ memory), with one line on stderr.  A sweep prints each warning as one
 modules it uses.
 
 The commands and their flags are one table, ``COMMANDS``, which
-:func:`parse_args` reads.  ``python -m quborestrict.cli`` and the
-``quborestrict`` script run the process through :func:`run`.
+:func:`parse_args` reads in one pass: after the command each flag is its
+full name, as ``--flag value`` or ``--flag=value``.  ``python -m
+quborestrict.cli`` and the ``quborestrict`` script run the process through
+:func:`run`.
 """
 
 from __future__ import annotations
 
 import gc
 import math
-import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -41,7 +42,7 @@ from .core import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Callable, Iterable, NoReturn, Optional
+    from typing import Callable, NoReturn, Optional
 
     from . import oracle, sampler
 
@@ -82,12 +83,6 @@ def _choice(*names: str) -> Callable[[str], str]:
                 f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})")
         return text
     return choose
-
-
-def _path(text: str) -> str:
-    """A path flag spelt as ``pathlib`` spells it: no empty or ``.`` parts, ``.`` if none."""
-    root = "//" if text[:2] == "//" and text[2:3] != "/" else "/" * text.startswith("/")
-    return root + "/".join(part for part in text.split("/") if part not in ("", ".")) or "."
 
 
 def _spec(args: SimpleNamespace) -> tuple[RestrictionSpec, dict]:
@@ -245,7 +240,7 @@ REQUIRED = object()  # the default of a flag that must be given
 _SPEC_FLAGS = (
     ("--n", int, None, "number of problem variables"),
     ("--allowed", _allowed_flag, None, "comma-separated allowed sums, e.g. 1,2,4"),
-    ("--spec-json", _path, None, "JSON file {n_vars, allowed[]} instead of --n/--allowed"),
+    ("--spec-json", str, None, "JSON file {n_vars, allowed[]} instead of --n/--allowed"),
 )
 
 # command -> (name of the function that runs it, help, flags).  A flag is
@@ -260,11 +255,11 @@ COMMANDS = {
         ("--lambda2", _fraction_flag, None,
          "second multiplier for the two-term encodings (default: as for --lambda)"),
         ("--method", _choice(*_METHODS), "auto", "construction: " + ", ".join(_METHODS)),
-        ("--out", _path, None, "output path (default: stdout)"),
+        ("--out", str, None, "output path (default: stdout)"),
         ("--format", _choice("text", "json"), "text", "penalty file format: text or json"),
     )),
     "verify": ("cmd_verify", "check a penalty file against its restriction", (
-        ("--qubo", _path, REQUIRED, "penalty file to check"),
+        ("--qubo", str, REQUIRED, "penalty file to check"),
         *_SPEC_FLAGS,
     )),
     "sweep": ("cmd_sweep", "sweep a fractional target and sample each point", (
@@ -277,7 +272,7 @@ COMMANDS = {
         ("--reads", int, 10_000, "samples drawn at each grid point"),
         ("--seed", int, 0, "seed of the random draws, non-negative"),
         ("--lambda", _fraction_flag, Fraction(1), "Lagrange multiplier of the restriction"),
-        ("--out", _path, None, "CSV path (default: stdout)"),
+        ("--out", str, None, "CSV path (default: stdout)"),
     )),
     "table": ("cmd_table", "compare dummy counts of chain and log encodings", (
         ("--max-m", int, 7, "largest number of allowed values M in the table"),
@@ -289,8 +284,6 @@ Encode cardinality restrictions on binary variables as QUBO penalty models,
 verify them by exhaustive enumeration, and benchmark a Boltzmann annealer
 stand-in."""
 _HELP = ("-h", "--help")
-# argparse reads an argument like these as a value, not as an option
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _dest(option: str) -> str:
@@ -303,16 +296,8 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def _help(command: Optional[str], option: str, joined: Optional[str]) -> NoReturn:
-    """Print the help of the program or of one command and exit 0.
-
-    Text joined to the help option is refused as argparse refuses it, but
-    ``-hh`` is still help.
-    """
-    while joined is not None:
-        if option == "--help" or joined[:1] != "h":
-            _usage_error(f"argument -h/--help: ignored explicit argument {joined!r}")
-        joined = joined[1:] or None
+def _help(command: Optional[str]) -> NoReturn:
+    """Print the help of the program or of one command and exit 0."""
     if command is None:
         lines = ["usage: quborestrict [-h] command [flags]", "", _DESCRIPTION, "", "commands:"]
         lines += [f"  {name:<8}{entry[1]}" for name, entry in COMMANDS.items()]
@@ -329,36 +314,6 @@ def _help(command: Optional[str], option: str, joined: Optional[str]) -> NoRetur
     raise SystemExit(0)
 
 
-def _read(arg: str, options: Iterable[str]) -> Optional[tuple[Optional[str], Optional[str]]]:
-    """How argparse reads one argument against ``options``.
-
-    None for a value; otherwise the option it names (None if it names none)
-    and the text joined to it by ``=`` (or, for ``-h``, written after it).
-    A prefix of two or more options is a usage error.
-    """
-    if arg[:1] != "-":
-        return None
-    if arg in options:
-        return arg, None
-    if len(arg) == 1:
-        return None
-    name, equals, joined = arg.partition("=")
-    if equals and name in options:
-        return name, joined
-    if arg[1] == "-":
-        matches = [(option, joined if equals else None)
-                   for option in options if option.startswith(name)]
-    else:  # a short option with text written after it
-        matches = [(arg[:2], arg[2:])] if arg[:2] in options else []
-    if len(matches) > 1:
-        _usage_error(f"ambiguous option: {arg} could match {', '.join(m for m, _ in matches)}")
-    if matches:
-        return matches[0]
-    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
-        return None
-    return None, None
-
-
 def _convert(name: str, convert: Callable[[str], object], text: str) -> object:
     try:
         return convert(text)
@@ -370,65 +325,47 @@ def _convert(name: str, convert: Callable[[str], object], text: str) -> object:
 
 
 def parse_args(argv: list[str]) -> tuple[str, SimpleNamespace]:
-    """The command of ``argv`` and its flags; a usage error or help exits.
+    """The name of the function that runs the command of ``argv``, and its flags.
 
-    Reads what argparse read: ``--flag value``, ``--flag=value``, a unique
-    prefix of a flag, a repeated flag (the last one wins) and ``-h`` or
-    ``--help`` before or after the command.  Errors come in argparse's order
-    with its one-line text: an ambiguous prefix, then a bad or missing value
-    as the flags are read, then missing required flags, then unrecognized
-    arguments.
+    The first word is ``-h``/``--help`` or the command.  After it a flag is
+    its full name, as ``--flag value`` or ``--flag=value``; it takes the next
+    word as its value whatever that word starts with (``--seed -1``), and a
+    repeated flag keeps its last value.  ``-h`` or ``--help`` where a flag
+    can stand prints the command's help.  A usage error exits 2 with one
+    line, in this order: a bad or missing value as the flags are read, then
+    missing required flags, then unrecognized arguments.
     """
-    unrecognized = []
-    at = 0
-    while at < len(argv) and argv[at] != "--":
-        read = _read(argv[at], _HELP)
-        if read is None:
-            break
-        option, joined = read
-        if option is not None:
-            _help(None, option, joined)
-        unrecognized.append(argv[at])
-        at += 1
-    if argv[at:] in ([], ["--"]):
+    if not argv:
         _usage_error("the following arguments are required: command")
-    command = _convert("command", _choice(*COMMANDS), argv[at])
+    if argv[0] in _HELP:
+        _help(None)
+    command = _convert("command", _choice(*COMMANDS), argv[0])
     function, _, flags = COMMANDS[command]
     options = {option: convert for option, convert, _, _ in flags}
     args = SimpleNamespace(**{_dest(option): None if default is REQUIRED else default
                               for option, _, default, _ in flags})
-
-    words = argv[at + 1:]
-    end = words.index("--") if "--" in words else len(words)
-    # every word is read before any value is taken; "--" is an unrecognized
-    # argument that takes no value, and every word after it is a value
-    known = [*_HELP, *options]
-    reads = [_read(word, known) for word in words[:end]]
-    if end < len(words):
-        reads += [(None, None)] + [None] * (len(words) - end - 1)
-    given = set()
-    at = 0
-    while at < len(words):
-        option, joined = reads[at] or (None, None)
-        if option is None:
-            unrecognized.append(words[at])
-        elif option in _HELP:
-            _help(command, option, joined)
+    given, unrecognized = set(), []
+    words = iter(argv[1:])
+    for word in words:
+        option, equals, value = word.partition("=")
+        if word in _HELP:
+            _help(command)
+        elif option not in options:
+            unrecognized.append(word)
         else:
-            if joined is None:
-                if at + 1 == len(words) or reads[at + 1] is not None:
+            if not equals:
+                value = next(words, None)
+                if value is None:
                     _usage_error(f"argument {option}: expected one argument")
-                at += 1
-                joined = words[at]
-            setattr(args, _dest(option), _convert(option, options[option], joined))
+            setattr(args, _dest(option), _convert(option, options[option], value))
             given.add(option)
-        at += 1
     missing = [option for option, _, default, _ in flags
                if default is REQUIRED and option not in given]
     if missing:
         _usage_error(f"the following arguments are required: {', '.join(missing)}")
-    if unrecognized:
-        _usage_error(f"unrecognized arguments: {' '.join(unrecognized)}")
+    if unrecognized:  # a word with a line break is quoted, to keep the error one line
+        _usage_error("unrecognized arguments: "
+                     + " ".join(word if word.isprintable() else repr(word) for word in unrecognized))
     return function, args
 
 

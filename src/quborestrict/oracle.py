@@ -108,8 +108,9 @@ def twin_table(
     ``(n_problem + 1)**2`` rows of ``2**(n_problem + 1)`` entries.  Bits of
     one kind with equal diagonals are tried first as classes, then bits with
     equal multisets of terms, and a pass over the terms confirms them, so a
-    wrong proposal costs only speed.  A table whose ``table_bytes`` exceed
-    the physical memory raises ``SizeLimitError`` before it is built.
+    wrong proposal costs only speed.  A table whose ``table_bytes``, or
+    term multisets whose ``term_keys_bytes``, exceed the physical memory
+    raise ``SizeLimitError`` before they are built.
     """
     n, d = model.n_problem, model.n_dummies
     coeffs, bound = model.int_coeffs, _energy_bound(model)
@@ -122,6 +123,8 @@ def twin_table(
     keys: list = [coeffs.get((i, i), 0) for i in range(n + d)]
     for proposal in range(2):
         if proposal:
+            check_memory(f"grouping {n + d} bits by their {len(coeffs)} terms", 0,
+                         term_keys_bytes, n + d, len(coeffs))
             keys = [[] for _ in range(n + d)]
             for (i, j), q in coeffs.items():
                 keys[i].append((q, ~j if i < n <= j else i == j))
@@ -146,6 +149,7 @@ def twin_table(
             break
     else:
         return None
+    del keys, groups  # the term multisets can outweigh the table
 
     # the entries one dummy class at a time from the offset, then the rows over them
     energies, weights = [model.int_offset], [1]
@@ -224,6 +228,18 @@ def table_bytes(n_rows: int, n_entries: int, n_problem: int, n_dummies: int, bou
     """
     return (2 * n_rows * (256 + n_problem // 8 + n_entries * _entry_bytes(bound))
             + 2 * n_entries * (40 + n_dummies // 8))
+
+
+def term_keys_bytes(n_bits: int, n_coeffs: int) -> int:
+    """Estimated peak bytes of the term multisets of ``n_bits`` bits and ``n_coeffs`` coefficients.
+
+    A coefficient is a term of each of its one or two bits: a 2-tuple, an int
+    for a coupling to the other kind, and a slot in the bit's list, its sorted
+    copy and its key, about 150 bytes for both, rounded up to 256.  A bit
+    costs its list, key and group entry and the classes of the proposal
+    before, about 300 bytes, rounded up to 512.
+    """
+    return 512 * n_bits + 256 * n_coeffs
 
 
 def enumeration_bytes(n_total: int, entry_bytes: int = 8) -> int:

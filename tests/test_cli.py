@@ -40,7 +40,7 @@ def twin_free_restriction(n: int) -> EncodedRestriction:
 def run_cli(capsys, *args):
     try:
         code = main([str(a) for a in args])
-    except SystemExit as exc:  # argparse refuses a flag
+    except SystemExit as exc:  # a usage error or help
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
@@ -480,11 +480,16 @@ METHOD_CHOICES = "'auto', 'single', 'onehot', 'linear', 'log', 'half2', 'halfcha
     (["encode", "--bogus", "--method", "nope"],
      f"argument --method: invalid choice: 'nope' (choose from {METHOD_CHOICES})"),
     (["sweep", "--r-from", "0", "--r-to", "1", "--n"], "argument --n: expected one argument"),
-    (["sweep", "--n", "x", "--r", "1"],
-     "ambiguous option: --r could match --r-from, --r-to, --reads"),
+    # a flag is its full name, never a prefix of it
+    (["sweep", "--n", "5", "--r-from", "0", "--r-to", "1", "--temp", "0.2"],
+     "unrecognized arguments: --temp 0.2"),
     (["verify", "--qubo", "a.qubo", "--lambda", "2"], "unrecognized arguments: --lambda 2"),
     (["encode", "--n", "4", "--allowed", "1", "--lambda", "abc"],
      "argument --lambda: not a rational number: 'abc'"),
+    # a flag takes the next word as its value, whatever it starts with
+    (["sweep", "--n", "--r-from", "0", "--r-to", "1"], "argument --n: invalid int value: '--r-from'"),
+    # a word with a line break is quoted, so the error stays one line
+    (["table", "--max-m", "3", "a\nb", "c"], "unrecognized arguments: 'a\\nb' c"),
 ])
 def test_usage_errors_keep_their_text(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -508,18 +513,19 @@ def test_help_names_every_command_and_flag(capsys, command):
     words = out.replace(",", " ").split()
     for name in FLAGS if command is None else ["-h", "--help", *FLAGS[command]]:
         assert name in words, (command, name)
-    # --help, a prefix of it or -hh is the same help, also after other flags
-    for spelling in (["--help"], ["--he"], ["-hh"], ["--bogus", "-h"]):
+    # --help is the same help; after a command, -h is help also after other flags
+    spellings = [["--help"]] if command is None else [["--help"], ["--bogus", "-h"]]
+    for spelling in spellings:
         assert run_cli(capsys, *prefix, *spelling) == (0, out, "")
 
 
-def test_joined_and_prefix_flags_parse_as_long_forms():
+def test_joined_and_repeated_flags_parse_as_long_forms():
     long = ["sweep", "--n", "5", "--r-from", "0", "--r-to", "1", "--temperature", "0.2"]
     function, args = parse_args(long)
     assert function == "cmd_sweep"
     assert (args.r_from, args.temperature, args.lambda1) == (F(0), 0.2, F(1))
-    for spelling in (["sweep", "--n", "5", "--r-from=0", "--r-to", "1", "--temp", "0.2"],
-                     ["sweep", "--n=5", "--r-f", "0", "--r-to=1", "--te=0.2"],
+    for spelling in (["sweep", "--n", "5", "--r-from=0", "--r-to", "1", "--temperature", "0.2"],
+                     ["sweep", "--n=5", "--r-from", "0", "--r-to=1", "--temperature=0.2"],
                      # a repeated flag: the last one wins
                      [*long[:2], "7", *long[1:]]):
         assert vars(parse_args(spelling)[1]) == vars(args), spelling
@@ -566,7 +572,10 @@ IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
 from quborestrict.cli import main
-code = main(sys.argv[1:])
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # a usage error or help
+    code = exc.code
 print(",".join(sorted(set(sys.modules) - before)))
 sys.exit(code)
 """
@@ -666,14 +675,17 @@ def test_sum_law_loads_numpy_only_off_the_twin_table(tmp_path):
 def test_no_command_loads_dataclasses_typing_or_pathlib(tmp_path):
     spec_flags = ("--n", 9, "--allowed", "2,5,9")
     (tmp_path / "spec.json").write_text('{"n_vars": 9, "allowed": [2, 5, 9]}')
-    for argv in [
-        ("table", "--max-m", 7),
-        ("sweep", "--n", 16, "--r-from", 3, "--r-to", 4, "--out", "sweep.csv"),
-        ("encode", *spec_flags, "--out", "ok.qubo"),
-        ("encode", "--spec-json", "spec.json", "--format", "json", "--out", "ok.json"),
-        ("verify", "--qubo", "ok.qubo", *spec_flags),
-        ("verify", "--qubo", "ok.json", "--spec-json", "spec.json"),
+    for expected, argv in [
+        (0, ("table", "--max-m", 7)),
+        (0, ("sweep", "--n", 16, "--r-from", 3, "--r-to", 4, "--out", "sweep.csv")),
+        (0, ("encode", *spec_flags, "--out", "ok.qubo")),
+        (0, ("encode", "--spec-json", "spec.json", "--format", "json", "--out", "ok.json")),
+        (0, ("verify", "--qubo", "ok.qubo", *spec_flags)),
+        (0, ("verify", "--qubo", "ok.json", "--spec-json", "spec.json")),
+        # the flags are read without argparse, for a usage error and help too
+        (2, ("sweep", "--n", "x")),
+        (0, ("encode", "-h")),
     ]:
         code, added = loaded_modules(tmp_path, *argv)
-        assert code == 0 and "quborestrict.cli" in added, argv
+        assert code == expected and "quborestrict.cli" in added, argv
         assert not added & STARTUP_HEAVY, (argv, added & STARTUP_HEAVY)

@@ -1,12 +1,13 @@
-"""Fuzz the CLI with malformed spec JSON and penalty files.
+"""Fuzz the CLI with malformed spec JSON, penalty files and argument lists.
 
-Whatever the input, ``encode`` and ``verify`` must exit 0, 1 or 2, and an
-exit 2 must print one ``error:`` line, never a traceback.  Drawn integers
+Whatever the input, every command must exit 0, 1 or 2, and an exit 2 must
+print one ``error:`` line, never a traceback.  Drawn integers
 are at most 12 and drawn strings at most 5 characters; the fixed tokens add
 non-canonical integers and fractions, and literals whose exponent or digits
 would build a gigantic int if they were not refused as text first.  Text
 penalty files also draw their line separator, and some carry bytes that are
-not UTF-8.
+not UTF-8.  Argument lists mix the commands, full flag names, ``-h``,
+``--``, small values, ``--flag=value`` and junk.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from quborestrict.cli import main
+from quborestrict.cli import COMMANDS, main
 
 from helpers import SEPARATORS, TOKENS
 
@@ -41,7 +43,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects a flag
+        except SystemExit as exc:  # a usage error or help
             code = exc.code
     return code, err.getvalue()
 
@@ -140,3 +142,54 @@ def test_malformed_json_penalty_file(data):
         path = Path(tmp) / "bad.json"
         path.write_text(json.dumps(payload))
         assert_clean_exit(*run(["verify", "--qubo", str(path), *SPEC]))
+
+
+FLAG_NAMES = sorted({flag for _, _, flags in COMMANDS.values() for flag, _, _, _ in flags})
+# small enough that no command runs long; the files are made in each example's directory
+FLAG_VALUES = st.sampled_from([
+    "0", "1", "2", "4", "-1", "1/2", "0.2", "-0.5", "1e3", "nan", "inf", "x", "", "1,2",
+    "1,2,4", "onehot", "half2", "json", "ok.qubo", "spec.json", "out", ".", "-h", "--"])
+WORDS = st.one_of(
+    st.sampled_from([*COMMANDS, *FLAG_NAMES, "-h", "--help", "--", "=", "-"]),
+    FLAG_VALUES,
+    st.builds("{}={}".format, st.sampled_from(FLAG_NAMES), FLAG_VALUES),
+    st.text(max_size=5))
+VALID_ARGVS = [
+    ["encode", *SPEC, "--method", "onehot"],
+    ["verify", "--qubo", "ok.qubo", *SPEC],
+    ["sweep", "--n", "4", "--r-from", "1", "--r-to", "2", "--steps", "3", "--reads", "50"],
+    ["table", "--max-m", "4"],
+]
+
+
+@st.composite
+def argument_lists(draw):
+    """A valid command line with flags and words of ``WORDS`` inserted, put in place of
+    others or dropped."""
+    argv = list(draw(st.sampled_from(VALID_ARGVS)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        action = draw(st.sampled_from(["flag", "insert", "replace", "drop"]))
+        if action == "flag":
+            argv[at:at] = [draw(st.sampled_from(FLAG_NAMES)), draw(FLAG_VALUES)]
+        elif action == "insert" or at == len(argv):
+            argv.insert(at, draw(WORDS))
+        elif action == "replace":
+            argv[at] = draw(WORDS)
+        else:
+            del argv[at]
+    return argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(argument_lists())
+def test_argument_lists(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "spec.json").write_text(json.dumps({"n_vars": 5, "allowed": [1, 2, 4]}))
+        Path(tmp, "ok.qubo").write_text(encoded_file(Path(tmp), "text"))
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            assert_clean_exit(*run(argv))
+        finally:
+            os.chdir(cwd)

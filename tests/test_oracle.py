@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -42,6 +43,7 @@ from quborestrict.oracle import (
     fractional_energy_ladder,
     problem_bit_sums,
     table_bytes,
+    term_keys_bytes,
     twin_table,
     verify,
 )
@@ -391,12 +393,15 @@ def forced_sweep(encoded: EncodedRestriction, spec: RestrictionSpec) -> Spectrum
         return enumerate_spectrum(encoded, spec)
 
 
-def lowered_one_hot(i: int, j: int) -> EncodedRestriction:
-    """The 17 + 3 bit one-hot encoding with the coupling of bits i and j lowered by 1/2."""
-    encoded = encode_one_hot_general(RestrictionSpec(17, (2, 9, 15)))
+def lowered_one_hot(i: int, j: int, spec: RestrictionSpec = RestrictionSpec(17, (2, 9, 15)),
+                    ) -> EncodedRestriction:
+    """The one-hot encoding of ``spec`` (17 + 3 bits) with the coupling of bits i and j
+    lowered by 1/2."""
+    encoded = encode_one_hot_general(spec)
     coeffs = dict(encoded.model.coeffs)
     coeffs[(i, j)] -= F(1, 2)
-    return EncodedRestriction(model=QuboModel(20, 17, coeffs, encoded.model.offset),
+    model = encoded.model
+    return EncodedRestriction(model=QuboModel(model.n_total, model.n_problem, coeffs, model.offset),
                               kind=encoded.kind, residual_energy=encoded.residual_energy,
                               lambda1=encoded.lambda1, lambda2=encoded.lambda2)
 
@@ -591,12 +596,16 @@ class TestSymmetricEngine:
 
 @pytest.mark.parametrize("refused", [
     lambda: twin_table(distinct_dummies(19, 20)),  # one class of 19 bits, 20 distinct dummies
+    # a lowered coupling takes the second proposal: its term multisets are estimated
+    # at 1.4 MB, every table at most 0.35 MB
+    functools.partial(twin_table, lowered_one_hot(4, 11, RestrictionSpec(100, (2, 50, 97))).model),
     lambda: oracle._spectrum(QuboModel(21, 21, {(i, i): i + 1 for i in range(21)})),  # no twins
     lambda: expand_squared_affine([(i, 1) for i in range(500)], -2, 1),
     lambda: render_dummy_table(10**8),
     lambda: sweep_fractional_r(2, 0, 1, 10**8),
     lambda: exact_transfer_curve(2, 0, 1, 10**8),
-], ids=["table", "sweep", "construction", "dummy-table", "sampled-grid", "exact-grid"])
+], ids=["table", "term-multisets", "sweep", "construction", "dummy-table", "sampled-grid",
+        "exact-grid"])
 def test_every_refusal_comes_from_one_helper_before_allocating(monkeypatch, refused):
     monkeypatch.setattr(core, "_physical_memory", lambda: 2**20)
     tracemalloc.start()
@@ -656,22 +665,29 @@ def test_traced_peak_within_the_memory_estimate(monkeypatch, lam):
     encode_one_hot_general(RestrictionSpec(12, (2, 5, 9)), EncoderParams(10**30, 10**30)).model,
     encode_half_integer_chain(RestrictionSpec(60, tuple(range(5, 45)))).model,
     encode_equispaced_linear(RestrictionSpec(60, tuple(range(0, 61, 3)))).model,
-], ids=["one class", "two classes", "huge multipliers", "chain", "linear"])
+    # the term multisets of 81,406 coefficients outweigh the table eightfold
+    lowered_one_hot(4, 11, RestrictionSpec(400, (2, 200, 397))).model,
+], ids=["one class", "two classes", "huge multipliers", "chain", "linear", "long terms"])
 def test_traced_table_within_its_estimate(monkeypatch, model):
-    estimates = []
+    tables, terms = [], []
 
-    def recorded(*args):
-        estimates.append(table_bytes(*args))
-        return estimates[-1]
+    def recording(estimate, estimates):
+        def recorded(*args):
+            estimates.append(estimate(*args))
+            return estimates[-1]
+        return recorded
 
-    monkeypatch.setattr(oracle, "table_bytes", recorded)
+    monkeypatch.setattr(oracle, "table_bytes", recording(table_bytes, tables))
+    monkeypatch.setattr(oracle, "term_keys_bytes", recording(term_keys_bytes, terms))
     tracemalloc.start()
     try:
         twin_table(model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the first estimate is the lower bound of one class per kind, then one per
-    # proposal, each refining the one before it; the last is the table built
-    assert len(estimates) in (2, 3) and estimates == sorted(estimates)
-    assert peak <= estimates[-1]
+    # the first table estimate is the lower bound of one class per kind, then one
+    # per proposal, each refining the one before it; the last is the table built.
+    # The second proposal first estimates its term multisets, freed before the table
+    assert len(tables) in (2, 3) and tables == sorted(tables)
+    assert len(terms) == len(tables) - 2
+    assert peak <= max([tables[-1], *terms])
