@@ -4,7 +4,9 @@ Subcommands: ``encode`` a restriction to a portable QUBO penalty file,
 ``verify`` such a file against its restriction by exhaustive enumeration,
 ``sweep`` a fractional target across a range with the Boltzmann sampler, and
 ``table`` the dummy-variable counts of the chain and binary-weighted
-encodings side by side.
+encodings side by side.  The restriction of ``encode`` and ``verify`` comes
+from ``--n`` and ``--allowed`` only; the multipliers ``--lambda`` and
+``--lambda2`` of ``encode`` default to 1.
 
 Exit codes: 0 success/verified, 1 verification refuted, 2 usage or parse
 errors (including inapplicable encodings and work beyond the physical
@@ -37,6 +39,7 @@ from .core import (
     RestrictionSpec,
     SizeLimitError,
     as_fraction,
+    as_printable,
     check_memory,
 )
 
@@ -85,43 +88,12 @@ def _choice(*names: str) -> Callable[[str], str]:
     return choose
 
 
-def _spec(args: SimpleNamespace) -> tuple[RestrictionSpec, dict]:
-    """The restriction from the flags or the spec JSON, and the spec JSON object ({} if unset)."""
-    payload: dict = {}
-    if args.spec_json is not None:
-        if args.n is not None or args.allowed is not None:
-            raise ParameterError("give either --spec-json or --n/--allowed, not both")
-        import json
-
-        try:
-            with open(args.spec_json) as spec_file:
-                payload = json.load(spec_file)
-            n_vars = payload["n_vars"]
-            allowed = payload["allowed"]
-            if not isinstance(allowed, list):
-                raise TypeError(f"n_vars must be an integer and allowed a list of integers, "
-                                f"got {n_vars!r} and {allowed!r}")
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            # ValueError covers malformed JSON
-            raise ParameterError(f"bad spec JSON {args.spec_json}: {exc}") from exc
-    else:
-        if args.n is None or args.allowed is None:
-            raise ParameterError("a restriction needs --n and --allowed (or --spec-json)")
-        n_vars, allowed = args.n, args.allowed
-    return RestrictionSpec(n_vars, tuple(allowed)), payload
-
-
 def cmd_encode(args: SimpleNamespace) -> int:
     from . import encoders, qubofile
 
-    spec, payload = _spec(args)
-    try:  # a flag overrides the spec JSON
-        lambda1 = as_fraction(payload.get("lambda1", 1)) if args.lambda1 is None else args.lambda1
-        lambda2 = as_fraction(payload.get("lambda2", 1)) if args.lambda2 is None else args.lambda2
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"bad spec JSON {args.spec_json}: {exc}") from exc
-    params = encoders.EncoderParams(lambda1, lambda2)
-    encoded = getattr(encoders, _METHODS[args.method])(spec, params)
+    spec = RestrictionSpec(args.n, args.allowed)
+    encoded = getattr(encoders, _METHODS[args.method])(
+        spec, encoders.EncoderParams(args.lambda1, args.lambda2))
     if args.out is not None:
         qubofile.save(encoded, args.out, args.format)
         summary_stream = sys.stdout
@@ -153,8 +125,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
     from . import oracle, qubofile
 
     encoded = qubofile.load(args.qubo)
-    spec, _ = _spec(args)
-    result = oracle.verify(encoded, spec)
+    result = oracle.verify(encoded, RestrictionSpec(args.n, args.allowed))
     print(_render_report(result.report))
     print(f"verdict: {'PASS' if result.passed else 'FAIL'}")
     print(result.diagnosis)
@@ -238,9 +209,8 @@ def cmd_table(args: SimpleNamespace) -> int:
 REQUIRED = object()  # the default of a flag that must be given
 
 _SPEC_FLAGS = (
-    ("--n", int, None, "number of problem variables"),
-    ("--allowed", _allowed_flag, None, "comma-separated allowed sums, e.g. 1,2,4"),
-    ("--spec-json", str, None, "JSON file {n_vars, allowed[]} instead of --n/--allowed"),
+    ("--n", int, REQUIRED, "number of problem variables"),
+    ("--allowed", _allowed_flag, REQUIRED, "comma-separated allowed sums, e.g. 1,2,4"),
 )
 
 # command -> (name of the function that runs it, help, flags).  A flag is
@@ -250,10 +220,8 @@ _SPEC_FLAGS = (
 COMMANDS = {
     "encode": ("cmd_encode", "encode a restriction as a QUBO penalty file", (
         *_SPEC_FLAGS,
-        ("--lambda", _fraction_flag, None,
-         "first Lagrange multiplier (exact rational; default: the spec JSON's lambda1, or 1)"),
-        ("--lambda2", _fraction_flag, None,
-         "second multiplier for the two-term encodings (default: as for --lambda)"),
+        ("--lambda", _fraction_flag, Fraction(1), "first Lagrange multiplier, an exact rational"),
+        ("--lambda2", _fraction_flag, Fraction(1), "second multiplier for the two-term encodings"),
         ("--method", _choice(*_METHODS), "auto", "construction: " + ", ".join(_METHODS)),
         ("--out", str, None, "output path (default: stdout)"),
         ("--format", _choice("text", "json"), "text", "penalty file format: text or json"),
@@ -364,8 +332,7 @@ def parse_args(argv: list[str]) -> tuple[str, SimpleNamespace]:
     if missing:
         _usage_error(f"the following arguments are required: {', '.join(missing)}")
     if unrecognized:  # a word with a line break is quoted, to keep the error one line
-        _usage_error("unrecognized arguments: "
-                     + " ".join(word if word.isprintable() else repr(word) for word in unrecognized))
+        _usage_error("unrecognized arguments: " + " ".join(map(as_printable, unrecognized)))
     return function, args
 
 

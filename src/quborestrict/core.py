@@ -127,6 +127,11 @@ def is_integer(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def as_printable(text: str) -> str:
+    """``text`` as it is, or its repr if it is not printable, so an error stays one line."""
+    return text if text.isprintable() else repr(text)
+
+
 def record(cls: type) -> type:
     """Make ``cls`` a frozen dataclass, without the start-up cost of ``dataclasses``.
 

@@ -11,10 +11,10 @@ the two-term encodings), ``residual_energy``, ``offset``, followed by the
 ``terms`` count and the term lines.  An integer is ASCII ``0`` or
 ``-?[1-9][0-9]*`` and a rational is the ``str`` of its own Fraction, so
 ``06``, ``+1``, ``1_0``, ``2/4`` and ``0.5`` are errors.  A JSON mirror with
-the same fields exists for programmatic consumers, held to the same token
-rules; it also takes rationals as JSON numbers, terms in any order, and
-zero terms, which it drops.  The text form is the one golden files are
-written against.
+the same fields exists for programmatic consumers, and its reader accepts
+what ``dumps_json`` writes: each rational is a canonical string, and each
+term an ``[i, j, "q"]`` entry under the rule of a text term line.  The text
+form is the one golden files are written against.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .core import (
     EncodingKind,
     QuboFileError,
     QuboModel,
-    as_fraction,
+    as_printable,
     common_denominator,
     is_integer,
 )
@@ -68,25 +68,11 @@ def _canonical(token: object) -> Optional[tuple[int, int]]:
     return (num, den) if match[2] is None or (den > 1 and math.gcd(num, den) == 1) else None
 
 
-def _rational(token: object, context: str) -> tuple[int, int]:
-    """Numerator and denominator of a canonical token, or of a JSON number.
-
-    A float goes through its shortest repr, so ``0.5`` reads as 1/2.
-    """
+def _fraction(token: object, context: str) -> Fraction:
     ratio = _canonical(token)
-    if ratio is None and isinstance(token, (int, float)) and not isinstance(token, bool):
-        try:
-            value = as_fraction(str(token))
-            ratio = value.numerator, value.denominator
-        except ValueError:  # nan, inf or too many digits
-            pass
     if ratio is None:
         raise QuboFileError(f"{context}: bad rational {token!r}")
-    return ratio
-
-
-def _fraction(token: object, context: str) -> Fraction:
-    return Fraction(*_rational(token, context))
+    return Fraction(*ratio)
 
 
 def _integer(value: object, context: str) -> int:
@@ -128,19 +114,18 @@ def dumps(encoded: EncodedRestriction) -> str:
 
 
 def _build(header: dict[str, object], keys: list[tuple[int, int]],
-           ratios: list[tuple[int, int]], top: Optional[int] = None) -> EncodedRestriction:
-    """Validate the fields of either format, given as header values and parsed terms.
+           ratios: list[tuple[int, int]], top: int) -> EncodedRestriction:
+    """Validate header values and the terms of :func:`_read_terms`, from either format.
 
-    Integers must already be ints; term k is the (numerator, denominator)
-    pair ``ratios[k]`` at the unique key ``keys[k]``.  ``top``, if given, is
-    the largest index of nonzero terms at ordered keys in increasing order.
+    Integers must already be ints.
     """
     missing = [key for key in _HEADER if key not in header and key != "lambda2"]
     if missing:
         raise QuboFileError(f"missing header keys: {', '.join(missing)}")
     unknown = set(header) - set(_HEADER)
     if unknown:
-        raise QuboFileError(f"unknown header keys: {', '.join(sorted(unknown))}")
+        raise QuboFileError(
+            f"unknown header keys: {', '.join(map(as_printable, sorted(unknown)))}")
     values = {key: read(header[key], f"header {key}")
               for key, (read, _) in _HEADER.items() if key in header}
     n_total, n_problem, offset = values["n_total"], values["n_problem"], values["offset"]
@@ -155,7 +140,7 @@ def _build(header: dict[str, object], keys: list[tuple[int, int]],
         model = QuboModel._scaled(
             n_total, n_problem, scale, dict(zip(keys, map(scaled.__getitem__, ratios))),
             offset.numerator * (scale // offset.denominator),
-            check=top is None or top >= n_total)
+            check=top >= n_total)
         return EncodedRestriction(
             model=model,
             kind=values["kind"],
@@ -190,6 +175,13 @@ def _read_terms(lines: list[str]) -> Optional[tuple[list[tuple[int, int]],
             and all(map(operator.lt, keys, islice(keys, 1, None)))):
         return None
     return keys, list(map(ratios.__getitem__, coefficients)), max(indices.values())
+
+
+def _first_bad(lines: list[str]) -> int:
+    """The index of the first line that breaks the term-line rule: as the rule holds for
+    every prefix of a canonical section, the shortest prefix that breaks it ends there."""
+    return bisect_left(range(1, len(lines) + 1), True,
+                       key=lambda size: _read_terms(lines[:size]) is None)
 
 
 def loads(text: str) -> EncodedRestriction:
@@ -228,10 +220,7 @@ def loads(text: str) -> EncodedRestriction:
     try:
         terms = _read_terms(term_lines)
         if terms is None:
-            # the rule holds for every prefix of a canonical section, so the
-            # shortest prefix that breaks it ends at the first bad line
-            bad = bisect_left(range(1, n_terms + 1), True,
-                              key=lambda size: _read_terms(term_lines[:size]) is None)
+            bad = _first_bad(term_lines)
             raise QuboFileError(f"line {cursor + 1 + bad}: expected 'i j coefficient' with a "
                                 f"nonzero coefficient, 0 <= i <= j and keys in increasing "
                                 f"order, got {term_lines[bad]!r}")
@@ -257,7 +246,7 @@ def dumps_json(encoded: EncodedRestriction) -> str:
 
 
 def loads_json(text: str) -> EncodedRestriction:
-    """Parse the JSON mirror; it is held to the same rules as the text form."""
+    """Parse the JSON mirror as ``dumps_json`` writes it, held to the rules of the text form."""
     import json
 
     try:
@@ -270,16 +259,19 @@ def loads_json(text: str) -> EncodedRestriction:
     raw_terms = payload.get("terms")
     if not isinstance(raw_terms, list):
         raise QuboFileError("JSON payload needs a 'terms' list")
-    terms: dict[tuple[int, int], tuple[int, int]] = {}
-    for number, entry in enumerate(raw_terms):
-        where = f"terms entry {number}"
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise QuboFileError(f"{where}: expected [i, j, coefficient], got {entry!r}")
-        key = (_integer(entry[0], where), _integer(entry[1], where))
-        if key in terms:
-            raise QuboFileError(f"{where}: duplicate term {key}")
-        terms[key] = _rational(entry[2], where)
-    return _build(header, list(terms), list(terms.values()))
+    # an entry [i, j, q] is the text term line 'i j q'; any other entry is '', which breaks it
+    lines = ["{} {} {}".format(*entry) if isinstance(entry, list)
+             and list(map(type, entry)) == [int, int, str] else "" for entry in raw_terms]
+    terms = _read_terms(lines)
+    if terms is None:
+        bad = _first_bad(lines)
+        where, entry = f"terms entry {bad}", raw_terms[bad]
+        if isinstance(entry, list) and len(entry) == 3:  # a bad index says so
+            for index in entry[:2]:
+                _integer(index, where)
+        raise QuboFileError(f"{where}: expected [i, j, coefficient] with a nonzero canonical "
+                            f"coefficient, 0 <= i <= j and keys increasing, got {entry!r}")
+    return _build(header, *terms)
 
 
 def load(path: Union[str, PathLike[str]]) -> EncodedRestriction:
@@ -292,7 +284,7 @@ def load(path: Union[str, PathLike[str]]) -> EncodedRestriction:
         with open(path, "rb") as file:
             text = file.read().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise QuboFileError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise QuboFileError(f"{as_printable(str(path))}: not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):
         return loads_json(text)
     return loads(text)

@@ -294,12 +294,18 @@ def _transfer_curve(
 ) -> TransferCurve:
     """The curve of ``draw`` applied to each grid point's exact sum distribution, in grid order.
 
-    A grid whose ``curve_bytes`` exceed the physical memory raises
+    ``n_vars`` must be an int of at least 1 and ``steps`` an int of at least
+    2, else ``ParameterError`` is raised before any other check.  A grid
+    whose ``curve_bytes`` exceed the physical memory raises
     ``SizeLimitError`` before it is built.
     """
-    r_from, r_to = as_fraction(r_from), as_fraction(r_to)
+    if not is_integer(n_vars) or n_vars < 1:
+        raise ParameterError(f"n_vars must be an integer of at least 1, got {n_vars!r}")
+    if not is_integer(steps):
+        raise ParameterError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise ParameterError(f"a sweep needs at least 2 grid points, got {steps}")
+    r_from, r_to = as_fraction(r_from), as_fraction(r_to)
     if not r_from < r_to:
         raise ParameterError(f"sweep range must be increasing, got [{r_from}, {r_to}]")
     if r_from < 0 or r_to > n_vars:
@@ -311,7 +317,7 @@ def _transfer_curve(
             f"sweep range [{r_from}, {r_to}] is bracketed by ({lower}, {upper}); "
             f"the transfer needs two consecutive integers")
     # no grid value's numerator or denominator exceeds this
-    bound = max(n_vars, 1) * r_from.denominator * r_to.denominator * (steps - 1)
+    bound = n_vars * r_from.denominator * r_to.denominator * (steps - 1)
     check_memory(f"a sweep of {steps} grid points", 0, curve_bytes, steps, n_vars + 1, bound)
     span = r_to - r_from
     grid = tuple(r_from + span * i / (steps - 1) for i in range(steps))

@@ -98,55 +98,15 @@ class TestEncode:
         assert qubofile.load(text_path) == qubofile.load(json_path)
         assert json.loads(json_path.read_text())["kind"] == "reduced_general"
 
-    def test_spec_json_input_with_multipliers(self, capsys, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(
-            {"n_vars": 5, "allowed": [1, 2], "lambda1": "2"}))
-        out_path = tmp_path / "s.qubo"
-        code, out, _ = run_cli(
-            capsys, "encode", "--spec-json", spec_path, "--out", out_path)
-        assert code == 0
-        assert "residual_energy: 1/2" in out  # lambda1 / 4
-
-    def test_flag_overrides_spec_json_multiplier(self, capsys, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(
-            {"n_vars": 5, "allowed": [1, 2], "lambda1": "2"}))
-        code, out, _ = run_cli(
-            capsys, "encode", "--spec-json", spec_path, "--lambda", "4",
-            "--out", tmp_path / "s.qubo")
-        assert code == 0
-        assert "residual_energy: 1" in out
-
-    def test_conflicting_spec_sources(self, capsys, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"n_vars": 5, "allowed": [1, 2]}))
-        code, _, err = run_cli(
-            capsys, "encode", "--spec-json", spec_path, "--n", 5, "--allowed", "1,2")
-        assert code == 2
-        assert "not both" in err
+    def test_conflicting_spec_sources(self, capsys):
+        # the restriction comes from --n/--allowed only: a spec JSON is no flag
+        assert run_cli(capsys, "encode", "--n", 5, "--allowed", 1, "--spec-json", "s.json") == (
+            2, "", "error: unrecognized arguments: --spec-json s.json\n")
 
     def test_missing_spec(self, capsys):
         code, _, err = run_cli(capsys, "encode", "--n", 5)
         assert code == 2
         assert "--allowed" in err
-
-    @pytest.mark.parametrize("payload, message", [
-        ({"n_vars": 5, "allowed": 2}, "allowed a list of integers"),
-        ({"n_vars": True, "allowed": [True]}, "allowed a list of integers"),
-        ({"n_vars": 5, "allowed": [1, 2], "lambda1": "abc"}, "Invalid literal for Fraction"),
-        ({"n_vars": 5, "allowed": ["a", 1]}, "allowed a list of integers"),
-        ({"n_vars": 4, "allowed": [1, 3], "lambda1": True}, "expected a rational number, got True"),
-        ({"n_vars": 4, "allowed": [1, 3], "lambda2": False}, "expected a rational number, got False"),
-    ])
-    def test_mistyped_spec_json_is_a_usage_error(self, capsys, tmp_path, payload, message):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(payload))
-        code, out, err = run_cli(capsys, "encode", "--spec-json", spec_path)
-        assert (code, out) == (2, "")
-        assert message in err
-        assert "Traceback" not in err
-        assert err.count("\n") == 1
 
     def test_invalid_spec_values(self, capsys):
         code, _, err = run_cli(capsys, "encode", "--n", 5, "--allowed", "6")
@@ -235,20 +195,18 @@ class TestVerify:
     def test_multipliers_are_encode_flags_only(self, capsys, tmp_path):
         good = tmp_path / "good.qubo"
         run_cli(capsys, "encode", "--n", 5, "--allowed", "1,2", "--out", good)
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"n_vars": 5, "allowed": [1, 2], "lambda1": "pi"}))
-        code, out, _ = run_cli(capsys, "verify", "--qubo", good, "--spec-json", spec_path)
-        assert code == 0 and "verdict: PASS" in out
         code, out, err = run_cli(
             capsys, "verify", "--qubo", good, "--n", 5, "--allowed", "1,2", "--lambda", 2)
         assert (code, out, err) == (2, "", "error: unrecognized arguments: --lambda 2\n")
 
     @pytest.mark.parametrize("case", [
         "float n_total", "string n_total", "float n_dummies", "float term index",
-        "unknown key", "duplicate term",
+        "unknown key", "unknown key with a line break", "duplicate term", "number lambda1",
+        "swapped terms", "zero term",
     ])
     def test_malformed_json_file_is_a_parse_error(self, capsys, tmp_path, case):
-        # each of these used to be truncated, ignored or overwritten by loads_json
+        # each of these used to be truncated, ignored, overwritten, converted,
+        # sorted or dropped by loads_json
         good = tmp_path / "good.json"
         spec = ("--n", 5, "--allowed", "1,2,3")
         run_cli(capsys, "encode", *spec, "--format", "json", "--out", good)
@@ -263,6 +221,14 @@ class TestVerify:
             payload["terms"][0][0] += 0.9
         elif case == "unknown key":
             payload["comment"] = "ignored"
+        elif case == "unknown key with a line break":  # quoted, so the error stays one line
+            payload["bad\nkey"] = 1
+        elif case == "number lambda1":
+            payload["lambda1"] = 0.5
+        elif case == "swapped terms":
+            payload["terms"][:2] = payload["terms"][1::-1]
+        elif case == "zero term":
+            payload["terms"][-1][2] = "0"
         else:
             i, j, _ = payload["terms"][0]
             payload["terms"].append([i, j, "-100"])
@@ -271,6 +237,13 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--qubo", bad, *spec)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_path_with_a_line_break_is_quoted(self, capsys, tmp_path):
+        bad = tmp_path / "bad\nname.qubo"
+        bad.write_bytes(b"kind \xff\n")
+        code, out, err = run_cli(capsys, "verify", "--qubo", bad, "--n", 5, "--allowed", 1)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {str(bad)!r}: not UTF-8 text: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("offset", ["1e100000", "1e999999999", "1" * 5000])
@@ -483,22 +456,24 @@ METHOD_CHOICES = "'auto', 'single', 'onehot', 'linear', 'log', 'half2', 'halfcha
     # a flag is its full name, never a prefix of it
     (["sweep", "--n", "5", "--r-from", "0", "--r-to", "1", "--temp", "0.2"],
      "unrecognized arguments: --temp 0.2"),
-    (["verify", "--qubo", "a.qubo", "--lambda", "2"], "unrecognized arguments: --lambda 2"),
+    (["verify", "--qubo", "a.qubo", "--n", "4", "--allowed", "1", "--lambda", "2"],
+     "unrecognized arguments: --lambda 2"),
     (["encode", "--n", "4", "--allowed", "1", "--lambda", "abc"],
      "argument --lambda: not a rational number: 'abc'"),
     # a flag takes the next word as its value, whatever it starts with
     (["sweep", "--n", "--r-from", "0", "--r-to", "1"], "argument --n: invalid int value: '--r-from'"),
     # a word with a line break is quoted, so the error stays one line
     (["table", "--max-m", "3", "a\nb", "c"], "unrecognized arguments: 'a\\nb' c"),
+    # the restriction is required before any file is opened
+    (["verify", "--qubo", "missing.qubo"], "the following arguments are required: --n, --allowed"),
 ])
 def test_usage_errors_keep_their_text(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 FLAGS = {
-    "encode": ["--n", "--allowed", "--spec-json", "--lambda", "--lambda2", "--method", "--out",
-               "--format"],
-    "verify": ["--qubo", "--n", "--allowed", "--spec-json"],
+    "encode": ["--n", "--allowed", "--lambda", "--lambda2", "--method", "--out", "--format"],
+    "verify": ["--qubo", "--n", "--allowed"],
     "sweep": ["--n", "--r-from", "--r-to", "--steps", "--temperature", "--reads", "--seed",
               "--lambda", "--out"],
     "table": ["--max-m"],
@@ -674,14 +649,13 @@ def test_sum_law_loads_numpy_only_off_the_twin_table(tmp_path):
 
 def test_no_command_loads_dataclasses_typing_or_pathlib(tmp_path):
     spec_flags = ("--n", 9, "--allowed", "2,5,9")
-    (tmp_path / "spec.json").write_text('{"n_vars": 9, "allowed": [2, 5, 9]}')
     for expected, argv in [
         (0, ("table", "--max-m", 7)),
         (0, ("sweep", "--n", 16, "--r-from", 3, "--r-to", 4, "--out", "sweep.csv")),
         (0, ("encode", *spec_flags, "--out", "ok.qubo")),
-        (0, ("encode", "--spec-json", "spec.json", "--format", "json", "--out", "ok.json")),
+        (0, ("encode", *spec_flags, "--format", "json", "--out", "ok.json")),
         (0, ("verify", "--qubo", "ok.qubo", *spec_flags)),
-        (0, ("verify", "--qubo", "ok.json", "--spec-json", "spec.json")),
+        (0, ("verify", "--qubo", "ok.json", *spec_flags)),
         # the flags are read without argparse, for a usage error and help too
         (2, ("sweep", "--n", "x")),
         (0, ("encode", "-h")),

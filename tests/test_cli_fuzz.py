@@ -1,4 +1,4 @@
-"""Fuzz the CLI with malformed spec JSON, penalty files and argument lists.
+"""Fuzz the CLI with malformed penalty files, text and JSON, and argument lists.
 
 Whatever the input, every command must exit 0, 1 or 2, and an exit 2 must
 print one ``error:`` line, never a traceback.  Drawn integers
@@ -6,8 +6,9 @@ are at most 12 and drawn strings at most 5 characters; the fixed tokens add
 non-canonical integers and fractions, and literals whose exponent or digits
 would build a gigantic int if they were not refused as text first.  Text
 penalty files also draw their line separator, and some carry bytes that are
-not UTF-8.  Argument lists mix the commands, full flag names, ``-h``,
-``--``, small values, ``--flag=value`` and junk.
+not UTF-8; JSON penalty files gain header keys drawn from the tokens.
+Argument lists mix the commands, full flag names, ``-h``, ``--``, small
+values, ``--flag=value`` and junk.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ JSON_VALUES = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TOKENS, inner, max_size=3),
     max_leaves=6)
-METHODS = st.sampled_from(["auto", "single", "onehot", "linear", "log", "half2", "halfchain",
-                           "reduced"])
 SPEC = ["--n", "5", "--allowed", "1,2,4"]
 NOT_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])  # stray, cut short, surrogate
 FUZZ = settings(deadline=None, max_examples=150)
@@ -60,33 +59,6 @@ def encoded_file(directory: Path, fmt: str) -> str:
     code, _ = run(["encode", *SPEC, "--method", "onehot", "--format", fmt, "--out", str(path)])
     assert code == 0
     return path.read_text()
-
-
-@st.composite
-def spec_payloads(draw):
-    """A spec dict with some keys dropped, retyped or added."""
-    payload = {"n_vars": 5, "allowed": [1, 2, 4], "lambda1": "1/2", "lambda2": 3}
-    for key in list(payload):
-        action = draw(st.sampled_from(["keep", "keep", "drop", "replace"]))
-        if action == "drop":
-            del payload[key]
-        elif action == "replace":
-            payload[key] = draw(JSON_VALUES)
-    if draw(st.booleans()):
-        payload[draw(TOKENS)] = draw(JSON_VALUES)
-    return draw(st.sampled_from([payload, draw(JSON_VALUES)]))
-
-
-@FUZZ
-@given(spec_payloads(), METHODS)
-def test_malformed_spec_json(payload, method):
-    with tempfile.TemporaryDirectory() as tmp:
-        spec = Path(tmp) / "spec.json"
-        spec.write_text(json.dumps(payload))
-        assert_clean_exit(*run(["encode", "--spec-json", str(spec), "--method", method]))
-        (Path(tmp) / "ok.qubo").write_text(encoded_file(Path(tmp), "text"))
-        assert_clean_exit(*run(["verify", "--qubo", str(Path(tmp) / "ok.qubo"),
-                                "--spec-json", str(spec)]))
 
 
 @FUZZ
@@ -125,7 +97,7 @@ def test_malformed_json_penalty_file(data):
     with tempfile.TemporaryDirectory() as tmp:
         payload = json.loads(encoded_file(Path(tmp), "json"))
         for _ in range(data.draw(st.integers(1, 3))):
-            key = data.draw(st.sampled_from(sorted(payload) + ["extra"]))
+            key = data.draw(st.sampled_from(sorted(payload)) | TOKENS)
             action = data.draw(st.sampled_from(["replace", "drop", "term"]))
             if action == "drop":
                 payload.pop(key, None)
@@ -148,7 +120,7 @@ FLAG_NAMES = sorted({flag for _, _, flags in COMMANDS.values() for flag, _, _, _
 # small enough that no command runs long; the files are made in each example's directory
 FLAG_VALUES = st.sampled_from([
     "0", "1", "2", "4", "-1", "1/2", "0.2", "-0.5", "1e3", "nan", "inf", "x", "", "1,2",
-    "1,2,4", "onehot", "half2", "json", "ok.qubo", "spec.json", "out", ".", "-h", "--"])
+    "1,2,4", "onehot", "half2", "json", "ok.qubo", "out", ".", "-h", "--"])
 WORDS = st.one_of(
     st.sampled_from([*COMMANDS, *FLAG_NAMES, "-h", "--help", "--", "=", "-"]),
     FLAG_VALUES,
@@ -185,7 +157,6 @@ def argument_lists(draw):
 @given(argument_lists())
 def test_argument_lists(argv):
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, "spec.json").write_text(json.dumps({"n_vars": 5, "allowed": [1, 2, 4]}))
         Path(tmp, "ok.qubo").write_text(encoded_file(Path(tmp), "text"))
         cwd = os.getcwd()
         os.chdir(tmp)

@@ -14,11 +14,13 @@ import json
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quborestrict.core import (
     EncodedRestriction,
     EncodingKind,
+    QuboFileError,
     QuboModel,
     combine,
     expand_squared_affine,
@@ -155,11 +157,14 @@ def test_public_constructor_and_json_read_any_order(coeffs, offset):
     model = QuboModel(6, 4, coeffs, offset)
     reference = {key: F(str(q)) if isinstance(q, float) else F(q) for key, q in coeffs.items()}
     assert_matches(model, {key: q for key, q in sorted(reference.items()) if q}, offset)
-    # the JSON mirror takes its terms in any order, as numbers too, and drops zeros
+    # the JSON mirror reads its terms only as dumps_json writes them: keys in
+    # increasing order and no zeros
     payload = json.loads(dumps_json(EncodedRestriction(model, EncodingKind.ONE_HOT_GENERAL,
                                                        F(0), F(1), F(1))))
-    payload["terms"] = [[i, j, q] for (i, j), q in reversed(list(coeffs.items()))
-                        if not isinstance(q, F)]
-    assert_matches(loads_json(json.dumps(payload)).model,
-                   {key: q for key, q in sorted(reference.items())
-                    if q and not isinstance(coeffs[key], F)}, offset)
+    canonical = payload["terms"]
+    payload["terms"] = [[i, j, str(q)] for (i, j), q in sorted(reference.items(), reverse=True)]
+    if payload["terms"] == canonical:
+        assert loads_json(json.dumps(payload)).model == model
+    else:
+        with pytest.raises(QuboFileError, match="^terms entry "):
+            loads_json(json.dumps(payload))

@@ -266,12 +266,18 @@ class TestJsonMirror:
         (lambda p: p["terms"][0].__setitem__(0, 0.9), "terms entry 0: bad integer 0.9"),
         (lambda p: p["terms"][2].__setitem__(1, float("inf")), "terms entry 2: bad integer inf"),
         (lambda p: p.update(comment="x"), "unknown header keys: comment"),
-        (lambda p: p["terms"].append(p["terms"][0]), r"duplicate term \(0, 0\)"),
+        (lambda p: p["terms"].append(p["terms"][0]),
+         r"terms entry 20: .* keys increasing, got \[0, 0, '1'\]"),
         (lambda p: p["terms"].append([0, 1]), r"expected \[i, j, coefficient\]"),
         (lambda p: p.update(terms={}), "'terms' list"),
         (lambda p: p.pop("offset"), "missing header keys: offset"),
         (lambda p: p.update(lambda1=True), "header lambda1: bad rational True"),
         (lambda p: p.update(kind=None), "unknown encoding kind None"),
+        # the reader takes what dumps_json writes: canonical strings, keys in order, no zeros
+        (lambda p: p.update(lambda1=0.5), "header lambda1: bad rational 0.5"),
+        (lambda p: p["terms"][0].__setitem__(2, 1), r"terms entry 0: .* got \[0, 0, 1\]"),
+        (lambda p: p["terms"].insert(0, p["terms"].pop(1)), r"terms entry 1: .* got \[0, 0, "),
+        (lambda p: p["terms"][-1].__setitem__(2, "0"), r"terms entry 19: .*, '0'\]"),
     ])
     def test_held_to_the_text_rules(self, edit, message):
         payload = json.loads(dumps_json(encode_one_hot_general(RestrictionSpec(4, (1, 3)))))

@@ -189,6 +189,22 @@ class TestSweep:
         with pytest.raises(ParameterError, match=re.escape(pair)):
             exact_transfer_curve(5, r_from, r_to, 5, 1, temperature=1e3)
 
+    @pytest.mark.parametrize("n_vars, steps, message", [
+        (True, 3, "n_vars must be an integer of at least 1, got True"),
+        (2.5, 3, "n_vars must be an integer of at least 1, got 2.5"),
+        (0, 3, "n_vars must be an integer of at least 1, got 0"),
+        (-3, 3, "n_vars must be an integer of at least 1, got -3"),
+        (3, True, "steps must be an integer, got True"),
+        (3, 3.0, "steps must be an integer, got 3.0"),
+    ])
+    def test_sweep_size_is_checked_first(self, n_vars, steps, message):
+        # before the range, which is bad here too
+        config = SamplerConfig(temperature=1e3, n_reads=100)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            sweep_fractional_r(n_vars, 0, "x", steps, 1, config)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            exact_transfer_curve(n_vars, 0, "x", steps, 1, temperature=1e3)
+
     def test_exact_curve_matches_sampled_curve_in_the_large_read_limit(self):
         exact = exact_transfer_curve(5, 1, 2, 5, 1, temperature=0.05)
         config = SamplerConfig(temperature=0.05, n_reads=40_000, seed=2)
