@@ -105,7 +105,7 @@ def cmd_encode(args: SimpleNamespace) -> int:
     print(f"n_dummies: {encoded.n_dummies}", file=summary_stream)
     print(f"residual_energy: {encoded.residual_energy}", file=summary_stream)
     if args.out is not None:
-        print(f"wrote {args.out}", file=summary_stream)
+        print(f"wrote {as_printable(args.out)}", file=summary_stream)
     return 0
 
 

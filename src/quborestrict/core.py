@@ -85,7 +85,8 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-def _check_bits(value: int) -> None:
+def check_bits(value: int) -> None:
+    """Refuse an exact int of more than ``MAX_VALUE_BITS`` bits."""
     if value.bit_length() > MAX_VALUE_BITS:
         raise ParameterError(f"exact coefficients need {value.bit_length()} bits, more than "
                              f"the {MAX_VALUE_BITS}-bit cap that keeps every value printable")
@@ -96,7 +97,7 @@ def common_denominator(denominators: Iterable[int]) -> int:
     scale = 1
     for den in set(denominators):
         scale = math.lcm(scale, den)
-        _check_bits(scale)
+        check_bits(scale)
     return scale
 
 
@@ -294,7 +295,7 @@ class QuboModel:
             for key, q in int_coeffs.items():  # in place: no second dict at the peak
                 int_coeffs[key] = q // common
         extremes = (min(int_coeffs.values()), max(int_coeffs.values())) if int_coeffs else ()
-        _check_bits(max(abs(v) for v in (scale, int_offset, *extremes)))
+        check_bits(max(abs(v) for v in (scale, int_offset, *extremes)))
         for name, value in (("n_total", n_total), ("n_problem", n_problem), ("scale", scale),
                             ("int_coeffs", int_coeffs), ("int_offset", int_offset)):
             object.__setattr__(self, name, value)

@@ -10,12 +10,17 @@ once), so convergence is never a confound.
 This module is the only floating-point corner of the package; everything it
 consumes is exact and everything it emits is an empirical or exact
 probability.  :func:`exact_sum_distribution` is the one exact law over the
-sums: for a model that ``oracle.twin_table`` takes it is the sum law over
-the table's rows, never a per-assignment array.  Sweeps draw their reads
-with the standard library's ``random`` (one multinomial over the sums built
-from binomial draws), so a sweep never imports numpy; only
-:func:`boltzmann_probabilities`, the per-assignment law of a model the table
-does not take, builds arrays.
+sums of a model: for a model that ``oracle.twin_table`` takes it is the sum
+law over the table's rows, never a per-assignment array.  A sweep knows its
+law in closed form: ``lam * (sum(x) - R)**2`` with R = p/q and lam = a/b
+has one row per sum s, of multiplicity C(n, s) and energy
+``a * (s*q - p)**2`` at scale ``b * q**2``, so it builds no model and
+imports no ``oracle``; it still refuses, point by point, whatever
+:func:`fractional_restriction_model` would refuse.  Both laws go through one
+log-space sum.  Sweeps draw their reads with the standard library's
+``random`` (one multinomial over the sums built from binomial draws), so a
+sweep never imports numpy; only :func:`boltzmann_probabilities`, the
+per-assignment law of a model the table does not take, builds arrays.
 """
 
 from __future__ import annotations
@@ -27,12 +32,12 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import oracle
 from .core import (
     DataQualityError,
     ParameterError,
     QuboModel,
     as_fraction,
+    check_bits,
     check_expansion,
     check_memory,
     expand_squared_affine,
@@ -111,6 +116,8 @@ def boltzmann_probabilities(model: QuboModel, temperature: float) -> np.ndarray:
     _check_temperature(temperature)
     import numpy as np
 
+    from . import oracle
+
     energies, scale = oracle.assignment_energies(model)
     # shift exactly: a float rounds energies beyond 2**53, and huge ones may not fit
     shifted = energies - energies.min()
@@ -126,14 +133,13 @@ def boltzmann_probabilities(model: QuboModel, temperature: float) -> np.ndarray:
 def exact_sum_distribution(model: QuboModel, temperature: float) -> list[float]:
     """Exact Boltzmann probability of each problem-bit sum 0..n_problem.
 
-    A model the twin-class table takes has the sum law
-    ``P(s) ~ sum_rows multiplicity * sum_y weight_y * exp(-(E(row, y) - E0) / T)``
-    over the table rows of sum s and the dummy entries y, summed in log space
-    in Python floats without numpy; the excitations are shifted exactly in
-    ints, and one beyond the float range has weight 0.  Any other model sums
-    the per-assignment probabilities.
+    A model the twin-class table takes has the sum law over the table rows
+    (see :func:`_sum_law`); any other model sums the per-assignment
+    probabilities.
     """
     _check_temperature(temperature)
+    from . import oracle
+
     table = oracle.twin_table(model)
     if table is None:
         import numpy as np
@@ -143,8 +149,23 @@ def exact_sum_distribution(model: QuboModel, temperature: float) -> list[float]:
         return np.bincount(
             sums, weights=probabilities, minlength=model.n_problem + 1).tolist()
     scale, _, weights, rows = table
+    return _sum_law(
+        model.n_problem + 1, scale, [math.log(w) for w in weights],
+        [(sum(counts), math.log(multiplicity), energies) for counts, multiplicity, energies in rows],
+        temperature)
+
+
+def _sum_law(n_sums: int, scale: int, log_weights: list[float],
+             rows: list[tuple[int, float, list[int]]], temperature: float) -> list[float]:
+    """Boltzmann probability of each sum 0..n_sums-1 from rows ``(s, log multiplicity, energies)``.
+
+    ``P(s) ~ sum_rows multiplicity * sum_y weight_y * exp(-(E(row, y) - E0) / T)``
+    over the rows of sum s and the entries y, whose energies are ints over
+    ``scale``; it is summed in log space in Python floats without numpy.  The
+    excitations are shifted exactly in ints, and one beyond the float range
+    has weight 0.
+    """
     ground = min(min(energies) for _, _, energies in rows)
-    log_weights = [math.log(w) for w in weights]
 
     def exponent(e: int) -> float:
         try:
@@ -152,9 +173,9 @@ def exact_sum_distribution(model: QuboModel, temperature: float) -> list[float]:
         except OverflowError:
             return -math.inf
 
-    by_sum: list[list[float]] = [[] for _ in range(model.n_problem + 1)]
-    for counts, multiplicity, energies in rows:
-        by_sum[sum(counts)].append(math.log(multiplicity) + _log_sum_exp(
+    by_sum: list[list[float]] = [[] for _ in range(n_sums)]
+    for s, log_multiplicity, energies in rows:
+        by_sum[s].append(log_multiplicity + _log_sum_exp(
             [exponent(e) + w for e, w in zip(energies, log_weights)]))
     logs = [_log_sum_exp(terms) for terms in by_sum]
     total = _log_sum_exp(logs)
@@ -251,15 +272,15 @@ def sweep_fractional_r(
 ) -> TransferCurve:
     """Sample the transfer of measured sums as the fractional target sweeps.
 
-    For each target on the grid a single-term penalty with that (fractional)
-    target is built and sampled ``config.n_reads`` times.  The range must lie
-    between two consecutive integers, the transfer pair.  A master
-    ``random.Random(config.seed)`` draws one 128-bit seed per grid point, in
-    grid order, and each point draws from its own ``random.Random`` seeded
-    with it, so the curve is identical regardless of evaluation order.  The
-    reads are one multinomial draw over the n+1 sums of the exact sum
-    distribution, at a cost per point that does not grow with
-    ``config.n_reads``.
+    For each target on the grid the exact sum law of the single-term penalty
+    with that (fractional) target is sampled ``config.n_reads`` times.  The
+    range must lie between two consecutive integers, the transfer pair.  A
+    master ``random.Random(config.seed)`` draws one 128-bit seed per grid
+    point, in grid order, and each point draws from its own
+    ``random.Random`` seeded with it, so the curve is identical regardless of
+    evaluation order.  The reads are one multinomial draw over the n+1 sums
+    of the exact sum distribution, at a cost per point that does not grow
+    with ``config.n_reads``.
     """
     master = random.Random(config.seed)
 
@@ -297,7 +318,9 @@ def _transfer_curve(
     ``n_vars`` must be an int of at least 1 and ``steps`` an int of at least
     2, else ``ParameterError`` is raised before any other check.  A grid
     whose ``curve_bytes`` exceed the physical memory raises
-    ``SizeLimitError`` before it is built.
+    ``SizeLimitError`` before it is built.  Each point's law is the closed
+    form, after the point is admitted by :func:`_admitted_multiplier`; the
+    log-multiplicities are computed once, at the first admitted point.
     """
     if not is_integer(n_vars) or n_vars < 1:
         raise ParameterError(f"n_vars must be an integer of at least 1, got {n_vars!r}")
@@ -321,13 +344,53 @@ def _transfer_curve(
     check_memory(f"a sweep of {steps} grid points", 0, curve_bytes, steps, n_vars + 1, bound)
     span = r_to - r_from
     grid = tuple(r_from + span * i / (steps - 1) for i in range(steps))
-    distributions = tuple(
-        draw(exact_sum_distribution(fractional_restriction_model(n_vars, r, lam), temperature))
-        for r in grid)
+    log_binomials: list[float] = []
+
+    def law(r: Fraction) -> list[float]:
+        """``exact_sum_distribution(fractional_restriction_model(n_vars, r, lam), temperature)``."""
+        a, b = _admitted_multiplier(n_vars, r, lam)
+        _check_temperature(temperature)
+        if not log_binomials:
+            log_binomials.extend(_log_binomials(n_vars))
+        p, q = r.numerator, r.denominator
+        rows = [(s, log_binomials[s], [a * (s * q - p) ** 2]) for s in range(n_vars + 1)]
+        return _sum_law(n_vars + 1, b * q * q, [0.0], rows, temperature)
+
+    distributions = tuple(draw(law(r)) for r in grid)
     # a warning names the line that called sweep_fractional_r or exact_transfer_curve
     distance = _step_distance(grid, distributions, lower, upper, stacklevel=4)
     return TransferCurve(
         n_vars=n_vars, r_grid=grid, distributions=distributions, step_distance=distance)
+
+
+def _admitted_multiplier(n_vars: int, r: Fraction, lam: RationalLike) -> tuple[int, int]:
+    """``(a, b)`` of lam = a/b, once ``fractional_restriction_model(n_vars, r, lam)`` would build.
+
+    Raises what building that model raises, in its order, in O(1): the n
+    unit weights, a multiplier not above 0, the bit cap on R's denominator,
+    the expansion's terms, and the bit cap on the model's ints after their
+    common factor is divided out.
+    """
+    check_expansion(n_vars, 1)
+    lam = as_fraction(lam)
+    if lam <= 0:
+        raise ParameterError(f"multiplier must be positive, got {lam}")
+    a, b, p, q = lam.numerator, lam.denominator, r.numerator, r.denominator
+    check_bits(q)
+    check_expansion(n_vars, 2 * a * (q + abs(p)) ** 2)
+    # the model's scale, offset, diagonal and, from two bits on, coupling
+    ints = (b * q * q, a * p * p, a * q * (q - 2 * p), 2 * a * q * q if n_vars > 1 else 0)
+    check_bits(max(map(abs, ints)) // math.gcd(*ints))
+    return a, b
+
+
+def _log_binomials(n: int) -> list[float]:
+    """``math.log(C(n, s))`` for s = 0..n, from one running exact binomial."""
+    logs, binomial = [0.0], 1
+    for s in range(n):
+        binomial = binomial * (n - s) // (s + 1)
+        logs.append(math.log(binomial))
+    return logs
 
 
 def curve_bytes(steps: int, n_sums: int, bound: int) -> int:

@@ -28,6 +28,7 @@ from helpers import broken_one_hot, offset_tampered
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table_m7_golden.txt"
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_n16_golden.csv"
+GOLDEN_SWEEP_N40 = Path(__file__).parent / "data" / "sweep_n40_golden.csv"
 
 
 def twin_free_restriction(n: int) -> EncodedRestriction:
@@ -82,6 +83,17 @@ class TestEncode:
         encoded = qubofile.loads(out)
         assert encoded.kind is EncodingKind.SINGLE_VALUE
         assert "kind: single_value" in err
+
+    @pytest.mark.parametrize("name", ["plain.qubo", "w\nx.qubo"], ids=["printable", "line-break"])
+    def test_summary_names_the_written_file_on_one_line(self, capsys, tmp_path, name):
+        out_path = tmp_path / name
+        code, out, _ = run_cli(capsys, "encode", "--n", 3, "--allowed", 1, "--out", out_path)
+        assert code == 0
+        # a printable path as it is, any other as its repr
+        shown = str(out_path) if name.isprintable() else repr(str(out_path))
+        assert out.splitlines() == [
+            "kind: single_value", "n_dummies: 0", "residual_energy: 0", f"wrote {shown}"]
+        assert qubofile.load(out_path).kind is EncodingKind.SINGLE_VALUE
 
     def test_inapplicable_method_fails_with_message(self, capsys):
         code, _, err = run_cli(
@@ -370,6 +382,15 @@ class TestSweep:
         assert out.encode() == GOLDEN_SWEEP.read_bytes()
         assert err == "warning: 0.0161 of the mass lies outside sums (3, 4) at R=4\n"
 
+    def test_seeded_n40_sweep_matches_golden_file(self, capsys):
+        # thirds of R and a fractional multiplier, at 40 bits and 100,000 reads
+        code, out, err = run_cli(capsys, "sweep", "--n", 40, "--r-from", "37/3", "--r-to", "38/3",
+                                 "--steps", 7, "--temperature", 0.5, "--lambda", "3/2",
+                                 "--reads", 100000, "--seed", 11)
+        assert code == 0
+        assert out.encode() == GOLDEN_SWEEP_N40.read_bytes()
+        assert err == "warning: 0.0112 of the mass lies outside sums (12, 13) at R=38/3\n"
+
     def test_point_without_pair_mass_is_a_nan_cell(self, capsys):
         # at R=0 and T=100 all 10,000 reads of this seed miss sums 0 and 1:
         # a sampling outcome, not a usage error
@@ -601,7 +622,7 @@ def test_numpy_loads_only_where_arrays_are_built(tmp_path):
     assert probe_imports(tmp_path, "table", "--max-m", 7) == (0, "False",
                                                                {"cli", "core", "encoders"})
     assert probe_imports(tmp_path, "sweep", "--n", 16, "--r-from", 3, "--r-to", 4) == (
-        0, "False", {"cli", "core", "oracle", "sampler"})
+        0, "False", {"cli", "core", "sampler"})
     assert probe_imports(tmp_path, "encode", *spec_flags, "--out", "ok.qubo") == (
         0, "False", encode)
     assert probe_imports(tmp_path, "verify", "--qubo", "ok.qubo", *spec_flags) == (

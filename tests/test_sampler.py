@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quborestrict import oracle
-from quborestrict.core import DataQualityError, ParameterError, QuboModel
+from quborestrict import core, oracle
+from quborestrict.core import DataQualityError, ParameterError, QuboModel, SizeLimitError
 from quborestrict.encoders import encode_single_value
 from quborestrict.core import RestrictionSpec
 from quborestrict.sampler import (
@@ -149,6 +149,91 @@ class TestSumLaw:
         model = fractional_restriction_model(5, F(3, 2), 1)
         exact = exact_sum_distribution(model, temperature=0.05)
         assert exact[2] / exact[1] == pytest.approx(2.0, rel=1e-12)
+
+
+def reference_curve(n_vars, r_from, r_to, steps, lam, temperature):
+    """Each grid point's law from its built model, in grid order: the slow path of a sweep."""
+    span = F(r_to) - F(r_from)
+    grid = [F(r_from) + span * i / (steps - 1) for i in range(steps)]
+    return tuple(tuple(exact_sum_distribution(fractional_restriction_model(n_vars, r, lam),
+                                              temperature)) for r in grid)
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:  # the comparison is the point
+        return type(exc), str(exc)
+
+
+class TestClosedFormLaw:
+    """A sweep's closed-form law against the law of the model it stands for."""
+
+    @pytest.mark.parametrize("lam", [1, F(3, 2), 10**400, F(1, 10**400)],
+                             ids=["1", "3/2", "1e400", "1e-400"])
+    @pytest.mark.parametrize("temperature", [1e-9, 0.05, 1.0, 1e9])
+    def test_matches_the_model_float_for_float(self, lam, temperature):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StrayMassWarning)
+            for n in range(1, 41):
+                k = n * 2 // 3
+                # integers, halves, thirds and sixths; then a 10**50 denominator
+                for r_from, r_to, steps in [(k, k + 1, 7),
+                                            (k + F(1, 10**50), k + 1 - F(1, 10**50), 3)]:
+                    curve = exact_transfer_curve(n, r_from, r_to, steps, lam, temperature)
+                    assert curve.distributions == reference_curve(
+                        n, r_from, r_to, steps, lam, temperature), (n, r_from)
+
+    @pytest.mark.parametrize("n_vars, r_from, r_to, lam", [
+        # the model's scale b*q**2 passes the bit cap
+        (4, F(10**1400 + 1, 10**1400), 2, F(1, 10**1000)),
+        # R's denominator alone passes it
+        (4, 1 + F(1, 2**12001), 2, 1),
+        # the first point passes, the second's denominator 2*10**1400 does not
+        (4, 1, 1 + F(1, 10**1400), F(1, 10**1000)),
+        (5, 1, 2, 0),
+        (5, 1, 2, F(-3, 2)),
+    ], ids=["scale-bits", "denominator-bits", "later-point", "lambda-0", "lambda-negative"])
+    @pytest.mark.parametrize("temperature", [0.05, 0])
+    def test_refuses_what_building_the_model_refuses(self, n_vars, r_from, r_to, lam,
+                                                     temperature):
+        # a bad temperature comes second, as it does after the model is built
+        expected = outcome(reference_curve, n_vars, r_from, r_to, 3, lam, temperature)
+        assert expected[0] is ParameterError
+        assert outcome(exact_transfer_curve, n_vars, r_from, r_to, 3, lam,
+                       temperature) == expected
+        if temperature:
+            config = SamplerConfig(temperature=temperature, n_reads=100)
+            assert outcome(sweep_fractional_r, n_vars, r_from, r_to, 3, lam,
+                           config) == expected
+
+    @pytest.mark.parametrize("lam, refused", [(2**11998, False), (2**11999, True)])
+    def test_admits_what_building_the_model_admits_at_the_bit_cap(self, lam, refused):
+        # at R = 1/2 the coupling 8*lam passes the cap only once the common
+        # factor 4 of the model's ints is divided out
+        expected = outcome(reference_curve, 2, 0, 1, 3, lam, 1.0)
+        assert (expected[0] is ParameterError) is refused
+        assert outcome(lambda *args: exact_transfer_curve(*args).distributions,
+                       2, 0, 1, 3, lam, 1.0) == expected
+
+    # the last multiplier also passes the bit cap: the memory is checked first
+    @pytest.mark.parametrize("lam, refused", [(1, False), (10**100, True), (10**3700, True)])
+    def test_refuses_an_expansion_beyond_the_memory(self, monkeypatch, lam, refused):
+        # room for 40 unit weights, not for weights of a hundred digits
+        monkeypatch.setattr(core, "_physical_memory", lambda: core.expansion_bytes(40, 1))
+        expected = outcome(reference_curve, 40, 13, 14, 3, lam, 0.05)
+        assert (expected[0] is SizeLimitError) is refused
+        assert outcome(lambda *args: exact_transfer_curve(*args).distributions,
+                       40, 13, 14, 3, lam, 0.05) == expected
+
+    @pytest.mark.parametrize("lam", [1, 0])  # before the multiplier is read
+    def test_refuses_more_unit_weights_than_the_memory_holds(self, monkeypatch, lam):
+        monkeypatch.setattr(core, "_physical_memory", lambda: core.expansion_bytes(40, 1) - 1)
+        expected = outcome(reference_curve, 40, 13, 14, 3, lam, 0.05)
+        assert expected == (SizeLimitError, "expanding a square of 40 weights into 820 terms "
+                                             "needs more than the physical memory")
+        assert outcome(exact_transfer_curve, 40, 13, 14, 3, lam, 0.05) == expected
 
 
 class TestSweep:
