@@ -9,9 +9,9 @@ one scale; energies convert back to Fractions at the end.  The engines:
 
 * the twin-class table splits each kind of bit, problem or dummy, into
   classes of twins, whose swap leaves every energy unchanged, and tabulates
-  the energy over per-class set-bit counts in Python ints, ``weights``
-  counting each entry's dummy patterns: ``(n + 1) * prod(|c| + 1)`` entries
-  over dummy classes c for one problem class; at most ``(n + 1)**2`` rows;
+  the energy over per-class set-bit counts in Python ints: at most
+  ``(n + 1)**2`` rows, each with one entry per merged class of dummy
+  patterns, ``weights`` counting them;
 * every other model takes the doubling sweep over all ``2**n_total``
   assignments: the states with bit k set cost ``E[b] + Q_kk + h_k[b]`` for
   ``b < 2**k``, and the field ``h_k`` on bit k is itself built by doubling,
@@ -96,27 +96,28 @@ def twin_table(
     diagonal and couple equally to every other bit (absent coefficients count
     as 0), so swapping them leaves every energy unchanged.  Each kind is
     partitioned into classes of twins, ordered by first bit; ``classes``
-    holds the problem classes.  Entry y is a vector of set-bit counts k_c
-    over the dummy classes, the first varying fastest, and ``weights[y] =
-    prod C(|c|, k_c)`` counts its dummy patterns.  ``rows`` holds ``(counts,
-    multiplicity, energies)`` per vector of set-bit counts s_c over the
-    problem classes, the first varying slowest: ``energies[y]`` is the energy
-    times ``scale`` of ``multiplicity * weights[y]`` assignments, where
-    ``multiplicity = prod C(|c|, s_c)``.
+    holds the problem classes.  The entries come one dummy class at a time:
+    partial assignments of equal energy and equal fields on the classes to
+    come share a future and merge, ``weights[y]`` counting entry y's dummy
+    patterns.  ``rows`` holds ``(counts, multiplicity, energies)`` per vector
+    of set-bit counts s_c over the problem classes, the first varying
+    slowest: ``energies[y]`` is the energy times ``scale`` of
+    ``multiplicity * weights[y]`` assignments, ``multiplicity = prod C(|c|, s_c)``.
 
     Read from the coefficients, never from the kind: the table takes at most
-    ``(n_problem + 1)**2`` rows of ``2**(n_problem + 1)`` entries.  Bits of
-    one kind with equal diagonals are tried first as classes, then bits with
-    equal multisets of terms, and a pass over the terms confirms them, so a
-    wrong proposal costs only speed.  A table whose ``table_bytes``, or
-    term multisets whose ``term_keys_bytes``, exceed the physical memory
-    raise ``SizeLimitError`` before they are built.
+    ``(n_problem + 1)**2`` rows, and a dummy class expands to at most
+    ``2**(n_problem + 1)`` entries.  Bits of one kind with equal diagonals
+    are tried first as classes, then bits with equal multisets of terms, and
+    a pass over the terms confirms them, so a wrong proposal costs only
+    speed.  A table whose ``table_bytes``, or term multisets whose
+    ``term_keys_bytes``, exceed the physical memory raise ``SizeLimitError``
+    before they are built.
     """
     n, d = model.n_problem, model.n_dummies
     coeffs, bound = model.int_coeffs, _energy_bound(model)
-    # no partition has fewer rows, or fewer entries, than one class of each kind
-    check_memory(f"a twin-class table of {n + 1} rows of {d + 1} energies", 0,
-                 table_bytes, n + 1, d + 1, n, d, bound)
+    # no partition has fewer rows than one class per kind, and its dummies may all merge
+    check_memory(f"a twin-class table of {n + 1} rows of 1 energies", 0,
+                 table_bytes, n + 1, 1, n, d, bound)
     # propose bits of one kind with equal diagonals as classes, then, refining those,
     # bits with equal multisets of terms: couplings within the kind by value alone
     # (twins share their mutual one), those to the other kind by value and bit
@@ -136,45 +137,46 @@ def twin_table(
             groups.setdefault((i >= n, key), []).append(i)
         problem = [members for (is_dummy, _), members in groups.items() if not is_dummy]
         dummy = [members for (is_dummy, _), members in groups.items() if is_dummy]
-        # each class at least doubles the rows or entries: this many give more than the caps
-        if len(problem) >= 2 * (n + 1).bit_length() or len(dummy) > n + 1:
+        # each class at least doubles the rows: this many give more than the cap
+        if len(problem) >= 2 * (n + 1).bit_length():
             return None
         n_rows = math.prod(len(c) + 1 for c in problem)
-        n_entries = math.prod(len(c) + 1 for c in dummy)
-        if n_rows > (n + 1) ** 2 or n_entries > 2 << n:
+        if n_rows > (n + 1) ** 2:
             return None
-        check_memory(f"a twin-class table of {n_rows} rows of {n_entries} energies", 0,
-                     table_bytes, n_rows, n_entries, n, d, bound)
+        check_memory(f"a twin-class table of {n_rows} rows of 1 energies", 0,
+                     table_bytes, n_rows, 1, n, d, bound)
         if _are_twins(coeffs, problem + dummy):
             break
     else:
         return None
     del keys, groups  # the term multisets can outweigh the table
 
-    # the entries one dummy class at a time from the offset, then the rows over them
-    energies, weights = [model.int_offset], [1]
+    # the entries one dummy class at a time, merging equal keys (energy, fields to come)
+    later = dummy + problem
+    keys, weights = [(model.int_offset, *[0] * len(later))], [1]
     for c, members in enumerate(dummy):
-        levels = list(_levels(coeffs, members, energies, _field(coeffs, members[0], dummy[:c]), 0))
-        energies = [e for _, level in levels for e in level]
-        weights = [w * binomial for binomial, _ in levels for w in weights]
-    rows = [((), 1, energies)]
+        if (size := len(keys) * (len(members) + 1)) > 2 << n:
+            return None
+        check_memory(f"a twin-class table of {n_rows} rows of {size} energies", 0,
+                     table_bytes, max(n_rows, len(later) - c), size, n, d, bound)
+        links = [coeffs.get(tuple(sorted((members[0], other[0]))), 0) for other in later[c + 1:]]
+        merged: dict[tuple, int] = {}
+        for s, (binomial, level) in enumerate(_levels(
+                coeffs, members, [key[0] for key in keys], [key[1] for key in keys], 0)):
+            shift = [s * q for q in links]
+            for e, key, w in zip(level, keys, weights):
+                future = (e, *map(operator.add, key[2:], shift))
+                merged[future] = merged.get(future, 0) + w * binomial
+        keys, weights = list(merged), list(merged.values())
+    rows = [((), 1, [key[0] for key in keys])]
     for c, members in enumerate(problem):
-        slope = _field(coeffs, members[0], dummy)
+        slope = [key[1 + c] for key in keys]
         links = [coeffs.get((other[0], members[0]), 0) for other in problem[:c]]
         rows = [(counts + (s,), multiplicity * binomial, level)
                 for counts, multiplicity, energies in rows
                 for s, (binomial, level) in enumerate(_levels(
                     coeffs, members, energies, slope, sum(map(operator.mul, links, counts))))]
     return model.scale, problem, weights, rows
-
-
-def _field(coeffs: dict[tuple[int, int], int], bit: int, cells: list[list[int]]) -> list[int]:
-    """``bit``'s coupling to the set bits of each count vector over ``cells``, first fastest."""
-    field = [0]
-    for members in cells:
-        q = coeffs.get((min(bit, members[0]), max(bit, members[0])), 0)
-        field += [t + k * q for k in range(1, len(members) + 1) for t in field]
-    return field
 
 
 def _levels(coeffs: dict[tuple[int, int], int], members: list[int], energies: list[int],
@@ -224,7 +226,8 @@ def table_bytes(n_rows: int, n_entries: int, n_problem: int, n_dummies: int, bou
     ``n_problem`` bits and its energies up to ``bound``, each a list slot and
     an int with a spare digit; the level built before the last, at most as
     large, is alive meanwhile.  The weights cost a list slot and an int of
-    up to ``n_dummies`` bits per entry, twice while the last is built.
+    up to ``n_dummies`` bits per entry, twice while the last is built.  An
+    entry being merged holds an energy and a field per class to come: a row each.
     """
     return (2 * n_rows * (256 + n_problem // 8 + n_entries * _entry_bytes(bound))
             + 2 * n_entries * (40 + n_dummies // 8))

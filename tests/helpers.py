@@ -17,7 +17,10 @@ from quborestrict.core import (
 from quborestrict.encoders import (
     EncoderParams,
     encode_equispaced_linear,
+    encode_equispaced_log,
     encode_half_integer_chain,
+    encode_one_hot_general,
+    encode_reduced_general,
 )
 
 # tokens a fuzz test swaps into a file: non-canonical integers and fractions,
@@ -154,6 +157,42 @@ def twin_dummy_models(draw, huge=False, perturbed=False):
     key = draw(st.sampled_from(sorted(coeffs)))
     coeffs[key] += draw(st.sampled_from([-coeffs[key], -lam, lam / 2, 3 * lam]))
     return QuboModel(model.n_total, model.n_problem, coeffs, model.offset)
+
+
+@st.composite
+def general_encodings(draw, perturbed=False):
+    """``(encoded, spec)``: a reduced, one-hot or binary-weighted encoding, n <= 8, M <= 6.
+
+    Their dummies have distinct weights, so each is a class of one, and
+    dummy patterns of equal weighted sum (and, with a selector, equal count)
+    merge in the twin-class table.  ``perturbed`` changes or adds one
+    coefficient of the dummy block, a diagonal or a coupling between two
+    dummies.  The multipliers are 1, 1/2 or 3/2.
+    """
+    n = draw(st.integers(1, 8))
+    encode = draw(st.sampled_from(
+        [encode_reduced_general, encode_one_hot_general, encode_equispaced_log]))
+    if encode is encode_equispaced_log:
+        gap = draw(st.integers(1, n))
+        m = draw(st.integers(2, min(6, n // gap + 1)))
+        start = draw(st.integers(0, n - gap * (m - 1)))
+        allowed = range(start, start + gap * m, gap)
+    else:
+        allowed = draw(st.sets(st.integers(0, n), min_size=2, max_size=min(6, n + 1)))
+    spec = RestrictionSpec(n, tuple(allowed))
+    lam1, lam2 = (draw(st.sampled_from([F(1), F(1, 2), F(3, 2)])) for _ in range(2))
+    encoded = encode(spec, EncoderParams(lam1, lam2))
+    model = encoded.model
+    if not perturbed:
+        return encoded, spec
+    dummies = range(n, model.n_total)
+    coeffs = dict(model.coeffs)
+    key = draw(st.sampled_from([(i, j) for i in dummies for j in dummies if i <= j]))
+    coeffs[key] = coeffs.get(key, 0) + draw(st.sampled_from([-lam1, lam1 / 2, 3 * lam1]))
+    return EncodedRestriction(
+        model=QuboModel(model.n_total, n, coeffs, model.offset), kind=encoded.kind,
+        residual_energy=encoded.residual_energy, lambda1=encoded.lambda1,
+        lambda2=encoded.lambda2), spec
 
 
 @st.composite

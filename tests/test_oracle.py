@@ -47,10 +47,16 @@ from quborestrict.oracle import (
     twin_table,
     verify,
 )
-from quborestrict.sampler import exact_transfer_curve, sweep_fractional_r
+from quborestrict.sampler import (
+    boltzmann_probabilities,
+    exact_sum_distribution,
+    exact_transfer_curve,
+    sweep_fractional_r,
+)
 
 from helpers import (
     broken_one_hot,
+    general_encodings,
     offset_tampered,
     symmetric_models,
     twin_class_models,
@@ -118,9 +124,10 @@ class TestEnumerateSpectrum:
             model = QuboModel(n, n, {(i, i): i + 1 for i in range(n)})
             with pytest.raises(SizeLimitError, match="more than can be addressed"):
                 assignment_energies(model)
-        # 64 dummies of distinct diagonals: 2**64 entries per row
-        with pytest.raises(SizeLimitError, match=f"{2**64} energies needs more than can be"):
-            twin_table(distinct_dummies(64, 64))
+        # 2**60 problem bits give at least 2**60 + 1 rows, refused before any list is built
+        with pytest.raises(SizeLimitError, match=f"{2**60 + 1} rows of 1 energies needs more "
+                                                 "than can be addressed"):
+            twin_table(QuboModel(2**60, 2**60, {}))
 
     def test_memory_estimate_at_40_bits(self):
         states = 2**40
@@ -383,8 +390,9 @@ class TestAgainstEinsumReference:
 
 
 def distinct_dummies(n: int, d: int) -> QuboModel:
-    """n empty problem bits and d dummies of distinct diagonals, so each dummy is a class of one."""
-    return QuboModel._scaled(n + d, n, 1, {(n + k, n + k): k + 1 for k in range(d)}, 0)
+    """n empty problem bits and d dummies of diagonals 2**k: each dummy is a class of one,
+    and no two of the 2**d dummy patterns share an energy, so none merge."""
+    return QuboModel._scaled(n + d, n, 1, {(n + k, n + k): 1 << k for k in range(d)}, 0)
 
 
 def forced_sweep(encoded: EncodedRestriction, spec: RestrictionSpec) -> SpectrumReport:
@@ -468,8 +476,12 @@ class TestSymmetricEngine:
         removed = EncodedRestriction(model=QuboModel(9, 6, coeffs, encoded.model.offset),
                                      kind=encoded.kind, residual_energy=encoded.residual_energy,
                                      lambda1=encoded.lambda1)
-        _, classes, weights, _ = twin_table(removed.model)
-        assert (classes, weights) == ([list(range(6))], [1, 2, 1, 1, 2, 1])
+        with mock.patch.object(oracle, "_are_twins", wraps=oracle._are_twins) as confirmed:
+            _, classes, weights, _ = twin_table(removed.model)
+        assert confirmed.call_args.args[1] == [list(range(6)), [6, 7], [8]]
+        # one set dummy, of either class, has one energy and one field on the problem bits:
+        # its 2 + 1 patterns merge, while 6 and 7 both set miss the coupling 6 + 8 has
+        assert (classes, weights) == ([list(range(6))], [1, 3, 1, 2, 1])
         assert enumerate_spectrum(removed, spec) == forced_sweep(removed, spec)
 
     @pytest.mark.parametrize("encode, m", [
@@ -546,14 +558,26 @@ class TestSymmetricEngine:
             twin_table(QuboModel(3, 3, {(0, 0): 1, (1, 1): 2, (2, 2): 3}))
 
     def test_too_many_dummies_take_the_sweep(self):
-        # one problem bit takes at most 2**(1 + 1) dummy count vectors: three distinct
-        # dummies give 2**3, and the twin pairs {1, 4} and {2, 3} give 3 * 3
+        # with one problem bit no class may expand past 2**(1 + 1) entries: the third
+        # dummy that never merges expands 4 to 8, and after the twin pair {1, 4} merges
+        # to 2 entries, the pair {2, 3} expands them to 2 * 3
         assert twin_table(distinct_dummies(1, 3)) is None
         assert twin_table(QuboModel(5, 1, {(0, 0): F(1), (1, 4): F(2)})) is None
-        assert twin_table(distinct_dummies(1, 2)) is not None
-        # four twin dummies on two problem bits are one class of 5 count vectors
-        assert twin_table(QuboModel(6, 2, {}))[2] == [1, 4, 6, 4, 1]
+        assert twin_table(distinct_dummies(1, 2))[2] == [1, 1, 1, 1]
+        assert twin_table(distinct_dummies(2, 3))[2] == [1] * 8
         assert twin_table(distinct_dummies(2, 4)) is None
+        # four free dummies on two problem bits: all 16 patterns have energy 0 and no
+        # field, so they merge into one entry
+        assert twin_table(QuboModel(6, 2, {}))[2] == [16]
+
+    def test_equal_subset_sums_merge(self):
+        # dummies of diagonals 1, 2 and 3 are no twins, but the patterns {1, 2} and {3}
+        # share an energy and have no field: the product's 8 entries merge to 7
+        model = QuboModel(5, 2, {(2, 2): F(1), (3, 3): F(2), (4, 4): F(3)})
+        assert twin_table(model)[2] == [1, 1, 1, 2, 1, 1, 1]
+        # coupled to bit 0, the dummy of diagonal 3 has a field of its own: nothing merges
+        model = QuboModel(5, 2, {(2, 2): F(1), (3, 3): F(2), (4, 4): F(3), (0, 4): F(1)})
+        assert twin_table(model)[2] == [1] * 8
 
     def test_missing_coefficient_breaks_symmetry(self):
         model = expand_squared_affine([(i, 1) for i in range(4)], -2, 1)
@@ -580,10 +604,48 @@ class TestSymmetricEngine:
             oracle._spectrum(model)
         monkeypatch.setattr(core, "_physical_memory", lambda: needed)
         assert len(twin_table(model)[3]) == 9
-        # 2**64 entries per row are refused before any allocation
-        monkeypatch.setattr(core, "_physical_memory", lambda: 2**63)
-        with pytest.raises(SizeLimitError, match=f"{2**64} energies"):
-            twin_table(distinct_dummies(64, 64))
+        # 64 dummies that never merge: the first expansion past the memory is refused
+        # before it is built, whatever the expansions before it held
+        bound = 2**64 - 1  # the sum of the diagonals
+        size = next(1 << k for k in range(65) if table_bytes(65, 1 << k, 64, 64, bound) > 2**24)
+        monkeypatch.setattr(core, "_physical_memory", lambda: 2**24)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match=f"65 rows of {size} energies"):
+                twin_table(distinct_dummies(64, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(general_encodings(), general_encodings(perturbed=True),
+                     twin_dummy_models(perturbed=True)),
+           st.sampled_from([0.5, 1.0, 2.5]), st.data())
+    def test_merged_dummies_match_the_references(self, drawn, temperature, data):
+        # distinct dummies and perturbed dummy blocks, against the doubling sweep, the
+        # einsum reference and the per-assignment sum law
+        if isinstance(drawn, QuboModel):
+            encoded, spec = drawn_restriction(drawn, data)
+        else:
+            encoded, spec = drawn
+            assert twin_table(encoded.model) is not None
+        report = enumerate_spectrum(encoded, spec)
+        assert report == forced_sweep(encoded, spec) == reference_report(encoded, spec)
+        model = encoded.model
+        probabilities = boltzmann_probabilities(model, temperature)
+        sums = problem_bit_sums(model.n_total, model.n_problem)
+        expected = np.bincount(sums, weights=probabilities, minlength=model.n_problem + 1)
+        np.testing.assert_allclose(
+            exact_sum_distribution(model, temperature), expected, rtol=1e-12, atol=0)
+
+    # 32 values of no pattern: each construction has 31 or 32 dummies of distinct weights
+    @pytest.mark.parametrize("encode", [encode_reduced_general, encode_one_hot_general])
+    def test_distinct_dummies_certify_at_a_hundred_bits(self, encode):
+        spec = RestrictionSpec(100, tuple(sorted(random.Random(32).sample(range(101), 32))))
+        result = verify(encode(spec), spec)
+        assert result.passed, result.diagnosis
+        assert result.report.ground_degeneracy == sum(math.comb(100, r) for r in spec.allowed)
 
     def test_thirty_bit_symmetric_model_certifies(self):
         spec = RestrictionSpec(27, (2, 9, 20))
@@ -595,7 +657,8 @@ class TestSymmetricEngine:
 
 
 @pytest.mark.parametrize("refused", [
-    lambda: twin_table(distinct_dummies(19, 20)),  # one class of 19 bits, 20 distinct dummies
+    # one class of 19 bits and 20 dummies that never merge: 2**20 entries would be admitted
+    lambda: twin_table(distinct_dummies(19, 20)),
     # a lowered coupling takes the second proposal: its term multisets are estimated
     # at 1.4 MB, every table at most 0.35 MB
     functools.partial(twin_table, lowered_one_hot(4, 11, RestrictionSpec(100, (2, 50, 97))).model),
@@ -667,14 +730,17 @@ def test_traced_peak_within_the_memory_estimate(monkeypatch, lam):
     encode_equispaced_linear(RestrictionSpec(60, tuple(range(0, 61, 3)))).model,
     # the term multisets of 81,406 coefficients outweigh the table eightfold
     lowered_one_hot(4, 11, RestrictionSpec(400, (2, 200, 397))).model,
-], ids=["one class", "two classes", "huge multipliers", "chain", "linear", "long terms"])
+    # 23 dummies of distinct weights whose 2**23 patterns merge to 2,048 entries
+    encode_reduced_general(RestrictionSpec(100, tuple(range(1, 97, 4)))).model,
+], ids=["one class", "two classes", "huge multipliers", "chain", "linear", "long terms",
+        "merged dummies"])
 def test_traced_table_within_its_estimate(monkeypatch, model):
     tables, terms = [], []
 
-    def recording(estimate, estimates):
+    def recording(estimate, calls):
         def recorded(*args):
-            estimates.append(estimate(*args))
-            return estimates[-1]
+            calls.append((args, estimate(*args)))
+            return calls[-1][1]
         return recorded
 
     monkeypatch.setattr(oracle, "table_bytes", recording(table_bytes, tables))
@@ -685,9 +751,12 @@ def test_traced_table_within_its_estimate(monkeypatch, model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the first table estimate is the lower bound of one class per kind, then one
-    # per proposal, each refining the one before it; the last is the table built.
-    # The second proposal first estimates its term multisets, freed before the table
-    assert len(tables) in (2, 3) and tables == sorted(tables)
-    assert len(terms) == len(tables) - 2
-    assert peak <= max([tables[-1], *terms])
+    # the first table estimate is the lower bound of one class per kind, then one of a
+    # single entry per proposal, each refining the one before it, then one per dummy
+    # class before it expands.  The second proposal first estimates its term
+    # multisets, freed before the table
+    proposals = [estimate for args, estimate in tables if args[1] == 1]
+    assert len(proposals) in (2, 3) and proposals == sorted(proposals)
+    assert proposals == [estimate for _, estimate in tables[:len(proposals)]]
+    assert len(terms) == len(proposals) - 2
+    assert peak <= max(estimate for _, estimate in tables + terms)
