@@ -10,8 +10,8 @@ one scale; energies convert back to Fractions at the end.  The engines:
 * the twin-class table splits each kind of bit, problem or dummy, into
   classes of twins, whose swap leaves every energy unchanged, and tabulates
   the energy over per-class set-bit counts in Python ints: at most
-  ``(n + 1)**2`` rows, each with one entry per merged class of dummy
-  patterns, ``weights`` counting them;
+  ``(n + 1)**2`` rows of ``prod(|c| + 1)`` entries over dummy classes c,
+  fewer where dummy patterns merge, ``weights`` counting them;
 * every other model takes the doubling sweep over all ``2**n_total``
   assignments: the states with bit k set cost ``E[b] + Q_kk + h_k[b]`` for
   ``b < 2**k``, and the field ``h_k`` on bit k is itself built by doubling,
@@ -105,19 +105,19 @@ def twin_table(
     ``multiplicity * weights[y]`` assignments, ``multiplicity = prod C(|c|, s_c)``.
 
     Read from the coefficients, never from the kind: the table takes at most
-    ``(n_problem + 1)**2`` rows, and a dummy class expands to at most
-    ``2**(n_problem + 1)`` entries.  Bits of one kind with equal diagonals
-    are tried first as classes, then bits with equal multisets of terms, and
-    a pass over the terms confirms them, so a wrong proposal costs only
-    speed.  A table whose ``table_bytes``, or term multisets whose
-    ``term_keys_bytes``, exceed the physical memory raise ``SizeLimitError``
-    before they are built.
+    ``(n_problem + 1)**2`` rows, and at most ``2**(n_problem + 1)`` dummy
+    count vectors, which bound the entries before any merge.  Bits of one
+    kind with equal diagonals are tried first as classes, then bits with
+    equal multisets of terms, and a pass over the terms confirms them, so a
+    wrong proposal costs only speed.  A table whose ``table_bytes`` at that
+    bound, or term multisets whose ``term_keys_bytes``, exceed the physical
+    memory raise ``SizeLimitError`` before they are built.
     """
     n, d = model.n_problem, model.n_dummies
     coeffs, bound = model.int_coeffs, _energy_bound(model)
-    # no partition has fewer rows than one class per kind, and its dummies may all merge
-    check_memory(f"a twin-class table of {n + 1} rows of 1 energies", 0,
-                 table_bytes, n + 1, 1, n, d, bound)
+    # no partition has fewer rows, or fewer entries, than one class of each kind
+    check_memory(f"a twin-class table of {n + 1} rows of {d + 1} energies", 0,
+                 table_bytes, n + 1, d + 1, 0, n, d, bound)
     # propose bits of one kind with equal diagonals as classes, then, refining those,
     # bits with equal multisets of terms: couplings within the kind by value alone
     # (twins share their mutual one), those to the other kind by value and bit
@@ -137,14 +137,17 @@ def twin_table(
             groups.setdefault((i >= n, key), []).append(i)
         problem = [members for (is_dummy, _), members in groups.items() if not is_dummy]
         dummy = [members for (is_dummy, _), members in groups.items() if is_dummy]
-        # each class at least doubles the rows: this many give more than the cap
-        if len(problem) >= 2 * (n + 1).bit_length():
+        # each class at least doubles the rows or entries: this many give more than the caps
+        if len(problem) >= 2 * (n + 1).bit_length() or len(dummy) > n + 1:
             return None
         n_rows = math.prod(len(c) + 1 for c in problem)
-        if n_rows > (n + 1) ** 2:
+        n_entries = math.prod(len(c) + 1 for c in dummy)
+        if n_rows > (n + 1) ** 2 or n_entries > 2 << n:
             return None
-        check_memory(f"a twin-class table of {n_rows} rows of 1 energies", 0,
-                     table_bytes, n_rows, 1, n, d, bound)
+        n_classes = len(problem) + len(dummy)  # a merge only shrinks the entries
+        check_memory(f"a twin-class table over {n_classes} classes of {n_rows} rows of "
+                     f"{n_entries} energies", 0,
+                     table_bytes, n_rows, n_entries, n_classes, n, d, bound)
         if _are_twins(coeffs, problem + dummy):
             break
     else:
@@ -155,10 +158,6 @@ def twin_table(
     later = dummy + problem
     keys, weights = [(model.int_offset, *[0] * len(later))], [1]
     for c, members in enumerate(dummy):
-        if (size := len(keys) * (len(members) + 1)) > 2 << n:
-            return None
-        check_memory(f"a twin-class table of {n_rows} rows of {size} energies", 0,
-                     table_bytes, max(n_rows, len(later) - c), size, n, d, bound)
         links = [coeffs.get(tuple(sorted((members[0], other[0]))), 0) for other in later[c + 1:]]
         merged: dict[tuple, int] = {}
         for s, (binomial, level) in enumerate(_levels(
@@ -219,18 +218,20 @@ def _are_twins(coeffs: dict[tuple[int, int], int], cells: list[list[int]]) -> bo
     return sum(size[key] for key in values) == len(coeffs)
 
 
-def table_bytes(n_rows: int, n_entries: int, n_problem: int, n_dummies: int, bound: int) -> int:
+def table_bytes(n_rows: int, n_entries: int, n_classes: int, n_problem: int, n_dummies: int,
+                bound: int) -> int:
     """Estimated peak bytes of a twin-class table of ``n_rows`` rows of ``n_entries`` energies.
 
     A row costs about 256 bytes of tuples and list, a multiplicity of up to
     ``n_problem`` bits and its energies up to ``bound``, each a list slot and
     an int with a spare digit; the level built before the last, at most as
     large, is alive meanwhile.  The weights cost a list slot and an int of
-    up to ``n_dummies`` bits per entry, twice while the last is built.  An
-    entry being merged holds an energy and a field per class to come: a row each.
+    up to ``n_dummies`` bits per entry, twice while the last is built, and
+    so do the keys the entries merge under: a tuple and a dict slot, about
+    128 bytes, and an energy and a field per one of ``n_classes`` classes.
     """
     return (2 * n_rows * (256 + n_problem // 8 + n_entries * _entry_bytes(bound))
-            + 2 * n_entries * (40 + n_dummies // 8))
+            + 2 * n_entries * (168 + n_dummies // 8 + (1 + n_classes) * _entry_bytes(bound)))
 
 
 def term_keys_bytes(n_bits: int, n_coeffs: int) -> int:

@@ -183,8 +183,6 @@ def _sum_law(n_sums: int, scale: int, log_weights: list[float],
 
 
 def _log_sum_exp(values: list[float]) -> float:
-    if len(values) == 1:  # the sum below gives top + log(1.0): the same, but for a zero's sign
-        return values[0]
     top = max(values)
     if top == -math.inf:
         return top

@@ -124,6 +124,9 @@ class TestEnumerateSpectrum:
             model = QuboModel(n, n, {(i, i): i + 1 for i in range(n)})
             with pytest.raises(SizeLimitError, match="more than can be addressed"):
                 assignment_energies(model)
+        # 64 dummies of distinct diagonals: 2**64 entries per row before any merge
+        with pytest.raises(SizeLimitError, match=f"{2**64} energies needs more than can be"):
+            twin_table(distinct_dummies(64, 64))
         # 2**60 problem bits give at least 2**60 + 1 rows, refused before any list is built
         with pytest.raises(SizeLimitError, match=f"{2**60 + 1} rows of 1 energies needs more "
                                                  "than can be addressed"):
@@ -395,6 +398,14 @@ def distinct_dummies(n: int, d: int) -> QuboModel:
     return QuboModel._scaled(n + d, n, 1, {(n + k, n + k): 1 << k for k in range(d)}, 0)
 
 
+def coupled_dummies(n: int, d: int) -> QuboModel:
+    """n problem bits and d dummies, dummy k coupled to each problem bit by 2**k and
+    dummy l > k by 2**k + 2**l: no two dummy patterns share a field, so none merge."""
+    coeffs = {(i, n + k): 1 << k for i in range(n) for k in range(d)}
+    coeffs.update({(n + k, n + l): (1 << k) + (1 << l) for k in range(d) for l in range(k + 1, d)})
+    return QuboModel._scaled(n + d, n, 1, coeffs, 0)
+
+
 def forced_sweep(encoded: EncodedRestriction, spec: RestrictionSpec) -> SpectrumReport:
     """The report of the doubling sweep, with the twin-class table refused."""
     with mock.patch.object(oracle, "twin_table", return_value=None):
@@ -558,14 +569,17 @@ class TestSymmetricEngine:
             twin_table(QuboModel(3, 3, {(0, 0): 1, (1, 1): 2, (2, 2): 3}))
 
     def test_too_many_dummies_take_the_sweep(self):
-        # with one problem bit no class may expand past 2**(1 + 1) entries: the third
-        # dummy that never merges expands 4 to 8, and after the twin pair {1, 4} merges
-        # to 2 entries, the pair {2, 3} expands them to 2 * 3
+        # one problem bit takes at most 2**(1 + 1) dummy count vectors: three distinct
+        # dummies give 2**3, and the twin pairs {1, 4} and {2, 3} give 3 * 3
         assert twin_table(distinct_dummies(1, 3)) is None
         assert twin_table(QuboModel(5, 1, {(0, 0): F(1), (1, 4): F(2)})) is None
         assert twin_table(distinct_dummies(1, 2))[2] == [1, 1, 1, 1]
         assert twin_table(distinct_dummies(2, 3))[2] == [1] * 8
         assert twin_table(distinct_dummies(2, 4)) is None
+        # 5,000 dummy classes on one problem bit go before the pass that confirms them
+        model = QuboModel._scaled(5001, 1, 1, {(k, k): k for k in range(1, 5001)}, 0)
+        with mock.patch.object(oracle, "_are_twins", side_effect=AssertionError("confirmed")):
+            assert twin_table(model) is None
         # four free dummies on two problem bits: all 16 patterns have energy 0 and no
         # field, so they merge into one entry
         assert twin_table(QuboModel(6, 2, {}))[2] == [16]
@@ -604,19 +618,18 @@ class TestSymmetricEngine:
             oracle._spectrum(model)
         monkeypatch.setattr(core, "_physical_memory", lambda: needed)
         assert len(twin_table(model)[3]) == 9
-        # 64 dummies that never merge: the first expansion past the memory is refused
-        # before it is built, whatever the expansions before it held
-        bound = 2**64 - 1  # the sum of the diagonals
-        size = next(1 << k for k in range(65) if table_bytes(65, 1 << k, 64, 64, bound) > 2**24)
-        monkeypatch.setattr(core, "_physical_memory", lambda: 2**24)
+        # 2**64 entries per row are refused before any allocation, however many would merge
+        monkeypatch.setattr(core, "_physical_memory", lambda: 2**63)
+        model = distinct_dummies(64, 64)
         tracemalloc.start()
         try:
-            with pytest.raises(SizeLimitError, match=f"65 rows of {size} energies"):
-                twin_table(distinct_dummies(64, 64))
+            with pytest.raises(SizeLimitError, match=f"over 65 classes of 65 rows of {2**64} "
+                                                     "energies"):
+                twin_table(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**24
+        assert peak < 2**16
 
     @settings(deadline=None, max_examples=60)
     @given(st.one_of(general_encodings(), general_encodings(perturbed=True),
@@ -639,13 +652,27 @@ class TestSymmetricEngine:
         np.testing.assert_allclose(
             exact_sum_distribution(model, temperature), expected, rtol=1e-12, atol=0)
 
-    # 32 values of no pattern: each construction has 31 or 32 dummies of distinct weights
+    # values of no pattern: each construction has M - 1 or M dummies of distinct weights
     @pytest.mark.parametrize("encode", [encode_reduced_general, encode_one_hot_general])
-    def test_distinct_dummies_certify_at_a_hundred_bits(self, encode):
-        spec = RestrictionSpec(100, tuple(sorted(random.Random(32).sample(range(101), 32))))
+    def test_distinct_dummies_certify_at_a_hundred_bits(self, encode, monkeypatch):
+        # 16 values: the 2**15 or 2**16 dummy patterns merge to a few thousand entries
+        spec = RestrictionSpec(100, tuple(sorted(random.Random(16).sample(range(101), 16))))
         result = verify(encode(spec), spec)
         assert result.passed, result.diagnosis
         assert result.report.ground_degeneracy == sum(math.comb(100, r) for r in spec.allowed)
+        # 32 values: 2**31 or 2**32 dummy count vectors, refused before any is built
+        spec = RestrictionSpec(100, tuple(sorted(random.Random(32).sample(range(101), 32))))
+        model = encode(spec).model
+        monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 2**30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match=f"101 rows of {2**model.n_dummies} "
+                                                     "energies needs more than the physical"):
+                twin_table(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     def test_thirty_bit_symmetric_model_certifies(self):
         spec = RestrictionSpec(27, (2, 9, 20))
@@ -657,8 +684,7 @@ class TestSymmetricEngine:
 
 
 @pytest.mark.parametrize("refused", [
-    # one class of 19 bits and 20 dummies that never merge: 2**20 entries would be admitted
-    lambda: twin_table(distinct_dummies(19, 20)),
+    lambda: twin_table(distinct_dummies(19, 20)),  # one class of 19 bits, 20 distinct dummies
     # a lowered coupling takes the second proposal: its term multisets are estimated
     # at 1.4 MB, every table at most 0.35 MB
     functools.partial(twin_table, lowered_one_hot(4, 11, RestrictionSpec(100, (2, 50, 97))).model),
@@ -730,17 +756,19 @@ def test_traced_peak_within_the_memory_estimate(monkeypatch, lam):
     encode_equispaced_linear(RestrictionSpec(60, tuple(range(0, 61, 3)))).model,
     # the term multisets of 81,406 coefficients outweigh the table eightfold
     lowered_one_hot(4, 11, RestrictionSpec(400, (2, 200, 397))).model,
-    # 23 dummies of distinct weights whose 2**23 patterns merge to 2,048 entries
-    encode_reduced_general(RestrictionSpec(100, tuple(range(1, 97, 4)))).model,
+    # 11 dummies of distinct weights whose 2**11 patterns merge to 232 entries
+    encode_reduced_general(RestrictionSpec(100, tuple(range(1, 97, 8)))).model,
+    # 10 coupled dummies whose 2**10 patterns never merge: their keys hold 11 fields
+    coupled_dummies(10, 10),
 ], ids=["one class", "two classes", "huge multipliers", "chain", "linear", "long terms",
-        "merged dummies"])
+        "merged dummies", "unmerged dummies"])
 def test_traced_table_within_its_estimate(monkeypatch, model):
     tables, terms = [], []
 
-    def recording(estimate, calls):
+    def recording(estimate, estimates):
         def recorded(*args):
-            calls.append((args, estimate(*args)))
-            return calls[-1][1]
+            estimates.append(estimate(*args))
+            return estimates[-1]
         return recorded
 
     monkeypatch.setattr(oracle, "table_bytes", recording(table_bytes, tables))
@@ -751,12 +779,9 @@ def test_traced_table_within_its_estimate(monkeypatch, model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the first table estimate is the lower bound of one class per kind, then one of a
-    # single entry per proposal, each refining the one before it, then one per dummy
-    # class before it expands.  The second proposal first estimates its term
-    # multisets, freed before the table
-    proposals = [estimate for args, estimate in tables if args[1] == 1]
-    assert len(proposals) in (2, 3) and proposals == sorted(proposals)
-    assert proposals == [estimate for _, estimate in tables[:len(proposals)]]
-    assert len(terms) == len(proposals) - 2
-    assert peak <= max(estimate for _, estimate in tables + terms)
+    # the first table estimate is the lower bound of one class per kind, then one
+    # per proposal, each refining the one before it; the last is the table built.
+    # The second proposal first estimates its term multisets, freed before the table
+    assert len(tables) in (2, 3) and tables == sorted(tables)
+    assert len(terms) == len(tables) - 2
+    assert peak <= max([tables[-1], *terms])
