@@ -15,9 +15,8 @@ law over the table's rows, never a per-assignment array.  A sweep knows its
 law in closed form: ``lam * (sum(x) - R)**2`` with R = p/q and lam = a/b
 has one row per sum s, of multiplicity C(n, s) and energy
 ``a * (s*q - p)**2`` at scale ``b * q**2``, so it builds no model and
-imports no ``oracle``; it still refuses, point by point, whatever
-:func:`fractional_restriction_model` would refuse.  Both laws go through one
-log-space sum.  Sweeps draw their reads with the standard library's
+imports no ``oracle``: only the bit cap and :func:`curve_bytes`, what it
+holds, bound it.  Sweeps draw their reads with the standard library's
 ``random`` (one multinomial over the sums built from binomial draws), so a
 sweep never imports numpy; only :func:`boltzmann_probabilities`, the
 per-assignment law of a model the table does not take, builds arrays.
@@ -166,20 +165,21 @@ def _sum_law(n_sums: int, scale: int, log_weights: list[float],
     has weight 0.
     """
     ground = min(min(energies) for _, _, energies in rows)
-
-    def exponent(e: int) -> float:
-        try:
-            return -((e - ground) / scale) / temperature
-        except OverflowError:
-            return -math.inf
-
     by_sum: list[list[float]] = [[] for _ in range(n_sums)]
     for s, log_multiplicity, energies in rows:
         by_sum[s].append(log_multiplicity + _log_sum_exp(
-            [exponent(e) + w for e, w in zip(energies, log_weights)]))
+            [_exponent(e - ground, scale, temperature) + w for e, w in zip(energies, log_weights)]))
     logs = [_log_sum_exp(terms) for terms in by_sum]
     total = _log_sum_exp(logs)
     return [math.exp(x - total) for x in logs]
+
+
+def _exponent(excitation: int, scale: int, temperature: float) -> float:
+    """``-(excitation / scale) / temperature``; an excitation beyond the float range gives -inf."""
+    try:
+        return -(excitation / scale) / temperature
+    except OverflowError:
+        return -math.inf
 
 
 def _log_sum_exp(values: list[float]) -> float:
@@ -316,11 +316,10 @@ def _transfer_curve(
     """The curve of ``draw`` applied to each grid point's exact sum distribution, in grid order.
 
     ``n_vars`` must be an int of at least 1 and ``steps`` an int of at least
-    2, else ``ParameterError`` is raised before any other check.  A grid
+    2, else ``ParameterError`` is raised before any other check.  A sweep
     whose ``curve_bytes`` exceed the physical memory raises
-    ``SizeLimitError`` before it is built.  Each point's law is the closed
-    form, after the point is admitted by :func:`_admitted_multiplier`; the
-    log-multiplicities are computed once, at the first admitted point.
+    ``SizeLimitError`` before its first list.  The log-binomials are computed
+    once, at the first point :func:`_admitted_multiplier` admits.
     """
     if not is_integer(n_vars) or n_vars < 1:
         raise ParameterError(f"n_vars must be an integer of at least 1, got {n_vars!r}")
@@ -353,8 +352,11 @@ def _transfer_curve(
         if not log_binomials:
             log_binomials.extend(_log_binomials(n_vars))
         p, q = r.numerator, r.denominator
-        rows = [(s, log_binomials[s], [a * (s * q - p) ** 2]) for s in range(n_vars + 1)]
-        return _sum_law(n_vars + 1, b * q * q, [0.0], rows, temperature)
+        ground, scale = a * min(p % q, q - p % q) ** 2, b * q * q  # ground at floor/ceil R
+        logs = [log_binomials[s] + _exponent(a * (s * q - p) ** 2 - ground, scale, temperature)
+                for s in range(n_vars + 1)]
+        total = _log_sum_exp(logs)
+        return [math.exp(x - total) for x in logs]
 
     distributions = tuple(draw(law(r)) for r in grid)
     # a warning names the line that called sweep_fractional_r or exact_transfer_curve
@@ -364,20 +366,18 @@ def _transfer_curve(
 
 
 def _admitted_multiplier(n_vars: int, r: Fraction, lam: RationalLike) -> tuple[int, int]:
-    """``(a, b)`` of lam = a/b, once ``fractional_restriction_model(n_vars, r, lam)`` would build.
+    """``(a, b)`` of lam = a/b, once ``fractional_restriction_model(n_vars, r, lam)`` has its ints.
 
-    Raises what building that model raises, in its order, in O(1): the n
-    unit weights, a multiplier not above 0, the bit cap on R's denominator,
-    the expansion's terms, and the bit cap on the model's ints after their
-    common factor is divided out.
+    Raises the ``ParameterError`` that building that model raises, in its
+    order, in O(1): a multiplier not above 0, the bit cap on R's denominator,
+    and the bit cap on the model's ints after their common factor is divided
+    out.  Never the model's memory: the sweep does not build it.
     """
-    check_expansion(n_vars, 1)
     lam = as_fraction(lam)
     if lam <= 0:
         raise ParameterError(f"multiplier must be positive, got {lam}")
     a, b, p, q = lam.numerator, lam.denominator, r.numerator, r.denominator
     check_bits(q)
-    check_expansion(n_vars, 2 * a * (q + abs(p)) ** 2)
     # the model's scale, offset, diagonal and, from two bits on, coupling
     ints = (b * q * q, a * p * p, a * q * (q - 2 * p), 2 * a * q * q if n_vars > 1 else 0)
     check_bits(max(map(abs, ints)) // math.gcd(*ints))
@@ -394,14 +394,14 @@ def _log_binomials(n: int) -> list[float]:
 
 
 def curve_bytes(steps: int, n_sums: int, bound: int) -> int:
-    """Estimated peak bytes of a curve of ``steps`` points over ``n_sums`` sums.
+    """Estimated peak bytes of a sweep of ``steps`` points over ``n_sums`` sums, with its CSV.
 
-    Each point holds a grid Fraction of two ints up to ``bound``, a tuple of
-    ``n_sums`` floats (32 bytes a sum) and its CSV row, as a line and again
-    in the joined text (up to 32 bytes a sum more); 256 bytes cover the
-    headers of these objects.
+    Once: 64 KiB for ``random.Random`` states and small objects, and a sum's
+    log-binomials (48 bytes), running binomial (1) and one point's working
+    lists (128).  Each point keeps a Fraction of two ints up to ``bound``, a
+    sum's float (32 bytes) and CSV cell in a line and twice in the text (48).
     """
-    return steps * (256 + 2 * sys.getsizeof(bound) + 64 * n_sums)
+    return 65536 + (48 + 1 + 128) * n_sums + steps * (256 + 2 * sys.getsizeof(bound) + 80 * n_sums)
 
 
 def step_distance(curve: TransferCurve, lower_s: int, upper_s: int) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quborestrict import core, oracle
+from quborestrict import cli, core, oracle
 from quborestrict.core import DataQualityError, ParameterError, QuboModel, SizeLimitError
 from quborestrict.encoders import encode_single_value
 from quborestrict.core import RestrictionSpec
@@ -23,6 +24,7 @@ from quborestrict.sampler import (
     _binomial,
     _multinomial,
     boltzmann_probabilities,
+    curve_bytes,
     exact_sum_distribution,
     exact_transfer_curve,
     fractional_restriction_model,
@@ -174,9 +176,12 @@ class TestClosedFormLaw:
                              ids=["1", "3/2", "1e400", "1e-400"])
     @pytest.mark.parametrize("temperature", [1e-9, 0.05, 1.0, 1e9])
     def test_matches_the_model_float_for_float(self, lam, temperature):
+        sizes = list(range(1, 41))
+        if (lam, temperature) == (F(3, 2), 1.0):
+            sizes.append(300)  # one larger size: each reference point expands 45,150 terms
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StrayMassWarning)
-            for n in range(1, 41):
+            for n in sizes:
                 k = n * 2 // 3
                 # integers, halves, thirds and sixths; then a 10**50 denominator
                 for r_from, r_to, steps in [(k, k + 1, 7),
@@ -217,23 +222,64 @@ class TestClosedFormLaw:
         assert outcome(lambda *args: exact_transfer_curve(*args).distributions,
                        2, 0, 1, 3, lam, 1.0) == expected
 
-    # the last multiplier also passes the bit cap: the memory is checked first
-    @pytest.mark.parametrize("lam, refused", [(1, False), (10**100, True), (10**3700, True)])
-    def test_refuses_an_expansion_beyond_the_memory(self, monkeypatch, lam, refused):
+    # the model of the last multiplier also passes the bit cap, which a sweep still checks
+    @pytest.mark.parametrize("lam", [1, 10**100, 10**3700], ids=["1", "1e100", "1e3700"])
+    def test_answers_as_the_model_with_room_to_build_it(self, monkeypatch, lam):
+        expected = outcome(reference_curve, 40, 13, 14, 3, lam, 0.05)
+        assert (expected[0] is ParameterError) is (lam == 10**3700)
         # room for 40 unit weights, not for weights of a hundred digits
         monkeypatch.setattr(core, "_physical_memory", lambda: core.expansion_bytes(40, 1))
-        expected = outcome(reference_curve, 40, 13, 14, 3, lam, 0.05)
-        assert (expected[0] is SizeLimitError) is refused
+        refused = outcome(reference_curve, 40, 13, 14, 3, lam, 0.05)
+        assert (refused[0] is SizeLimitError) is (lam != 1)
         assert outcome(lambda *args: exact_transfer_curve(*args).distributions,
                        40, 13, 14, 3, lam, 0.05) == expected
 
+    def test_admits_a_sweep_whose_model_exceeds_the_memory(self, monkeypatch):
+        monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 2**30)
+        assert outcome(fractional_restriction_model, 20_000, 10_000) == (
+            SizeLimitError, "expanding a square of 20000 weights into 200010000 terms "
+                            "needs more than the physical memory")
+        curve = exact_transfer_curve(20_000, 10_000, 10_001, 3, 1, 0.05)
+        assert curve.distributions[0][10_000] > 0.99
+        assert curve.distributions[-1][10_001] > 0.99
+        assert curve.step_distance < 0.01
+
     @pytest.mark.parametrize("lam", [1, 0])  # before the multiplier is read
     def test_refuses_more_unit_weights_than_the_memory_holds(self, monkeypatch, lam):
-        monkeypatch.setattr(core, "_physical_memory", lambda: core.expansion_bytes(40, 1) - 1)
-        expected = outcome(reference_curve, 40, 13, 14, 3, lam, 0.05)
-        assert expected == (SizeLimitError, "expanding a square of 40 weights into 820 terms "
-                                             "needs more than the physical memory")
-        assert outcome(exact_transfer_curve, 40, 13, 14, 3, lam, 0.05) == expected
+        n_vars = 10**7  # its row of log-binomials alone would take 320 MB
+        estimate = curve_bytes(3, n_vars + 1, n_vars * 2)
+        monkeypatch.setattr(core, "_physical_memory", lambda: estimate - 1)
+        tracemalloc.start()
+        try:
+            refused = outcome(exact_transfer_curve, n_vars, 13, 14, 3, lam, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused == (SizeLimitError,
+                           "a sweep of 3 grid points needs more than the physical memory")
+        assert peak < 2**16
+
+
+class TestCurveBytes:
+    """``curve_bytes`` is the only memory gate of a sweep, so it must bound what one holds."""
+
+    @pytest.mark.parametrize("n_vars, steps, lam", [
+        (16, 2, 1), (1000, 2, 1), (20_000, 2, 1), (20_000, 11, 1), (5, 200, 1),
+        (1000, 2, 10**400),
+    ], ids=["16x2", "1000x2", "20000x2", "20000x11", "5x200", "1000x2-1e400"])
+    def test_bounds_the_traced_peak_of_a_sweep_and_its_csv(self, n_vars, steps, lam):
+        # a hot, many-read sweep: long CSV cells and counts beyond the cached small ints
+        config = SamplerConfig(temperature=1e9, n_reads=10**6, seed=3)
+        r = n_vars // 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StrayMassWarning)
+            tracemalloc.start()
+            try:
+                cli._render_csv(sweep_fractional_r(n_vars, r, r + 1, steps, lam, config))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= curve_bytes(steps, n_vars + 1, n_vars * (steps - 1))
 
 
 class TestSweep:
