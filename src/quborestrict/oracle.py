@@ -107,31 +107,42 @@ def twin_table(
     Read from the coefficients, never from the kind: the table takes at most
     ``(n_problem + 1)**2`` rows, and at most ``2**(n_problem + 1)`` dummy
     count vectors, which bound the entries before any merge.  Bits of one
-    kind with equal diagonals are tried first as classes, then bits with
-    equal multisets of terms, and a pass over the terms confirms them, so a
-    wrong proposal costs only speed.  A table whose ``table_bytes`` at that
-    bound, or term multisets whose ``term_keys_bytes``, exceed the physical
-    memory raise ``SizeLimitError`` before they are built.
+    kind with equal diagonals are tried first as classes, then the twin
+    classes, found from each row's sum over random position weights, and a
+    pass over the terms confirms them, so colliding weights cost only speed:
+    the table takes every model whose twin classes meet those caps.  A table
+    whose ``table_bytes`` at that bound exceed the physical memory raises
+    ``SizeLimitError`` before it is built.
     """
     n, d = model.n_problem, model.n_dummies
     coeffs, bound = model.int_coeffs, _energy_bound(model)
     # no partition has fewer rows, or fewer entries, than one class of each kind
     check_memory(f"a twin-class table of {n + 1} rows of {d + 1} energies", 0,
                  table_bytes, n + 1, d + 1, 0, n, d, bound)
-    # propose bits of one kind with equal diagonals as classes, then, refining those,
-    # bits with equal multisets of terms: couplings within the kind by value alone
-    # (twins share their mutual one), those to the other kind by value and bit
+    # propose bits of one kind with equal diagonals as classes, then the twin classes
     keys: list = [coeffs.get((i, i), 0) for i in range(n + d)]
     for proposal in range(2):
         if proposal:
-            check_memory(f"grouping {n + d} bits by their {len(coeffs)} terms", 0,
-                         term_keys_bytes, n + d, len(coeffs))
-            keys = [[] for _ in range(n + d)]
+            # twins i, j coupled by w have equal rows off the pair, so over position weights
+            # r the row sums h_i = sum_{k != i} Q_ik r_k meet h_i + w r_i == h_j + w r_j
+            import random
+
+            rng = random.Random(n + d)
+            r = [rng.getrandbits(64) for _ in keys]
+            h = [0] * (n + d)
             for (i, j), q in coeffs.items():
-                keys[i].append((q, ~j if i < n <= j else i == j))
                 if i != j:
-                    keys[j].append((q, ~i if i < n <= j else False))
-            keys = [tuple(sorted(bit_terms)) for bit_terms in keys]
+                    h[i] += q * r[j]
+                    h[j] += q * r[i]
+            # label each bit by the first of its kind with its diagonal and h, which groups
+            # twins with w = 0, then lower j's label to i where a coupling meets the equation
+            first: dict[tuple, int] = {}
+            diagonals, keys = keys, [first.setdefault((i >= n, e, f), i)
+                                     for i, (e, f) in enumerate(zip(keys, h))]
+            for (i, j), q in coeffs.items():  # a diagonal term keeps its label, at most i
+                if ((i < n) == (j < n) and diagonals[i] == diagonals[j]
+                        and h[i] + q * r[i] == h[j] + q * r[j]):
+                    keys[j] = min(keys[j], i)
         groups: dict[tuple, list[int]] = {}
         for i, key in enumerate(keys):
             groups.setdefault((i >= n, key), []).append(i)
@@ -152,7 +163,6 @@ def twin_table(
             break
     else:
         return None
-    del keys, groups  # the term multisets can outweigh the table
 
     # the entries one dummy class at a time, merging equal keys (energy, fields to come)
     later = dummy + problem
@@ -232,18 +242,6 @@ def table_bytes(n_rows: int, n_entries: int, n_classes: int, n_problem: int, n_d
     """
     return (2 * n_rows * (256 + n_problem // 8 + n_entries * _entry_bytes(bound))
             + 2 * n_entries * (168 + n_dummies // 8 + (1 + n_classes) * _entry_bytes(bound)))
-
-
-def term_keys_bytes(n_bits: int, n_coeffs: int) -> int:
-    """Estimated peak bytes of the term multisets of ``n_bits`` bits and ``n_coeffs`` coefficients.
-
-    A coefficient is a term of each of its one or two bits: a 2-tuple, an int
-    for a coupling to the other kind, and a slot in the bit's list, its sorted
-    copy and its key, about 150 bytes for both, rounded up to 256.  A bit
-    costs its list, key and group entry and the classes of the proposal
-    before, about 300 bytes, rounded up to 512.
-    """
-    return 512 * n_bits + 256 * n_coeffs
 
 
 def enumeration_bytes(n_total: int, entry_bytes: int = 8) -> int:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -12,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quborestrict.core import (
     DimensionError,
@@ -43,7 +42,6 @@ from quborestrict.oracle import (
     fractional_energy_ladder,
     problem_bit_sums,
     table_bytes,
-    term_keys_bytes,
     twin_table,
     verify,
 )
@@ -413,16 +411,60 @@ def forced_sweep(encoded: EncodedRestriction, spec: RestrictionSpec) -> Spectrum
 
 
 def lowered_one_hot(i: int, j: int, spec: RestrictionSpec = RestrictionSpec(17, (2, 9, 15)),
-                    ) -> EncodedRestriction:
+                    params: EncoderParams = EncoderParams()) -> EncodedRestriction:
     """The one-hot encoding of ``spec`` (17 + 3 bits) with the coupling of bits i and j
     lowered by 1/2."""
-    encoded = encode_one_hot_general(spec)
+    encoded = encode_one_hot_general(spec, params)
     coeffs = dict(encoded.model.coeffs)
     coeffs[(i, j)] -= F(1, 2)
     model = encoded.model
     return EncodedRestriction(model=QuboModel(model.n_total, model.n_problem, coeffs, model.offset),
                               kind=encoded.kind, residual_energy=encoded.residual_energy,
                               lambda1=encoded.lambda1, lambda2=encoded.lambda2)
+
+
+@st.composite
+def few_valued_models(draw):
+    """Models on up to 8 bits whose terms take one to three values, so twins and bits of
+    equal term multisets are common: random terms, a matching or a path over shuffled bits."""
+    n_total = draw(st.integers(1, 8))
+    n_problem = draw(st.integers(1, n_total))
+    order = draw(st.permutations(range(n_total)))
+    values = st.sampled_from(draw(st.sampled_from([[1], [-1, 1], [-1, 1, 2]])))
+    shape = draw(st.sampled_from(["terms", "matching", "path"]))
+    if shape == "matching":
+        pairs = list(zip(order[::2], order[1::2]))
+    elif shape == "path":
+        pairs = list(zip(order, order[1:]))
+    else:
+        pairs = [pair for pair in itertools.combinations(range(n_total), 2) if draw(st.booleans())]
+    coeffs = {tuple(sorted(pair)): draw(values) for pair in pairs}
+    for i in draw(st.sets(st.integers(0, n_total - 1))):
+        coeffs[(i, i)] = draw(values)
+    return QuboModel(n_total, n_problem, coeffs)
+
+
+def twin_partition(model: QuboModel) -> list[list[int]]:
+    """The twin classes by their definition, pair by pair, ordered by first bit."""
+    n, coeffs = model.n_problem, model.coeffs
+
+    def q(i: int, j: int) -> F:
+        return coeffs.get((min(i, j), max(i, j)), 0)
+
+    def twins(i: int, j: int) -> bool:
+        return ((i < n) == (j < n) and q(i, i) == q(j, j)
+                and all(q(i, k) == q(j, k) for k in range(model.n_total) if k not in (i, j)))
+
+    classes: list[list[int]] = []
+    for i in range(model.n_total):
+        # being twins is an equivalence, so the first bit of a class stands for it
+        for members in classes:
+            if twins(members[0], i):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
 
 
 class TestSymmetricEngine:
@@ -445,6 +487,59 @@ class TestSymmetricEngine:
         encoded, spec = drawn_restriction(model, data)
         tabulated = enumerate_spectrum(encoded, spec)
         assert tabulated == forced_sweep(encoded, spec) == reference_report(encoded, spec)
+
+    # two models the test above drew, a matching and a star among the dummies, pinned
+    # here because @example cannot supply its st.data()
+    @pytest.mark.parametrize("model, cells", [
+        (QuboModel(7, 3, {(0, 0): -1, (3, 6): 1, (4, 5): 1}), [[0], [1, 2], [3, 6], [4, 5]]),
+        (QuboModel(7, 3, {(0, 0): -1, (3, 6): -1, (4, 6): 1, (5, 6): 1}),
+         [[0], [1, 2], [3], [4, 5], [6]]),
+    ], ids=["matched dummies", "star dummies"])
+    @pytest.mark.parametrize("allowed", [(0,), (1, 2, 3)])
+    def test_pinned_multi_class_models_take_the_table_and_match(self, model, cells, allowed):
+        with mock.patch.object(oracle, "_are_twins", wraps=oracle._are_twins) as confirmed:
+            assert twin_table(model)[1] == cells[:2]
+        assert confirmed.call_args.args[1] == cells
+        encoded = EncodedRestriction(model=model, kind=EncodingKind.REDUCED_GENERAL,
+                                     residual_energy=F(0), lambda1=F(1))
+        spec = RestrictionSpec(3, allowed)
+        tabulated = enumerate_spectrum(encoded, spec)
+        assert tabulated == forced_sweep(encoded, spec) == reference_report(encoded, spec)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(few_valued_models(), twin_class_models()))
+    # weights from tuple hashes, nearly linear in the bit, meet r1 + r4 == r2 + r3 and
+    # would group the non-twins 2 and 4 of this path
+    @example(QuboModel(5, 5, {(0, 0): 2, (0, 3): -1, (1, 2): -1, (2, 4): -1, (3, 4): -1}))
+    def test_confirmed_classes_are_the_twin_partition(self, model):
+        cells, n = twin_partition(model), model.n_problem
+        within_caps = (math.prod(len(c) + 1 for c in cells if c[0] < n) <= (n + 1) ** 2
+                       and math.prod(len(c) + 1 for c in cells if c[0] >= n) <= 2 << n)
+        with mock.patch.object(oracle, "_are_twins", wraps=oracle._are_twins) as confirmed:
+            table = twin_table(model)
+        assert (table is not None) == within_caps
+        if within_caps:
+            assert confirmed.call_args.args[1] == cells
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(few_valued_models(), twin_class_models()), st.data())
+    def test_colliding_weights_cost_only_speed(self, model, data):
+        encoded, spec = drawn_restriction(model, data)
+        with mock.patch("random.Random") as equal_weights:
+            equal_weights.return_value.getrandbits.return_value = 1
+            tabulated = enumerate_spectrum(encoded, spec)
+        assert tabulated == forced_sweep(encoded, spec)
+
+    def test_equal_weights_group_non_twins_and_take_the_sweep(self):
+        # a path 1-2-4-3-0: with every weight 1, bits 2, 3 and 4 share diagonal 0 and row
+        # sum -2, so they are proposed as one class, which the confirming pass refuses
+        model = QuboModel(5, 5, {(0, 0): 2, (0, 3): -1, (1, 2): -1, (2, 4): -1, (3, 4): -1})
+        assert twin_table(model)[1] == [[0], [1], [2], [3], [4]]
+        with mock.patch("random.Random") as equal_weights:
+            equal_weights.return_value.getrandbits.return_value = 1
+            with mock.patch.object(oracle, "_are_twins", wraps=oracle._are_twins) as confirmed:
+                assert twin_table(model) is None
+        assert confirmed.call_args.args[1] == [[0], [1], [2, 3, 4]]
 
     @settings(deadline=None, max_examples=30)
     @given(st.one_of(twin_dummy_models(), twin_dummy_models(huge=True),
@@ -543,17 +638,17 @@ class TestSymmetricEngine:
         spec = RestrictionSpec(8, (4,))
         assert enumerate_spectrum(encoded, spec) == reference_report(encoded, spec)
 
-    def test_equal_term_multisets_that_are_not_twins_take_the_sweep(self):
-        # bits 0-3 each have diagonal 1 and couplings 1, 2 and 3 to the other three, so
-        # they are proposed as one class; the couplings within it differ, so the
-        # second check refuses it
+    def test_equal_term_multisets_of_non_twins_stay_apart(self):
+        # bits 0-3 each have diagonal 1 and couplings 1, 2 and 3 to the other three, yet
+        # no two are twins: five classes of one bit give 2**5 <= 6**2 count vectors
         model = QuboModel(5, 5, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1, (4, 4): 5,
                                  (0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2,
                                  (0, 3): 3, (1, 2): 3})
-        assert twin_table(model) is None
+        assert twin_table(model)[1] == [[0], [1], [2], [3], [4]]
         encoded = EncodedRestriction(model=model, kind=EncodingKind.REDUCED_GENERAL,
                                      residual_energy=F(0), lambda1=F(1))
         spec = RestrictionSpec(5, (0,))
+        assert enumerate_spectrum(encoded, spec) == forced_sweep(encoded, spec)
         assert enumerate_spectrum(encoded, spec) == reference_report(encoded, spec)
 
     def test_many_classes_are_refused_without_their_row_product(self, monkeypatch):
@@ -685,15 +780,12 @@ class TestSymmetricEngine:
 
 @pytest.mark.parametrize("refused", [
     lambda: twin_table(distinct_dummies(19, 20)),  # one class of 19 bits, 20 distinct dummies
-    # a lowered coupling takes the second proposal: its term multisets are estimated
-    # at 1.4 MB, every table at most 0.35 MB
-    functools.partial(twin_table, lowered_one_hot(4, 11, RestrictionSpec(100, (2, 50, 97))).model),
     lambda: oracle._spectrum(QuboModel(21, 21, {(i, i): i + 1 for i in range(21)})),  # no twins
     lambda: expand_squared_affine([(i, 1) for i in range(500)], -2, 1),
     lambda: render_dummy_table(10**8),
     lambda: sweep_fractional_r(2, 0, 1, 10**8),
     lambda: exact_transfer_curve(2, 0, 1, 10**8),
-], ids=["table", "term-multisets", "sweep", "construction", "dummy-table", "sampled-grid",
+], ids=["table", "sweep", "construction", "dummy-table", "sampled-grid",
         "exact-grid"])
 def test_every_refusal_comes_from_one_helper_before_allocating(monkeypatch, refused):
     monkeypatch.setattr(core, "_physical_memory", lambda: 2**20)
@@ -754,25 +846,24 @@ def test_traced_peak_within_the_memory_estimate(monkeypatch, lam):
     encode_one_hot_general(RestrictionSpec(12, (2, 5, 9)), EncoderParams(10**30, 10**30)).model,
     encode_half_integer_chain(RestrictionSpec(60, tuple(range(5, 45)))).model,
     encode_equispaced_linear(RestrictionSpec(60, tuple(range(0, 61, 3)))).model,
-    # the term multisets of 81,406 coefficients outweigh the table eightfold
+    # 81,406 coefficients, whose row sums over the position weights hold O(bits)
     lowered_one_hot(4, 11, RestrictionSpec(400, (2, 200, 397))).model,
+    # the row sums grow with the coefficients
+    lowered_one_hot(4, 11, RestrictionSpec(100, (2, 50, 97)), EncoderParams(10**30, 10**30)).model,
     # 11 dummies of distinct weights whose 2**11 patterns merge to 232 entries
     encode_reduced_general(RestrictionSpec(100, tuple(range(1, 97, 8)))).model,
     # 10 coupled dummies whose 2**10 patterns never merge: their keys hold 11 fields
     coupled_dummies(10, 10),
 ], ids=["one class", "two classes", "huge multipliers", "chain", "linear", "long terms",
-        "merged dummies", "unmerged dummies"])
+        "huge long terms", "merged dummies", "unmerged dummies"])
 def test_traced_table_within_its_estimate(monkeypatch, model):
-    tables, terms = [], []
+    tables = []
 
-    def recording(estimate, estimates):
-        def recorded(*args):
-            estimates.append(estimate(*args))
-            return estimates[-1]
-        return recorded
+    def recorded(*args):
+        tables.append(table_bytes(*args))
+        return tables[-1]
 
-    monkeypatch.setattr(oracle, "table_bytes", recording(table_bytes, tables))
-    monkeypatch.setattr(oracle, "term_keys_bytes", recording(term_keys_bytes, terms))
+    monkeypatch.setattr(oracle, "table_bytes", recorded)
     tracemalloc.start()
     try:
         twin_table(model)
@@ -780,8 +871,7 @@ def test_traced_table_within_its_estimate(monkeypatch, model):
     finally:
         tracemalloc.stop()
     # the first table estimate is the lower bound of one class per kind, then one
-    # per proposal, each refining the one before it; the last is the table built.
-    # The second proposal first estimates its term multisets, freed before the table
+    # per proposal, each refining the one before it; the last is the table built,
+    # and covers the second proposal's weights and row sums too
     assert len(tables) in (2, 3) and tables == sorted(tables)
-    assert len(terms) == len(tables) - 2
-    assert peak <= max([tables[-1], *terms])
+    assert peak <= tables[-1]
