@@ -19,7 +19,9 @@ imports no ``oracle``: only the bit cap and :func:`curve_bytes`, what it
 holds, bound it.  Sweeps draw their reads with the standard library's
 ``random`` (one multinomial over the sums built from binomial draws), so a
 sweep never imports numpy; only :func:`boltzmann_probabilities`, the
-per-assignment law of a model the table does not take, builds arrays.
+per-assignment law of a model the table does not take, builds arrays.  All
+three laws weigh an excitation by one rule, ``_exponent``: one whose
+quotient by the scale or by T is beyond the float range has weight 0.
 """
 
 from __future__ import annotations
@@ -118,23 +120,32 @@ def boltzmann_probabilities(model: QuboModel, temperature: float) -> np.ndarray:
     from . import oracle
 
     energies, scale = oracle.assignment_energies(model)
-    # shift exactly: a float rounds energies beyond 2**53, and huge ones may not fit
-    shifted = energies - energies.min()
-    if energies.dtype == object:
-        limit = int(np.finfo(np.float64).max) * scale  # weight 0 beyond the float range
-        excitation = np.array([x / scale if x <= limit else math.inf for x in shifted])
+    # shift exactly, in place: a float rounds energies beyond 2**53, and huge ones may not fit
+    energies -= energies.min()
+    if energies.dtype == object or scale > sys.float_info.max:
+        # an int64 over a scale past the float range is not the exact quotient
+        weights = np.fromiter((_exponent(e, scale, temperature) for e in map(int, energies)),
+                              dtype=float, count=len(energies))
     else:
-        excitation = shifted / scale
-    weights = np.exp(-excitation / temperature)
-    return weights / weights.sum()
+        weights = energies / -scale  # the bits of -(energies / scale)
+        with np.errstate(over="ignore"):  # -inf is weight 0, as _exponent gives it
+            weights /= temperature
+    np.exp(weights, out=weights)
+    weights /= weights.sum()
+    return weights
 
 
 def exact_sum_distribution(model: QuboModel, temperature: float) -> list[float]:
     """Exact Boltzmann probability of each problem-bit sum 0..n_problem.
 
-    A model the twin-class table takes has the sum law over the table rows
-    (see :func:`_sum_law`); any other model sums the per-assignment
-    probabilities.
+    A model the twin-class table takes has the sum law over the table rows:
+    ``P(s) ~ sum_rows multiplicity * sum_y weight_y * exp(-(E(row, y) - E0) / T)``
+    over the rows of sum s and the entries y, whose energies are ints over
+    ``scale``; it is summed in log space in Python floats without numpy.  The
+    excitations are shifted exactly in ints, and one beyond the float range
+    has weight 0.  Any other model sums the per-assignment probabilities of
+    :func:`boltzmann_probabilities`, which weighs its excitations by the same
+    rule.
     """
     _check_temperature(temperature)
     from . import oracle
@@ -148,26 +159,11 @@ def exact_sum_distribution(model: QuboModel, temperature: float) -> list[float]:
         return np.bincount(
             sums, weights=probabilities, minlength=model.n_problem + 1).tolist()
     scale, _, weights, rows = table
-    return _sum_law(
-        model.n_problem + 1, scale, [math.log(w) for w in weights],
-        [(sum(counts), math.log(multiplicity), energies) for counts, multiplicity, energies in rows],
-        temperature)
-
-
-def _sum_law(n_sums: int, scale: int, log_weights: list[float],
-             rows: list[tuple[int, float, list[int]]], temperature: float) -> list[float]:
-    """Boltzmann probability of each sum 0..n_sums-1 from rows ``(s, log multiplicity, energies)``.
-
-    ``P(s) ~ sum_rows multiplicity * sum_y weight_y * exp(-(E(row, y) - E0) / T)``
-    over the rows of sum s and the entries y, whose energies are ints over
-    ``scale``; it is summed in log space in Python floats without numpy.  The
-    excitations are shifted exactly in ints, and one beyond the float range
-    has weight 0.
-    """
+    log_weights = [math.log(w) for w in weights]
     ground = min(min(energies) for _, _, energies in rows)
-    by_sum: list[list[float]] = [[] for _ in range(n_sums)]
-    for s, log_multiplicity, energies in rows:
-        by_sum[s].append(log_multiplicity + _log_sum_exp(
+    by_sum: list[list[float]] = [[] for _ in range(model.n_problem + 1)]
+    for counts, multiplicity, energies in rows:
+        by_sum[sum(counts)].append(math.log(multiplicity) + _log_sum_exp(
             [_exponent(e - ground, scale, temperature) + w for e, w in zip(energies, log_weights)]))
     logs = [_log_sum_exp(terms) for terms in by_sum]
     total = _log_sum_exp(logs)

@@ -29,6 +29,8 @@ from helpers import broken_one_hot, offset_tampered
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table_m7_golden.txt"
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_n16_golden.csv"
 GOLDEN_SWEEP_N40 = Path(__file__).parent / "data" / "sweep_n40_golden.csv"
+GOLDEN_VERIFY = {"2,5,9": (0, Path(__file__).parent / "data" / "verify_pass_golden.txt"),
+                 "2,5": (1, Path(__file__).parent / "data" / "verify_fail_golden.txt")}
 
 
 def twin_free_restriction(n: int) -> EncodedRestriction:
@@ -154,6 +156,18 @@ class TestVerify:
         assert code == 0
         assert "verdict: PASS" in out
         assert "ground_sums: 2,5,9" in out
+
+    @pytest.mark.parametrize("allowed", GOLDEN_VERIFY)
+    def test_report_matches_golden_file(self, capsys, tmp_path, allowed):
+        # every line of the report, its table and its Fractions, byte for byte; without 9
+        # the sum 9 at energy 1/8 is spurious
+        path = tmp_path / "reduced.qubo"
+        run_cli(capsys, "encode", "--n", 12, "--allowed", "2,5,9", "--method", "reduced",
+                "--lambda", "3/2", "--lambda2", "1/2", "--out", path)
+        code, out, _ = run_cli(capsys, "verify", "--qubo", path, "--n", 12, "--allowed", allowed)
+        expected_code, golden = GOLDEN_VERIFY[allowed]
+        assert code == expected_code
+        assert out.encode() == golden.read_bytes()
 
     def test_tampered_file_is_refuted(self, capsys, tmp_path):
         bad_path = tmp_path / "bad.qubo"

@@ -815,9 +815,19 @@ def test_a_billion_problem_bits_are_refused_before_any_list(monkeypatch):
     assert peak < 2**16
 
 
-@pytest.mark.parametrize("lam", [1, 10**30])
-def test_traced_peak_within_the_memory_estimate(monkeypatch, lam):
-    # distinct problem weights: no twins, so the doubling sweep runs
+TRACED_READERS = {
+    "spectrum": enumerate_spectrum,
+    "per-assignment law": lambda encoded, spec: boltzmann_probabilities(encoded.model, 0.2),
+    "sum law": lambda encoded, spec: exact_sum_distribution(encoded.model, 0.2),
+}
+
+
+@pytest.mark.parametrize("lam, reader", [
+    pytest.param(lam, reader, id=str(lam) if reader == "spectrum" else f"{lam}-{reader}")
+    for reader in TRACED_READERS for lam in (1, 10**30)])
+def test_traced_peak_within_the_memory_estimate(monkeypatch, lam, reader):
+    # distinct problem weights: no twins, so the doubling sweep runs, and the one gate
+    # that admits it bounds every reader of its energies
     model = expand_squared_affine([(i, i + 1) for i in range(16)], -7, lam, n_problem=12)
     assert twin_table(model) is None
     spec = RestrictionSpec(12, (3,))
@@ -832,7 +842,7 @@ def test_traced_peak_within_the_memory_estimate(monkeypatch, lam):
     monkeypatch.setattr(oracle, "enumeration_bytes", recorded)
     tracemalloc.start()
     try:
-        enumerate_spectrum(encoded, spec)
+        TRACED_READERS[reader](encoded, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,6 +8,7 @@ import re
 import tracemalloc
 import warnings
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -140,10 +141,21 @@ class TestSumLaw:
         assert exact_sum_distribution(model, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_excitations_beyond_the_float_range_weigh_nothing(self):
-        model = fractional_restriction_model(4, F(3, 2), 10**400)
-        # only the ground sums 1 and 2 keep weight, in the ratio C(4,1) : C(4,2)
-        assert exact_sum_distribution(model, 0.05) == pytest.approx(
-            [0.0, 0.4, 0.6, 0.0, 0.0], rel=1e-12, abs=0)
+        # only the ground sums 1 and 2 keep weight, in the ratio C(4,1) : C(4,2), when the
+        # excitation 2 * lam, or its quotient by T, is past the float range; below it
+        # every sum keeps its C(4, s) / 16
+        ground_only, binomial = [0.0, 0.4, 0.6, 0.0, 0.0], [1 / 16, 4 / 16, 6 / 16, 4 / 16, 1 / 16]
+        for lam, temperature, expected in [(10**400, 0.05, ground_only),
+                                           (10**400, math.inf, ground_only),
+                                           (10**30, 1e-300, ground_only),
+                                           (F(1, 10**400), 1.0, binomial)]:
+            # the table's law and, with the table refused, the per-assignment fallback
+            model = fractional_restriction_model(4, F(3, 2), lam)
+            tabulated = exact_sum_distribution(model, temperature)
+            with mock.patch.object(oracle, "twin_table", return_value=None):
+                per_assignment = exact_sum_distribution(model, temperature)
+            assert tabulated == pytest.approx(expected, rel=1e-12, abs=0)
+            assert per_assignment == pytest.approx(tabulated, rel=1e-12, abs=0)
 
     def test_degeneracy_ratio_at_half_integer_target(self):
         # both neighbouring sums share the residual energy, so their exact
