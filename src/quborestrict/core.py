@@ -85,6 +85,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def as_multiplier(value: RationalLike) -> Fraction:
+    """A Lagrange multiplier as :func:`as_fraction` reads it, refused at or below 0."""
+    lam = as_fraction(value)
+    if lam <= 0:
+        raise ParameterError(f"multiplier must be positive, got {lam}")
+    return lam
+
+
 def check_bits(value: int) -> None:
     """Refuse an exact int of more than ``MAX_VALUE_BITS`` bits."""
     if value.bit_length() > MAX_VALUE_BITS:
@@ -193,7 +201,7 @@ class RestrictionSpec:
             raise ConstructionError(f"n_vars must be an integer and allowed a list of integers, "
                                     f"got {self.n_vars!r} and {values!r}")
         if self.n_vars < 1:
-            raise ConstructionError(f"n_vars must be a positive integer, got {self.n_vars!r}")
+            raise ConstructionError(f"n_vars must be an integer of at least 1, got {self.n_vars!r}")
         values = tuple(sorted(values))
         if not values:
             raise ConstructionError("allowed must contain at least one value")
@@ -203,8 +211,7 @@ class RestrictionSpec:
         if len(set(values)) != len(values):
             raise ConstructionError(f"allowed values must be distinct, got {values}")
         if values[-1] > self.n_vars:
-            raise ConstructionError(
-                f"allowed value {values[-1]} exceeds n_vars={self.n_vars}")
+            raise ConstructionError(f"allowed value {values[-1]} exceeds n_vars={self.n_vars}")
         object.__setattr__(self, "allowed", values)
 
     @property
@@ -279,8 +286,7 @@ class QuboModel:
         if n_total < 0:
             raise ConstructionError("n_total must be non-negative")
         if not 0 <= n_problem <= n_total:
-            raise ConstructionError(
-                f"n_problem={n_problem} must lie in [0, n_total={n_total}]")
+            raise ConstructionError(f"n_problem={n_problem} must lie in [0, n_total={n_total}]")
         if check:
             for key in int_coeffs:
                 i, j = key
@@ -356,13 +362,11 @@ class EncodedRestriction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "residual_energy", as_fraction(self.residual_energy))
-        object.__setattr__(self, "lambda1", as_fraction(self.lambda1))
+        object.__setattr__(self, "lambda1", as_multiplier(self.lambda1))
         if self.lambda2 is not None:
-            object.__setattr__(self, "lambda2", as_fraction(self.lambda2))
+            object.__setattr__(self, "lambda2", as_multiplier(self.lambda2))
         if self.residual_energy < 0:
             raise ConstructionError("residual_energy must be non-negative")
-        if self.lambda1 <= 0 or (self.lambda2 is not None and self.lambda2 <= 0):
-            raise ParameterError("Lagrange multipliers must be positive")
 
     @property
     def n_dummies(self) -> int:
@@ -406,9 +410,7 @@ def expand_squared_affine(
     is assembled from this primitive.  With ``L`` the common denominator of
     c and the a_i, the model is built in ints at scale ``den(lam) * L**2``.
     """
-    lam, c = as_fraction(lam), as_fraction(constant)
-    if lam <= 0:
-        raise ParameterError(f"multiplier must be positive, got {lam}")
+    lam, c = as_multiplier(lam), as_fraction(constant)
     pairs = [(int(i), as_fraction(a)) for i, a in terms]
     indices = [i for i, _ in pairs]
     if len(set(indices)) != len(indices):

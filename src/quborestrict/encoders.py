@@ -17,7 +17,7 @@ from .core import (
     EncodingNotApplicableError,
     ParameterError,
     RestrictionSpec,
-    as_fraction,
+    as_multiplier,
     check_expansion,
     combine,
     expand_squared_affine,
@@ -39,10 +39,8 @@ class EncoderParams:
     lambda2: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lambda1", as_fraction(self.lambda1))
-        object.__setattr__(self, "lambda2", as_fraction(self.lambda2))
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ParameterError("Lagrange multipliers must be positive")
+        object.__setattr__(self, "lambda1", as_multiplier(self.lambda1))
+        object.__setattr__(self, "lambda2", as_multiplier(self.lambda2))
 
 
 DEFAULT_PARAMS = EncoderParams()

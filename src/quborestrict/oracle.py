@@ -38,6 +38,7 @@ from .core import (
     QuboModel,
     RestrictionSpec,
     as_fraction,
+    as_multiplier,
     check_memory,
     record,
 )
@@ -421,10 +422,7 @@ def fractional_energy_ladder(
     with a nonzero floor energy shared by no second level unless R is a
     half-integer.
     """
-    r = as_fraction(r)
-    lam = as_fraction(lam)
-    if lam <= 0:
-        raise ParameterError(f"multiplier must be positive, got {lam}")
+    r, lam = as_fraction(r), as_multiplier(lam)
     if not 0 <= r <= n_vars:
         raise ParameterError(f"target {r} must lie in [0, {n_vars}]")
     ladder = [(s, lam * (s - r) ** 2) for s in range(n_vars + 1)]

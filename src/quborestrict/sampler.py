@@ -38,6 +38,7 @@ from .core import (
     ParameterError,
     QuboModel,
     as_fraction,
+    as_multiplier,
     check_bits,
     check_expansion,
     check_memory,
@@ -59,24 +60,28 @@ class StrayMassWarning(UserWarning):
     """More than 1% of the measured mass sits outside the transfer pair."""
 
 
-def _check_temperature(temperature: object) -> None:
-    """Refuse anything but a positive real number: a bool, a string, None, NaN, T <= 0."""
+def _check_temperature(temperature: object) -> float:
+    """``float(T)``, which every law divides by, for a real T > 0; ``math.inf`` past the range."""
     if isinstance(temperature, bool) or not isinstance(temperature, numbers.Real):
         raise ParameterError(f"temperature must be a positive number, got {temperature!r}")
     if not temperature > 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
+    try:
+        return float(temperature) or math.ulp(0.0)  # below the float range: its least float
+    except OverflowError:  # above it, as float("1e400") reads
+        return math.inf
 
 
 @record
 class SamplerConfig:
-    """Boltzmann temperature (in the model's energy units), reads, and seed."""
+    """Boltzmann temperature (in energy units, as the float every law divides by), reads, seed."""
 
     temperature: float
     n_reads: int = 10_000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_temperature(self.temperature)
+        object.__setattr__(self, "temperature", _check_temperature(self.temperature))
         if not is_integer(self.n_reads) or self.n_reads < 1:
             raise ParameterError(f"n_reads must be an integer of at least 1, got {self.n_reads!r}")
         if not is_integer(self.seed) or self.seed < 0:
@@ -114,7 +119,7 @@ def boltzmann_probabilities(model: QuboModel, temperature: float) -> np.ndarray:
     Returned in the oracle's counting order (assignment ``b`` sets bit ``i``
     to ``(b >> i) & 1``).
     """
-    _check_temperature(temperature)
+    temperature = _check_temperature(temperature)
     import numpy as np
 
     from . import oracle
@@ -147,7 +152,7 @@ def exact_sum_distribution(model: QuboModel, temperature: float) -> list[float]:
     :func:`boltzmann_probabilities`, which weighs its excitations by the same
     rule.
     """
-    _check_temperature(temperature)
+    temperature = _check_temperature(temperature)
     from . import oracle
 
     table = oracle.twin_table(model)
@@ -327,8 +332,7 @@ def _transfer_curve(
     if not r_from < r_to:
         raise ParameterError(f"sweep range must be increasing, got [{r_from}, {r_to}]")
     if r_from < 0 or r_to > n_vars:
-        raise ParameterError(
-            f"sweep range [{r_from}, {r_to}] must lie within [0, {n_vars}]")
+        raise ParameterError(f"sweep range [{r_from}, {r_to}] must lie within [0, {n_vars}]")
     lower, upper = math.floor(r_from), math.ceil(r_to)
     if upper - lower > 1:
         raise ParameterError(
@@ -344,12 +348,12 @@ def _transfer_curve(
     def law(r: Fraction) -> list[float]:
         """``exact_sum_distribution(fractional_restriction_model(n_vars, r, lam), temperature)``."""
         a, b = _admitted_multiplier(n_vars, r, lam)
-        _check_temperature(temperature)
+        t = _check_temperature(temperature)
         if not log_binomials:
             log_binomials.extend(_log_binomials(n_vars))
         p, q = r.numerator, r.denominator
         ground, scale = a * min(p % q, q - p % q) ** 2, b * q * q  # ground at floor/ceil R
-        logs = [log_binomials[s] + _exponent(a * (s * q - p) ** 2 - ground, scale, temperature)
+        logs = [log_binomials[s] + _exponent(a * (s * q - p) ** 2 - ground, scale, t)
                 for s in range(n_vars + 1)]
         total = _log_sum_exp(logs)
         return [math.exp(x - total) for x in logs]
@@ -369,9 +373,7 @@ def _admitted_multiplier(n_vars: int, r: Fraction, lam: RationalLike) -> tuple[i
     and the bit cap on the model's ints after their common factor is divided
     out.  Never the model's memory: the sweep does not build it.
     """
-    lam = as_fraction(lam)
-    if lam <= 0:
-        raise ParameterError(f"multiplier must be positive, got {lam}")
+    lam = as_multiplier(lam)
     a, b, p, q = lam.numerator, lam.denominator, r.numerator, r.denominator
     check_bits(q)
     # the model's scale, offset, diagonal and, from two bits on, coupling

@@ -126,6 +126,10 @@ class TestEncode:
         code, _, err = run_cli(capsys, "encode", "--n", 5, "--allowed", "6")
         assert code == 2
         assert "exceeds" in err
+        # the sweep's wording for a block of no bits
+        expected = (2, "", "error: n_vars must be an integer of at least 1, got 0\n")
+        assert run_cli(capsys, "encode", "--n", 0, "--allowed", "0") == expected
+        assert run_cli(capsys, "sweep", "--n", 0, "--r-from", 0, "--r-to", 1) == expected
 
     @pytest.mark.parametrize("flags, message", [
         (("--lambda", "1e5000"), "more than 3000 digits"),
@@ -134,6 +138,9 @@ class TestEncode:
         (("--lambda", "9" * 3001), "more than 3000 digits"),
         # each multiplier is short enough, their common denominator is not
         (("--lambda", f"1/{10**1990 + 1}", "--lambda2", f"1/{10**1990 + 3}"), "bit cap"),
+        # a multiplier at or below 0, with the sweep's message
+        (("--lambda", "0"), "multiplier must be positive, got 0"),
+        (("--lambda2", "-1/2"), "multiplier must be positive, got -1/2"),
     ])
     def test_huge_numbers_are_usage_errors(self, capsys, flags, message):
         code, out, err = run_cli(
@@ -440,6 +447,13 @@ class TestSweep:
             capsys, "sweep", "--n", 5, "--r-from", 1, "--r-to", 2, "--seed", -1)
         assert (code, out) == (2, "")
         assert err.startswith("error: seed") and err.count("\n") == 1
+
+    def test_nonpositive_multiplier_is_a_usage_error(self, capsys):
+        # encode refuses it with the same line
+        expected = (2, "", "error: multiplier must be positive, got 0\n")
+        assert run_cli(capsys, "sweep", "--n", 3, "--r-from", 1, "--r-to", 2,
+                       "--lambda", 0) == expected
+        assert run_cli(capsys, "encode", "--n", 3, "--allowed", 1, "--lambda", 0) == expected
 
     @pytest.mark.parametrize("r_from, r_to, pair", [(0, 4, "(0, 4)"), ("1.5", "2.5", "(1, 3)")])
     def test_range_over_more_than_one_integer_is_a_usage_error(self, capsys, r_from, r_to, pair):

@@ -25,7 +25,8 @@ from quborestrict.core import (
     expand_squared_affine,
 )
 from quborestrict.encoders import EncoderParams, encode_one_hot_general, encode_single_value
-from quborestrict.sampler import fractional_restriction_model
+from quborestrict.oracle import fractional_energy_ladder
+from quborestrict.sampler import exact_transfer_curve, fractional_restriction_model
 
 
 def affine_square(terms, constant, lam, assignment):
@@ -136,12 +137,6 @@ class TestExpandSquaredAffine:
         with pytest.raises(ConstructionError):
             expand_squared_affine([(0, 1), (0, 2)], 0)
 
-    def test_nonpositive_multiplier_rejected(self):
-        with pytest.raises(ParameterError):
-            expand_squared_affine([(0, 1)], 0, 0)
-        with pytest.raises(ParameterError):
-            expand_squared_affine([(0, 1)], 0, F(-1, 2))
-
     def test_single_value_restriction_energies(self):
         # (sum(x) - 2)^2 over four variables
         model = expand_squared_affine([(i, 1) for i in range(4)], -2, 1)
@@ -220,10 +215,24 @@ class TestEncodedRestriction:
             EncodedRestriction(model, EncodingKind.SINGLE_VALUE, n_dummies=0,
                                residual_energy=F(0), lambda1=F(1))
 
-    def test_multipliers_must_be_positive(self):
-        model = expand_squared_affine([(0, 1)], -1, 1)
-        with pytest.raises(ParameterError):
-            EncodedRestriction(model, EncodingKind.SINGLE_VALUE, F(0), F(0))
+
+@pytest.mark.parametrize("build", [
+    lambda lam: expand_squared_affine([(0, 1)], 0, lam),
+    lambda lam: EncodedRestriction(expand_squared_affine([(0, 1)], -1, 1),
+                                   EncodingKind.SINGLE_VALUE, F(0), lam),
+    lambda lam: EncodedRestriction(expand_squared_affine([(0, 1)], -1, 1),
+                                   EncodingKind.REDUCED_GENERAL, F(0), F(1), lam),
+    lambda lam: EncoderParams(lambda1=lam),
+    lambda lam: EncoderParams(lambda2=lam),
+    lambda lam: fractional_energy_ladder(4, 1, lam),
+    lambda lam: exact_transfer_curve(5, 1, 2, 3, lam),
+], ids=["expand", "encoded-lambda1", "encoded-lambda2", "params-lambda1", "params-lambda2",
+        "ladder", "sweep"])
+@pytest.mark.parametrize("lam", [0, F(-3, 2)], ids=["0", "-3/2"])
+def test_nonpositive_multiplier_refused(build, lam):
+    # every layer reads a multiplier through as_multiplier, with one message
+    with pytest.raises(ParameterError, match=f"^multiplier must be positive, got {lam}$"):
+        build(lam)
 
 
 class TestRecord:

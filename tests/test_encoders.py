@@ -337,12 +337,6 @@ class TestSelectOptimal:
 
 
 class TestEncoderParams:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ParameterError):
-            EncoderParams(lambda1=0)
-        with pytest.raises(ParameterError):
-            EncoderParams(lambda2=F(-1))
-
     @pytest.mark.parametrize("params", [{"lambda1": True}, {"lambda2": True}, {"lambda1": False}])
     def test_rejects_booleans(self, params):
         # True == 1 as an int, but it is no multiplier

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quborestrict import cli, core, oracle
-from quborestrict.core import DataQualityError, ParameterError, QuboModel, SizeLimitError
+from quborestrict.core import (
+    DataQualityError,
+    ParameterError,
+    QuboModel,
+    SizeLimitError,
+    expand_squared_affine,
+)
 from quborestrict.encoders import encode_single_value
 from quborestrict.core import RestrictionSpec
 from quborestrict.sampler import (
@@ -163,6 +169,48 @@ class TestSumLaw:
         model = fractional_restriction_model(5, F(3, 2), 1)
         exact = exact_sum_distribution(model, temperature=0.05)
         assert exact[2] / exact[1] == pytest.approx(2.0, rel=1e-12)
+
+
+def every_law(temperature):
+    """Each exact law and a seeded sweep at ``temperature``, where only stray mass may warn."""
+    model = fractional_restriction_model(3, F(3, 2))
+    # distinct weights leave every bit a class of one: the table refuses this model
+    twin_free = expand_squared_affine([(i, i + 1) for i in range(8)], -10, 1)
+    assert oracle.twin_table(twin_free) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StrayMassWarning)
+        laws = {"table": exact_sum_distribution(model, temperature)}
+        with mock.patch.object(oracle, "twin_table", return_value=None):
+            laws["fallback"] = exact_sum_distribution(model, temperature)
+        laws["twin-free"] = exact_sum_distribution(twin_free, temperature)
+        laws["curve"] = exact_transfer_curve(3, 1, 2, 3, 1, temperature).distributions
+        laws["sweep"] = sweep_fractional_r(
+            3, 1, 2, 3, 1, SamplerConfig(temperature, 100, 1)).distributions
+    return laws
+
+
+class TestOneTemperature:
+    """Every law divides by the one float that the temperature check returns."""
+
+    @pytest.mark.parametrize("temperature, value", [
+        (0.5, 0.5), (F(1, 2), 0.5), (2, 2.0),
+        # past the float range: inf above it, as float("1e400") reads, the least float below
+        (10**400, math.inf), (F(10**400, 3), math.inf), (math.inf, math.inf),
+        (F(1, 10**400), math.ulp(0.0)),
+    ], ids=["0.5", "1/2", "2", "1e400", "1e400/3", "inf", "1e-400"])
+    def test_every_path_divides_by_the_same_float(self, temperature, value):
+        config = SamplerConfig(temperature=temperature)
+        assert type(config.temperature) is float and config.temperature == value
+        laws = every_law(temperature)
+        for law in (laws["table"], laws["fallback"], laws["twin-free"], *laws["curve"]):
+            assert all(map(math.isfinite, law)) and math.fsum(law) == pytest.approx(1.0)
+        assert laws["fallback"] == pytest.approx(laws["table"], rel=1e-12)
+        # the curve's middle point, R = 3/2, is the model's law
+        assert laws["curve"][1] == pytest.approx(laws["table"], rel=1e-12)
+        if value == math.inf:  # every assignment weighs 1
+            assert laws["twin-free"] == pytest.approx(
+                [math.comb(8, s) / 256 for s in range(9)], rel=1e-12)
+        assert every_law(value) == laws
 
 
 def reference_curve(n_vars, r_from, r_to, steps, lam, temperature):
