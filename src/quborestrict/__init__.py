@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": """ConstructionError DataQualityError DimensionError EncodedRestriction
-        EncodingKind EncodingNotApplicableError ParameterError QuboModel RestrictionSpec
-        SizeLimitError as_fraction combine expand_squared_affine""",
+        EncodingKind EncodingNotApplicableError ParameterError QuboModel QuboRestrictError
+        RestrictionSpec SizeLimitError as_fraction combine expand_squared_affine""",
     "encoders": """DEFAULT_PARAMS EncoderParams applicable_encoders chain_dummy_count
         encode_equispaced_linear encode_equispaced_log encode_half_integer_chain
         encode_half_integer_m2 encode_one_hot_general encode_reduced_general

@@ -8,11 +8,11 @@ encodings side by side.  The restriction of ``encode`` and ``verify`` comes
 from ``--n`` and ``--allowed`` only; the multipliers ``--lambda`` and
 ``--lambda2`` of ``encode`` default to 1.
 
-Exit codes: 0 success/verified, 1 verification refuted, 2 usage or parse
-errors (including inapplicable encodings and work beyond the physical
-memory), with one line on stderr.  A sweep prints each warning as one
-``warning:`` line and keeps its exit code.  Each command imports only the
-modules it uses.
+Exit codes: 0 success/verified, 1 verification refuted, 2 a usage error,
+a ``QuboRestrictError`` (such as a parse error, an inapplicable encoding or
+work beyond the physical memory) or an ``OSError``, with one line on stderr.
+A sweep prints each warning as one ``warning:`` line and keeps its exit
+code.  Each command imports only the modules it uses.
 
 The commands and their flags are one table, ``COMMANDS``, which
 :func:`parse_args` reads in one pass: after the command each flag is its
@@ -26,18 +26,12 @@ from __future__ import annotations
 import gc
 import math
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .core import (
-    ConstructionError,
-    DataQualityError,
-    DimensionError,
-    EncodingNotApplicableError,
     ParameterError,
-    QuboFileError,
+    QuboRestrictError,
     RestrictionSpec,
-    SizeLimitError,
     as_fraction,
     as_printable,
     check_memory,
@@ -60,15 +54,6 @@ _METHODS = {
     "halfchain": "encode_half_integer_chain",
     "reduced": "encode_reduced_general",
 }
-
-
-def _fraction_flag(text: str) -> Fraction:
-    try:
-        return as_fraction(text)
-    except ParameterError:
-        raise
-    except (ValueError, ZeroDivisionError):
-        raise ParameterError(f"not a rational number: {text!r}") from None
 
 
 def _allowed_flag(text: str) -> tuple[int, ...]:
@@ -220,8 +205,8 @@ _SPEC_FLAGS = (
 COMMANDS = {
     "encode": ("cmd_encode", "encode a restriction as a QUBO penalty file", (
         *_SPEC_FLAGS,
-        ("--lambda", _fraction_flag, Fraction(1), "first Lagrange multiplier, an exact rational"),
-        ("--lambda2", _fraction_flag, Fraction(1), "second multiplier for the two-term encodings"),
+        ("--lambda", as_fraction, 1, "first Lagrange multiplier, an exact rational"),
+        ("--lambda2", as_fraction, 1, "second multiplier for the two-term encodings"),
         ("--method", _choice(*_METHODS), "auto", "construction: " + ", ".join(_METHODS)),
         ("--out", str, None, "output path (default: stdout)"),
         ("--format", _choice("text", "json"), "text", "penalty file format: text or json"),
@@ -232,14 +217,14 @@ COMMANDS = {
     )),
     "sweep": ("cmd_sweep", "sweep a fractional target and sample each point", (
         ("--n", int, REQUIRED, "number of problem variables"),
-        ("--r-from", _fraction_flag, REQUIRED, "first target R, an exact rational"),
-        ("--r-to", _fraction_flag, REQUIRED,
+        ("--r-from", as_fraction, REQUIRED, "first target R, an exact rational"),
+        ("--r-to", as_fraction, REQUIRED,
          "last target R; the range lies between two consecutive integers"),
         ("--steps", int, 11, "grid points from --r-from to --r-to"),
         ("--temperature", float, 0.05, "Boltzmann temperature in the model's energy units"),
         ("--reads", int, 10_000, "samples drawn at each grid point"),
         ("--seed", int, 0, "seed of the random draws, non-negative"),
-        ("--lambda", _fraction_flag, Fraction(1), "Lagrange multiplier of the restriction"),
+        ("--lambda", as_fraction, 1, "Lagrange multiplier of the restriction"),
         ("--out", str, None, "CSV path (default: stdout)"),
     )),
     "table": ("cmd_table", "compare dummy counts of chain and log encodings", (
@@ -285,7 +270,7 @@ def _help(command: Optional[str]) -> NoReturn:
 def _convert(name: str, convert: Callable[[str], object], text: str) -> object:
     try:
         return convert(text)
-    except ParameterError as exc:  # the converters of this module say what is wrong
+    except QuboRestrictError as exc:  # the package's converters say what is wrong
         message = str(exc)
     except ValueError:
         message = f"invalid {convert.__name__} value: {text!r}"
@@ -340,16 +325,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     function, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return globals()[function](args)
-    except (
-        QuboFileError,
-        ConstructionError,
-        ParameterError,
-        EncodingNotApplicableError,
-        DimensionError,
-        SizeLimitError,
-        DataQualityError,
-        OSError,
-    ) as exc:
+    except (QuboRestrictError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,31 +31,35 @@ MAX_LITERAL_DIGITS = 3_000
 MAX_VALUE_BITS = 12_000
 
 
-class DimensionError(ValueError):
+class QuboRestrictError(ValueError):
+    """Base of every error the package raises on input it refuses."""
+
+
+class DimensionError(QuboRestrictError):
     """An assignment or variable space has the wrong size."""
 
 
-class ConstructionError(ValueError):
+class ConstructionError(QuboRestrictError):
     """Invalid arguments while building a spec or a model."""
 
 
-class ParameterError(ValueError):
+class ParameterError(QuboRestrictError):
     """A numeric parameter is outside its admissible range."""
 
 
-class EncodingNotApplicableError(ValueError):
+class EncodingNotApplicableError(QuboRestrictError):
     """The requested construction cannot encode the given restriction."""
 
 
-class SizeLimitError(ValueError):
+class SizeLimitError(QuboRestrictError):
     """An operation's estimated peak memory exceeds the physical memory."""
 
 
-class DataQualityError(ValueError):
+class DataQualityError(QuboRestrictError):
     """Measured data is too degenerate for the requested statistic."""
 
 
-class QuboFileError(ValueError):
+class QuboFileError(QuboRestrictError):
     """The file is not a well-formed encoded restriction."""
 
 
@@ -65,24 +69,27 @@ def as_fraction(value: RationalLike) -> Fraction:
     Floats go through their shortest decimal repr, so 0.1 becomes 1/10
     rather than the binary expansion of the float.  A string is refused
     before any int is built when its digits and exponent could exceed
-    ``MAX_LITERAL_DIGITS``.  A bool is refused: True is no multiplier.
+    ``MAX_LITERAL_DIGITS``.  A bool is refused (True is no multiplier), and
+    so is what ``Fraction`` cannot read: ``"x"``, ``"1/0"``, NaN, inf, None.
     """
     if isinstance(value, bool):
         raise ParameterError(f"expected a rational number, got {value!r}")
-    if isinstance(value, float):
-        value = str(value)
-    if isinstance(value, str):
-        mantissa, _, exponent = value.lower().partition("e")
-        digits = len(value)
+    number = str(value) if isinstance(value, float) else value
+    if isinstance(number, str):
+        mantissa, _, exponent = number.lower().partition("e")
+        digits = len(number)
         try:  # a short literal has the digits of its mantissa plus its exponent
             if digits <= MAX_LITERAL_DIGITS:
                 digits = len(mantissa) + abs(int(exponent or 0))
         except ValueError:  # no exponent: Fraction reads or refuses the text
             pass
         if digits > MAX_LITERAL_DIGITS:
-            shown = value if len(value) <= 20 else value[:20] + "..."
+            shown = number if len(number) <= 20 else number[:20] + "..."
             raise ParameterError(f"number {shown!r} has more than {MAX_LITERAL_DIGITS} digits")
-    return Fraction(value)
+    try:
+        return Fraction(number)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        raise ParameterError(f"not a rational number: {value!r}") from None
 
 
 def as_multiplier(value: RationalLike) -> Fraction:
@@ -134,6 +141,12 @@ def check_memory(what: str, exponent: int, estimate: Callable[..., int], *args: 
 def is_integer(value: object) -> bool:
     """An ``int`` that is not a ``bool``: True is no count, sum or seed."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_count(name: str, value: object) -> None:
+    """Refuse a count ``name``, such as ``n_vars``, that is not an int of at least 1."""
+    if not is_integer(value) or value < 1:
+        raise ParameterError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def as_printable(text: str) -> str:

@@ -39,6 +39,7 @@ from .core import (
     RestrictionSpec,
     as_fraction,
     as_multiplier,
+    check_count,
     check_memory,
     record,
 )
@@ -422,6 +423,7 @@ def fractional_energy_ladder(
     with a nonzero floor energy shared by no second level unless R is a
     half-integer.
     """
+    check_count("n_vars", n_vars)
     r, lam = as_fraction(r), as_multiplier(lam)
     if not 0 <= r <= n_vars:
         raise ParameterError(f"target {r} must lie in [0, {n_vars}]")

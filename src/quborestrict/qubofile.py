@@ -19,6 +19,7 @@ form is the one golden files are written against.
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
 import operator
@@ -31,8 +32,10 @@ from .core import (
     MAX_LITERAL_DIGITS,
     EncodedRestriction,
     EncodingKind,
+    ParameterError,
     QuboFileError,
     QuboModel,
+    QuboRestrictError,
     as_printable,
     common_denominator,
     is_integer,
@@ -41,7 +44,7 @@ from .core import (
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from os import PathLike
-    from typing import Iterator, Optional, Union
+    from typing import Callable, Iterator, Optional, Union
 
 MAGIC = "qubo-restriction v1"
 
@@ -148,7 +151,7 @@ def _build(header: dict[str, object], keys: list[tuple[int, int]],
             lambda1=values["lambda1"],
             lambda2=values.get("lambda2"),
         )
-    except ValueError as exc:
+    except QuboRestrictError as exc:
         raise QuboFileError(f"inconsistent file contents: {exc}") from exc
 
 
@@ -184,6 +187,23 @@ def _first_bad(lines: list[str]) -> int:
                        key=lambda size: _read_terms(lines[:size]) is None)
 
 
+def _collector_paused(read: Callable[[str], EncodedRestriction]
+                      ) -> Callable[[str], EncodedRestriction]:
+    """``read`` with the garbage collector paused, which would walk a parse's fresh tuples and
+    lists again and again, freeing none; the caller's setting comes back, also on a bad file."""
+    @functools.wraps(read)
+    def paused(text: str) -> EncodedRestriction:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return read(text)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def loads(text: str) -> EncodedRestriction:
     """Parse the canonical text form."""
     lines = text.split("\n")
@@ -215,19 +235,13 @@ def loads(text: str) -> EncodedRestriction:
     if len(term_lines) != n_terms:
         raise QuboFileError(
             f"terms section announces {n_terms} lines but {len(term_lines)} follow")
-    enabled = gc.isenabled()
-    gc.disable()  # the collector would walk the fresh key tuples again and again, freeing none
-    try:
-        terms = _read_terms(term_lines)
-        if terms is None:
-            bad = _first_bad(term_lines)
-            raise QuboFileError(f"line {cursor + 1 + bad}: expected 'i j coefficient' with a "
-                                f"nonzero coefficient, 0 <= i <= j and keys in increasing "
-                                f"order, got {term_lines[bad]!r}")
-        encoded = _build(header, *terms)
-    finally:
-        if enabled:  # the caller's setting, also when the file is malformed
-            gc.enable()
+    terms = _read_terms(term_lines)
+    if terms is None:
+        bad = _first_bad(term_lines)
+        raise QuboFileError(f"line {cursor + 1 + bad}: expected 'i j coefficient' with a "
+                            f"nonzero coefficient, 0 <= i <= j and keys in increasing "
+                            f"order, got {term_lines[bad]!r}")
+    encoded = _build(header, *terms)
     if list(header) != [key for key in _HEADER if key in header]:
         raise QuboFileError(f"header keys out of order: expected {', '.join(_HEADER)}")
     return encoded
@@ -245,6 +259,7 @@ def dumps_json(encoded: EncodedRestriction) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+@_collector_paused
 def loads_json(text: str) -> EncodedRestriction:
     """Parse the JSON mirror as ``dumps_json`` writes it, held to the rules of the text form."""
     import json
@@ -292,7 +307,7 @@ def load(path: Union[str, PathLike[str]]) -> EncodedRestriction:
 
 def save(encoded: EncodedRestriction, path: Union[str, PathLike[str]], fmt: str = "text") -> None:
     if fmt not in ("text", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
+        raise ParameterError(f"unknown format {fmt!r}")
     text = dumps(encoded) if fmt == "text" else dumps_json(encoded)
     with open(path, "w") as file:
         file.write(text)

@@ -40,6 +40,7 @@ from .core import (
     as_fraction,
     as_multiplier,
     check_bits,
+    check_count,
     check_expansion,
     check_memory,
     expand_squared_affine,
@@ -82,8 +83,7 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "temperature", _check_temperature(self.temperature))
-        if not is_integer(self.n_reads) or self.n_reads < 1:
-            raise ParameterError(f"n_reads must be an integer of at least 1, got {self.n_reads!r}")
+        check_count("n_reads", self.n_reads)
         if not is_integer(self.seed) or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -108,6 +108,7 @@ def fractional_restriction_model(
     n_vars: int, r: RationalLike, lam: RationalLike = 1
 ) -> QuboModel:
     """``lam * (sum(x) - R)**2`` with an arbitrary, possibly fractional, target R."""
+    check_count("n_vars", n_vars)
     check_expansion(n_vars, 1)  # before the list of weights is built
     return expand_squared_affine(
         [(i, 1) for i in range(n_vars)], -as_fraction(r), lam, n_total=n_vars)
@@ -322,8 +323,7 @@ def _transfer_curve(
     ``SizeLimitError`` before its first list.  The log-binomials are computed
     once, at the first point :func:`_admitted_multiplier` admits.
     """
-    if not is_integer(n_vars) or n_vars < 1:
-        raise ParameterError(f"n_vars must be an integer of at least 1, got {n_vars!r}")
+    check_count("n_vars", n_vars)
     if not is_integer(steps):
         raise ParameterError(f"steps must be an integer, got {steps!r}")
     if steps < 2:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from quborestrict import core, qubofile
+from quborestrict import cli, core, qubofile
 from quborestrict.cli import main, parse_args
 from quborestrict.core import (
     EncodedRestriction,
@@ -487,6 +487,30 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+PACKAGE_ERRORS = [core.ConstructionError, core.DataQualityError, core.DimensionError,
+                  core.EncodingNotApplicableError, core.ParameterError, core.QuboFileError,
+                  core.SizeLimitError]
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda error: error.__name__)
+def test_each_package_error_exits_2_with_one_line(capsys, monkeypatch, error):
+    def refuse(args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "cmd_verify", refuse)
+    argv = ["verify", "--qubo", "a.qubo", "--n", "3", "--allowed", "1"]
+    assert run_cli(capsys, *argv) == (2, "", "error: refused\n")
+
+
+def test_a_plain_value_error_keeps_its_traceback(monkeypatch):
+    def fail(args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    with pytest.raises(ValueError, match="^a bug$"):
+        main(["verify", "--qubo", "a.qubo", "--n", "3", "--allowed", "1"])
 
 
 METHOD_CHOICES = "'auto', 'single', 'onehot', 'linear', 'log', 'half2', 'halfchain', 'reduced'"

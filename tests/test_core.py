@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -233,6 +234,51 @@ def test_nonpositive_multiplier_refused(build, lam):
     # every layer reads a multiplier through as_multiplier, with one message
     with pytest.raises(ParameterError, match=f"^multiplier must be positive, got {lam}$"):
         build(lam)
+
+
+# what Fraction cannot read: a ValueError, ZeroDivisionError, OverflowError or TypeError there
+NOT_RATIONAL = ["x", "1/0", float("nan"), float("inf"), Decimal("Infinity"), None, [1]]
+
+
+@pytest.mark.parametrize("read", [
+    as_fraction,
+    lambda value: QuboModel(2, 2, {(0, 0): value}),
+    lambda value: QuboModel(2, 2, {}, value),
+    lambda value: expand_squared_affine([(0, value)], 0),
+    lambda value: expand_squared_affine([(0, 1)], value),
+    EncoderParams,
+    lambda value: EncodedRestriction(expand_squared_affine([(0, 1)], -1, 1),
+                                     EncodingKind.SINGLE_VALUE, value, F(1)),
+    lambda value: exact_transfer_curve(3, value, 2, 3),
+    lambda value: fractional_energy_ladder(3, value),
+], ids=["as_fraction", "coefficient", "offset", "weight", "constant", "params",
+        "residual", "r_from", "ladder"])
+@pytest.mark.parametrize("value", NOT_RATIONAL, ids=repr)
+def test_every_rational_input_refuses_what_is_not_rational(read, value):
+    with pytest.raises(ParameterError, match="not a rational number"):
+        read(value)
+
+
+@pytest.mark.parametrize("build", [fractional_energy_ladder, fractional_restriction_model],
+                         ids=["ladder", "model"])
+@pytest.mark.parametrize("n_vars", [True, 3.5, 0, -1], ids=repr)
+def test_frc_helpers_take_n_vars_by_the_sweep_rule(build, n_vars):
+    # the rule of exact_transfer_curve, checked before any list is built
+    with pytest.raises(ParameterError,
+                       match=f"^n_vars must be an integer of at least 1, got {n_vars!r}$"):
+        build(n_vars, 1)
+
+
+def test_every_exported_error_is_a_package_error():
+    import quborestrict
+
+    exported = [getattr(quborestrict, name) for name in quborestrict.__all__]
+    errors = [value for value in exported if isinstance(value, type)
+              and issubclass(value, Exception) and not issubclass(value, Warning)]
+    assert len(errors) == 7
+    assert all(issubclass(error, quborestrict.QuboRestrictError) for error in errors)
+    assert issubclass(core.QuboFileError, core.QuboRestrictError)
+    assert issubclass(core.QuboRestrictError, ValueError)
 
 
 class TestRecord:

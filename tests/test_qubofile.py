@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quborestrict import qubofile
-from quborestrict.core import RestrictionSpec
+from quborestrict.core import ParameterError, RestrictionSpec
 from quborestrict.encoders import (
     EncoderParams,
     applicable_encoders,
@@ -95,9 +95,18 @@ class TestTextRoundTrip:
             return
         assert dumps(parsed) == text
 
-    @pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
-    def test_collector_paused_while_parsing(self, monkeypatch, enabled):
-        text = dumps(encode_one_hot_general(RestrictionSpec(9, (2, 5, 9))))
+    @pytest.mark.parametrize("enabled, fmt", [
+        (True, "text"), (False, "text"), (True, "json"), (False, "json"),
+    ], ids=["collector on", "collector off", "json, collector on", "json, collector off"])
+    def test_collector_paused_while_parsing(self, monkeypatch, enabled, fmt):
+        # the last term spoiled with a fourth token
+        write, read, spoil, message = {
+            "text": (dumps, loads, lambda text: text[:-1] + " 7\n", "expected 'i j coefficient'"),
+            "json": (dumps_json, loads_json,
+                     lambda text: text.replace('"\n    ]\n  ]', '", "7"]]'),
+                     r"expected \[i, j, coefficient\]"),
+        }[fmt]
+        text = write(encode_one_hot_general(RestrictionSpec(9, (2, 5, 9))))
         read_terms, during = qubofile._read_terms, []
 
         def recorded(lines):
@@ -108,10 +117,10 @@ class TestTextRoundTrip:
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
-            assert dumps(loads(text)) == text
+            assert write(read(text)) == text
             assert gc.isenabled() is enabled
-            with pytest.raises(QuboFileError, match="expected 'i j coefficient'"):
-                loads(text[:-1] + " 7\n")  # the last term line has a fourth token
+            with pytest.raises(QuboFileError, match=message):
+                read(spoil(text))
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
@@ -163,6 +172,22 @@ class TestParseErrors:
     def test_inconsistent_dummy_count(self):
         with pytest.raises(QuboFileError, match="inconsistent"):
             loads(self.text.replace("n_dummies 2", "n_dummies 1"))
+
+    def test_only_package_errors_become_file_errors(self, monkeypatch):
+        # two denominators of about 9,000 bits each pass the 12,000-bit cap together
+        text = self.text.replace("offset 1", f"offset 1/{2 ** 9000}").replace(
+            "\n0 0 1\n", f"\n0 0 1/{3 ** 5700}\n")
+        with pytest.raises(QuboFileError, match=r"^inconsistent file contents: exact "
+                           r"coefficients need \d+ bits, more than the 12000-bit cap"):
+            loads(text)
+
+        def broken(*args, **kwargs):
+            raise ValueError("a bug, not a bad file")
+
+        monkeypatch.setattr(qubofile.QuboModel, "_scaled", broken)
+        with pytest.raises(ValueError, match="^a bug, not a bad file$") as caught:
+            loads(self.text)
+        assert type(caught.value) is ValueError
 
     def test_empty_input(self):
         with pytest.raises(QuboFileError):
@@ -303,5 +328,5 @@ class TestFileIO:
 
     def test_unknown_format(self, tmp_path):
         encoded = encode_one_hot_general(RestrictionSpec(4, (1, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="^unknown format 'yaml'$"):
             save(encoded, tmp_path / "x", fmt="yaml")
