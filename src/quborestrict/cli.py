@@ -41,7 +41,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Callable, NoReturn, Optional
 
-    from . import oracle, sampler
+    from . import core, oracle, sampler
 
 # --method name -> the encoders function it runs
 _METHODS = {
@@ -61,6 +61,16 @@ def _allowed_flag(text: str) -> tuple[int, ...]:
         return tuple(int(token) for token in text.split(","))
     except ValueError:
         raise ParameterError(f"not a comma-separated integer list: {text!r}") from None
+
+
+def _temperature_flag(text: str) -> core.RationalLike:
+    """The float of ``text``, or its exact rational where that float is 0 and the literal is not."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParameterError(f"invalid float value: {text!r}") from None
+    exact = as_fraction(text) if value == 0 else 0
+    return exact or value
 
 
 def _choice(*names: str) -> Callable[[str], str]:
@@ -221,7 +231,8 @@ COMMANDS = {
         ("--r-to", as_fraction, REQUIRED,
          "last target R; the range lies between two consecutive integers"),
         ("--steps", int, 11, "grid points from --r-from to --r-to"),
-        ("--temperature", float, 0.05, "Boltzmann temperature in the model's energy units"),
+        ("--temperature", _temperature_flag, 0.05,
+         "Boltzmann temperature in the model's energy units"),
         ("--reads", int, 10_000, "samples drawn at each grid point"),
         ("--seed", int, 0, "seed of the random draws, non-negative"),
         ("--lambda", as_fraction, 1, "Lagrange multiplier of the restriction"),

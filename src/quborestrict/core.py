@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from decimal import Decimal  # loaded by fractions already
 from enum import Enum
 from fractions import Fraction
 
@@ -66,15 +67,15 @@ class QuboFileError(QuboRestrictError):
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce a number to an exact Fraction.
 
-    Floats go through their shortest decimal repr, so 0.1 becomes 1/10
-    rather than the binary expansion of the float.  A string is refused
-    before any int is built when its digits and exponent could exceed
-    ``MAX_LITERAL_DIGITS``.  A bool is refused (True is no multiplier), and
-    so is what ``Fraction`` cannot read: ``"x"``, ``"1/0"``, NaN, inf, None.
+    A float is read through its shortest repr, so 0.1 becomes 1/10, not the
+    float's binary expansion, and a ``Decimal`` through its text.  A string
+    is refused before any int is built when its digits and exponent could
+    exceed ``MAX_LITERAL_DIGITS``.  A bool is refused (True is no multiplier),
+    and so is what ``Fraction`` cannot read: ``"x"``, ``"1/0"``, NaN, inf, None.
     """
     if isinstance(value, bool):
         raise ParameterError(f"expected a rational number, got {value!r}")
-    number = str(value) if isinstance(value, float) else value
+    number = str(value) if isinstance(value, (float, Decimal)) else value
     if isinstance(number, str):
         mantissa, _, exponent = number.lower().partition("e")
         digits = len(number)

@@ -15,7 +15,7 @@ law over the table's rows, never a per-assignment array.  A sweep knows its
 law in closed form: ``lam * (sum(x) - R)**2`` with R = p/q and lam = a/b
 has one row per sum s, of multiplicity C(n, s) and energy
 ``a * (s*q - p)**2`` at scale ``b * q**2``, so it builds no model and
-imports no ``oracle``: only the bit cap and :func:`curve_bytes`, what it
+imports no ``oracle``: only R's bit cap and :func:`curve_bytes`, what it
 holds, bound it.  Sweeps draw their reads with the standard library's
 ``random`` (one multinomial over the sums built from binomial draws), so a
 sweep never imports numpy; only :func:`boltzmann_probabilities`, the
@@ -282,7 +282,8 @@ def sweep_fractional_r(
     ``random.Random`` seeded with it, so the curve is identical regardless of
     evaluation order.  The reads are one multinomial draw over the n+1 sums
     of the exact sum distribution, at a cost per point that does not grow
-    with ``config.n_reads``.
+    with ``config.n_reads``.  The inputs are checked once, before any draw;
+    the bit cap holds each grid R, not the ints of a model, which is never built.
     """
     master = random.Random(config.seed)
 
@@ -320,8 +321,9 @@ def _transfer_curve(
     ``n_vars`` must be an int of at least 1 and ``steps`` an int of at least
     2, else ``ParameterError`` is raised before any other check.  A sweep
     whose ``curve_bytes`` exceed the physical memory raises
-    ``SizeLimitError`` before its first list.  The log-binomials are computed
-    once, at the first point :func:`_admitted_multiplier` admits.
+    ``SizeLimitError`` before its first list.  Then the multiplier, the bit
+    cap on each grid R's denominator (R leaves in the curve and in warnings)
+    and the temperature are each checked once, before the log-binomials.
     """
     check_count("n_vars", n_vars)
     if not is_integer(steps):
@@ -341,16 +343,17 @@ def _transfer_curve(
     # no grid value's numerator or denominator exceeds this
     bound = n_vars * r_from.denominator * r_to.denominator * (steps - 1)
     check_memory(f"a sweep of {steps} grid points", 0, curve_bytes, steps, n_vars + 1, bound)
+    lam = as_multiplier(lam)
+    a, b = lam.numerator, lam.denominator
     span = r_to - r_from
     grid = tuple(r_from + span * i / (steps - 1) for i in range(steps))
-    log_binomials: list[float] = []
+    for r in grid:
+        check_bits(r.denominator)
+    t = _check_temperature(temperature)
+    log_binomials = _log_binomials(n_vars)
 
     def law(r: Fraction) -> list[float]:
         """``exact_sum_distribution(fractional_restriction_model(n_vars, r, lam), temperature)``."""
-        a, b = _admitted_multiplier(n_vars, r, lam)
-        t = _check_temperature(temperature)
-        if not log_binomials:
-            log_binomials.extend(_log_binomials(n_vars))
         p, q = r.numerator, r.denominator
         ground, scale = a * min(p % q, q - p % q) ** 2, b * q * q  # ground at floor/ceil R
         logs = [log_binomials[s] + _exponent(a * (s * q - p) ** 2 - ground, scale, t)
@@ -363,23 +366,6 @@ def _transfer_curve(
     distance = _step_distance(grid, distributions, lower, upper, stacklevel=4)
     return TransferCurve(
         n_vars=n_vars, r_grid=grid, distributions=distributions, step_distance=distance)
-
-
-def _admitted_multiplier(n_vars: int, r: Fraction, lam: RationalLike) -> tuple[int, int]:
-    """``(a, b)`` of lam = a/b, once ``fractional_restriction_model(n_vars, r, lam)`` has its ints.
-
-    Raises the ``ParameterError`` that building that model raises, in its
-    order, in O(1): a multiplier not above 0, the bit cap on R's denominator,
-    and the bit cap on the model's ints after their common factor is divided
-    out.  Never the model's memory: the sweep does not build it.
-    """
-    lam = as_multiplier(lam)
-    a, b, p, q = lam.numerator, lam.denominator, r.numerator, r.denominator
-    check_bits(q)
-    # the model's scale, offset, diagonal and, from two bits on, coupling
-    ints = (b * q * q, a * p * p, a * q * (q - 2 * p), 2 * a * q * q if n_vars > 1 else 0)
-    check_bits(max(map(abs, ints)) // math.gcd(*ints))
-    return a, b
 
 
 def _log_binomials(n: int) -> list[float]:

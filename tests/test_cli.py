@@ -436,6 +436,17 @@ class TestSweep:
         assert float(rows[2][3]) == 1.0   # P2 at R=2
         assert float(rows[1][2]) + float(rows[1][3]) == pytest.approx(1.0)
 
+    def test_temperature_below_the_float_range_reads_as_the_least_float(self, capsys):
+        # float("1e-400") is 0.0: the flag passes the exact literal to the temperature rule
+        argv = ("sweep", "--n", 16, "--r-from", 3, "--r-to", 4, "--seed", 5, "--temperature")
+        least = run_cli(capsys, *argv, "5e-324")
+        assert least[0] == 0
+        assert run_cli(capsys, *argv, "1e-400") == least
+        for temperature in ("0", "-1e-400", "nan"):
+            code, out, err = run_cli(capsys, *argv, temperature)
+            assert (code, out) == (2, "") and err.count("\n") == 1
+            assert err.startswith("error: temperature must be positive, got ")
+
     def test_single_step_is_a_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--n", 5, "--r-from", 1, "--r-to", 2, "--steps", 1)

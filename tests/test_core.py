@@ -349,6 +349,13 @@ def test_as_fraction_reads_decimal_floats_exactly():
     assert as_fraction("0.5") == F(1, 2)
     assert as_fraction("1/3") == F(1, 3)
     assert as_fraction(7) == F(7)
+    assert as_fraction(Decimal("1.50")) == F(3, 2)
+
+
+def test_as_fraction_caps_the_digits_of_a_decimal():
+    # read through its text, before Fraction builds an int of ten million digits
+    with pytest.raises(ParameterError, match="more than 3000 digits"):
+        as_fraction(Decimal("1e10000000"))
 
 
 @pytest.mark.parametrize("weights, constant, lam", [

@@ -250,20 +250,21 @@ class TestClosedFormLaw:
                     assert curve.distributions == reference_curve(
                         n, r_from, r_to, steps, lam, temperature), (n, r_from)
 
-    @pytest.mark.parametrize("n_vars, r_from, r_to, lam", [
-        # the model's scale b*q**2 passes the bit cap
-        (4, F(10**1400 + 1, 10**1400), 2, F(1, 10**1000)),
-        # R's denominator alone passes it
-        (4, 1 + F(1, 2**12001), 2, 1),
-        # the first point passes, the second's denominator 2*10**1400 does not
-        (4, 1, 1 + F(1, 10**1400), F(1, 10**1000)),
-        (5, 1, 2, 0),
-        (5, 1, 2, F(-3, 2)),
-    ], ids=["scale-bits", "denominator-bits", "later-point", "lambda-0", "lambda-negative"])
-    @pytest.mark.parametrize("temperature", [0.05, 0])
-    def test_refuses_what_building_the_model_refuses(self, n_vars, r_from, r_to, lam,
-                                                     temperature):
-        # a bad temperature comes second, as it does after the model is built
+    @pytest.mark.parametrize("temperature, n_vars, r_from, r_to, lam", [
+        # R's denominator passes the bit cap
+        (0.05, 4, 1 + F(1, 2**12001), 2, 1),
+        (0, 4, 1 + F(1, 2**12001), 2, 1),
+        (0.05, 5, 1, 2, 0),
+        (0, 5, 1, 2, 0),
+        (0.05, 5, 1, 2, F(-3, 2)),
+        (0, 5, 1, 2, F(-3, 2)),
+        # the first point's model is built, and its bad temperature is refused
+        (0, 4, 1, 1 + F(1, 10**1400), F(1, 10**1000)),
+    ], ids=["0.05-denominator-bits", "0-denominator-bits", "0.05-lambda-0", "0-lambda-0",
+            "0.05-lambda-negative", "0-lambda-negative", "0-later-point"])
+    def test_refuses_what_building_the_model_refuses(self, temperature, n_vars, r_from, r_to,
+                                                     lam):
+        # a bad temperature is refused after the multiplier and R, as a built model's law refuses it
         expected = outcome(reference_curve, n_vars, r_from, r_to, 3, lam, temperature)
         assert expected[0] is ParameterError
         assert outcome(exact_transfer_curve, n_vars, r_from, r_to, 3, lam,
@@ -273,26 +274,44 @@ class TestClosedFormLaw:
             assert outcome(sweep_fractional_r, n_vars, r_from, r_to, 3, lam,
                            config) == expected
 
-    @pytest.mark.parametrize("lam, refused", [(2**11998, False), (2**11999, True)])
-    def test_admits_what_building_the_model_admits_at_the_bit_cap(self, lam, refused):
-        # at R = 1/2 the coupling 8*lam passes the cap only once the common
-        # factor 4 of the model's ints is divided out
-        expected = outcome(reference_curve, 2, 0, 1, 3, lam, 1.0)
-        assert (expected[0] is ParameterError) is refused
-        assert outcome(lambda *args: exact_transfer_curve(*args).distributions,
-                       2, 0, 1, 3, lam, 1.0) == expected
+    @pytest.mark.parametrize("n_vars, r_from, r_to, lam, unit_temperature", [
+        # the model's scale b*q**2 passes the bit cap
+        (4, F(10**1400 + 1, 10**1400), 2, F(1, 10**1000), math.inf),
+        # the first point's scale does not pass it; the second's, at denominator 2*10**1400, does
+        (4, 1, 1 + F(1, 10**1400), F(1, 10**1000), math.inf),
+        # at R = 1/2 the coupling 8*lam passes it after the common factor 4 is divided out
+        (2, 0, 1, 2**11999, 5e-324),
+        (40, 13, 14, 10**3700, 5e-324),
+    ], ids=["scale-bits", "later-point", "2**11999", "1e3700"])
+    def test_answers_where_only_the_model_passes_the_bit_cap(self, n_vars, r_from, r_to, lam,
+                                                             unit_temperature):
+        # the sweep builds no model, so the cap on the model's ints is not its rule
+        refused = outcome(reference_curve, n_vars, r_from, r_to, 3, lam, 0.05)
+        assert refused[0] is ParameterError and refused[1].startswith("exact coefficients need")
+        # a multiplier of 1/10**1000 weighs every sum as T = inf does, a huge one as T = 5e-324
+        expected = reference_curve(n_vars, r_from, r_to, 3, 1, unit_temperature)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StrayMassWarning)
+            assert exact_transfer_curve(n_vars, r_from, r_to, 3, lam, 0.05).distributions == (
+                expected)
+        assert outcome(exact_transfer_curve, n_vars, r_from, r_to, 3, lam, 0) == (
+            ParameterError, "temperature must be positive, got 0")
 
-    # the model of the last multiplier also passes the bit cap, which a sweep still checks
-    @pytest.mark.parametrize("lam", [1, 10**100, 10**3700], ids=["1", "1e100", "1e3700"])
+    @pytest.mark.parametrize("lam", [2**11998])
+    def test_admits_what_building_the_model_admits_at_the_bit_cap(self, lam):
+        # at R = 1/2 the coupling 8*lam is within the cap once the common
+        # factor 4 of the model's ints is divided out
+        expected = reference_curve(2, 0, 1, 3, lam, 1.0)
+        assert exact_transfer_curve(2, 0, 1, 3, lam, 1.0).distributions == expected
+
+    @pytest.mark.parametrize("lam", [1, 10**100], ids=["1", "1e100"])
     def test_answers_as_the_model_with_room_to_build_it(self, monkeypatch, lam):
-        expected = outcome(reference_curve, 40, 13, 14, 3, lam, 0.05)
-        assert (expected[0] is ParameterError) is (lam == 10**3700)
+        expected = reference_curve(40, 13, 14, 3, lam, 0.05)
         # room for 40 unit weights, not for weights of a hundred digits
         monkeypatch.setattr(core, "_physical_memory", lambda: core.expansion_bytes(40, 1))
         refused = outcome(reference_curve, 40, 13, 14, 3, lam, 0.05)
         assert (refused[0] is SizeLimitError) is (lam != 1)
-        assert outcome(lambda *args: exact_transfer_curve(*args).distributions,
-                       40, 13, 14, 3, lam, 0.05) == expected
+        assert exact_transfer_curve(40, 13, 14, 3, lam, 0.05).distributions == expected
 
     def test_admits_a_sweep_whose_model_exceeds_the_memory(self, monkeypatch):
         monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 2**30)
@@ -323,23 +342,26 @@ class TestClosedFormLaw:
 class TestCurveBytes:
     """``curve_bytes`` is the only memory gate of a sweep, so it must bound what one holds."""
 
-    @pytest.mark.parametrize("n_vars, steps, lam", [
-        (16, 2, 1), (1000, 2, 1), (20_000, 2, 1), (20_000, 11, 1), (5, 200, 1),
-        (1000, 2, 10**400),
-    ], ids=["16x2", "1000x2", "20000x2", "20000x11", "5x200", "1000x2-1e400"])
-    def test_bounds_the_traced_peak_of_a_sweep_and_its_csv(self, n_vars, steps, lam):
+    @pytest.mark.parametrize("n_vars, r_from, steps, lam", [
+        (16, 8, 2, 1), (1000, 500, 2, 1), (20_000, 10_000, 2, 1), (20_000, 10_000, 11, 1),
+        (5, 2, 200, 1), (1000, 500, 2, 10**400),
+        # R = 1 + 1/10**1400 and lam = 1/10**1000: the ints of its model pass the bit cap
+        (4, 1 + F(1, 10**1400), 3, F(1, 10**1000)),
+    ], ids=["16x2", "1000x2", "20000x2", "20000x11", "5x200", "1000x2-1e400", "4x3-1e-1000"])
+    def test_bounds_the_traced_peak_of_a_sweep_and_its_csv(self, n_vars, r_from, steps, lam):
         # a hot, many-read sweep: long CSV cells and counts beyond the cached small ints
         config = SamplerConfig(temperature=1e9, n_reads=10**6, seed=3)
-        r = n_vars // 2
+        r_to = math.floor(r_from) + 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StrayMassWarning)
             tracemalloc.start()
             try:
-                cli._render_csv(sweep_fractional_r(n_vars, r, r + 1, steps, lam, config))
+                cli._render_csv(sweep_fractional_r(n_vars, r_from, r_to, steps, lam, config))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= curve_bytes(steps, n_vars + 1, n_vars * (steps - 1))
+        bound = n_vars * F(r_from).denominator * (steps - 1)  # as the sweep bounds its grid
+        assert peak <= curve_bytes(steps, n_vars + 1, bound)
 
 
 class TestSweep:
