@@ -34,6 +34,7 @@ from .core import (
     RestrictionSpec,
     as_fraction,
     as_printable,
+    check_count,
     check_memory,
 )
 
@@ -179,8 +180,7 @@ def render_dummy_table(max_m: int) -> str:
     """Dummy-count comparison of the chain and binary-weighted encodings."""
     from . import encoders
 
-    if max_m < 2:
-        raise ParameterError(f"--max-m must be at least 2, got {max_m}")
+    check_count("--max-m", max_m, 2)
     check_memory(f"a table of {max_m - 1} columns", 0, dummy_table_bytes, max_m - 1)
     ms = list(range(2, max_m + 1))
     rows = [

@@ -144,10 +144,10 @@ def is_integer(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_count(name: str, value: object) -> None:
-    """Refuse a count ``name``, such as ``n_vars``, that is not an int of at least 1."""
-    if not is_integer(value) or value < 1:
-        raise ParameterError(f"{name} must be an integer of at least 1, got {value!r}")
+def check_count(name: str, value: object, least: int = 1) -> None:
+    """Refuse a count ``name``, such as ``n_vars``, that is not an int of at least ``least``."""
+    if not is_integer(value) or value < least:
+        raise ParameterError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def as_printable(text: str) -> str:
@@ -161,7 +161,8 @@ def record(cls: type) -> type:
     The annotations name the fields; a class attribute is a default.  Unless
     the class has its own, ``__init__`` takes the fields by position or
     keyword and calls ``__post_init__``.  Records of one class with equal
-    fields are equal and hash alike; they print as ``Name(field=value, ...)``.
+    fields are equal, and hash alike if every field hashes (a dict field, as
+    in ``QuboModel``, does not); they print as ``Name(field=value, ...)``.
     """
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
@@ -297,14 +298,15 @@ class QuboModel:
 
     def _fill(self, n_total: int, n_problem: int, scale: int,
               int_coeffs: dict[tuple[int, int], int], int_offset: int, check: bool) -> None:
-        if n_total < 0:
-            raise ConstructionError("n_total must be non-negative")
-        if not 0 <= n_problem <= n_total:
-            raise ConstructionError(f"n_problem={n_problem} must lie in [0, n_total={n_total}]")
+        if not is_integer(n_total) or n_total < 0:
+            raise ConstructionError(f"n_total must be an integer of at least 0, got {n_total!r}")
+        if not (is_integer(n_problem) and 0 <= n_problem <= n_total):
+            raise ConstructionError(
+                f"n_problem must be an integer in [0, n_total={n_total}], got {n_problem!r}")
         if check:
             for key in int_coeffs:
                 i, j = key
-                if not (isinstance(i, int) and isinstance(j, int) and 0 <= i <= j < n_total):
+                if not (is_integer(i) and is_integer(j) and 0 <= i <= j < n_total):
                     raise ConstructionError(
                         f"coefficient key {key!r} is not an ordered in-range pair")
             int_coeffs = {key: int_coeffs[key] for key in sorted(int_coeffs) if int_coeffs[key]}
@@ -425,19 +427,17 @@ def expand_squared_affine(
     c and the a_i, the model is built in ints at scale ``den(lam) * L**2``.
     """
     lam, c = as_multiplier(lam), as_fraction(constant)
-    pairs = [(int(i), as_fraction(a)) for i, a in terms]
+    pairs = [(i, as_fraction(a)) for i, a in terms]
     indices = [i for i, _ in pairs]
+    for i in indices:
+        if not is_integer(i) or i < 0:
+            raise ConstructionError(f"variable index must be an integer of at least 0, got {i!r}")
     if len(set(indices)) != len(indices):
         raise ConstructionError("duplicate variable index in affine form")
-    if indices and min(indices) < 0:
-        raise ConstructionError("variable indices must be non-negative")
     if n_total is None:
         n_total = max(indices) + 1 if indices else 0
     if n_problem is None:
         n_problem = n_total
-    if indices and max(indices) >= n_total:
-        raise ConstructionError(f"variable index {max(indices)} is out of range "
-                                f"for n_total={n_total}")
 
     common = common_denominator([c.denominator, *(a.denominator for _, a in pairs)])
     c = c.numerator * (common // c.denominator)
@@ -454,8 +454,13 @@ def expand_squared_affine(
         pair = 2 * lam.numerator * a
         for j, b in weights[k + 1:]:
             coeffs[(i, j)] = pair * b
-    return QuboModel._scaled(n_total, n_problem, lam.denominator * common * common, coeffs,
-                             lam.numerator * c * c)
+    # the model checks n_total before an index is compared with it
+    model = QuboModel._scaled(n_total, n_problem, lam.denominator * common * common, coeffs,
+                              lam.numerator * c * c)
+    if indices and max(indices) >= n_total:
+        raise ConstructionError(f"variable index {max(indices)} is out of range "
+                                f"for n_total={n_total}")
+    return model
 
 
 def combine(*models: QuboModel) -> QuboModel:

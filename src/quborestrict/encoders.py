@@ -15,9 +15,9 @@ from .core import (
     EncodedRestriction,
     EncodingKind,
     EncodingNotApplicableError,
-    ParameterError,
     RestrictionSpec,
     as_multiplier,
+    check_count,
     check_expansion,
     combine,
     expand_squared_affine,
@@ -189,13 +189,11 @@ def select_optimal(
 
 def chain_dummy_count(m: int) -> int:
     """Dummies used by the half-integer chain on a consecutive run of m values."""
-    if m < 2:
-        raise ParameterError("chain encoding is defined for m >= 2")
+    check_count("m", m, 2)
     return m - 2
 
 
 def log_dummy_count(m: int) -> int:
     """Dummies used by the binary-weighted encoder on m equispaced values."""
-    if m < 2:
-        raise ParameterError("binary-weighted encoding is defined for m >= 2")
+    check_count("m", m, 2)
     return len(_log_weights(m, 1))

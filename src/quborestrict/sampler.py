@@ -84,8 +84,7 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "temperature", _check_temperature(self.temperature))
         check_count("n_reads", self.n_reads)
-        if not is_integer(self.seed) or self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_count("seed", self.seed, 0)
 
 
 @record
@@ -326,10 +325,7 @@ def _transfer_curve(
     and the temperature are each checked once, before the log-binomials.
     """
     check_count("n_vars", n_vars)
-    if not is_integer(steps):
-        raise ParameterError(f"steps must be an integer, got {steps!r}")
-    if steps < 2:
-        raise ParameterError(f"a sweep needs at least 2 grid points, got {steps}")
+    check_count("steps", steps, 2)
     r_from, r_to = as_fraction(r_from), as_fraction(r_to)
     if not r_from < r_to:
         raise ParameterError(f"sweep range must be increasing, got [{r_from}, {r_to}]")
@@ -411,9 +407,9 @@ def _step_distance(
 ) -> float:
     """:func:`step_distance` over a grid; ``stacklevel`` points a warning past the package."""
     n_sums = len(distributions[0])
-    if not (0 <= lower_s < n_sums and 0 <= upper_s < n_sums and lower_s != upper_s):
-        raise ParameterError(
-            f"transfer sums ({lower_s}, {upper_s}) must be distinct values in [0, {n_sums - 1}]")
+    if not all(is_integer(s) and 0 <= s < n_sums for s in (lower_s, upper_s)) or lower_s == upper_s:
+        raise ParameterError(f"transfer sums ({lower_s!r}, {upper_s!r}) must be distinct "
+                             f"integers in [0, {n_sums - 1}]")
     midpoint = Fraction(lower_s + upper_s, 2)
     deviations = []
     worst_stray = 0.0

@@ -225,6 +225,18 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_file_the_model_refuses_is_one_line(self, capsys, tmp_path):
+        good = tmp_path / "good.qubo"
+        spec = ("--n", 5, "--allowed", "1,2,3")
+        run_cli(capsys, "encode", *spec, "--out", good)
+        bad = tmp_path / "bad.qubo"
+        bad.write_text(good.read_text().replace(
+            "n_total 6\nn_problem 5\nn_dummies 1\n", "n_total -1\nn_problem -1\nn_dummies 0\n"))
+        code, out, err = run_cli(capsys, "verify", "--qubo", bad, *spec)
+        assert (code, out) == (2, "")
+        assert err == ("error: inconsistent file contents: "
+                       "n_total must be an integer of at least 0, got -1\n")
+
     def test_multipliers_are_encode_flags_only(self, capsys, tmp_path):
         good = tmp_path / "good.qubo"
         run_cli(capsys, "encode", "--n", 5, "--allowed", "1,2", "--out", good)
@@ -448,10 +460,10 @@ class TestSweep:
             assert err.startswith("error: temperature must be positive, got ")
 
     def test_single_step_is_a_usage_error(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "sweep", "--n", 5, "--r-from", 1, "--r-to", 2, "--steps", 1)
-        assert code == 2
-        assert "grid points" in err
+        assert (code, out) == (2, "")
+        assert err == "error: steps must be an integer of at least 2, got 1\n"
 
     def test_negative_seed_is_a_usage_error(self, capsys):
         code, out, err = run_cli(

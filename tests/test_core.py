@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction as F
@@ -25,9 +26,21 @@ from quborestrict.core import (
     combine,
     expand_squared_affine,
 )
-from quborestrict.encoders import EncoderParams, encode_one_hot_general, encode_single_value
+from quborestrict.cli import render_dummy_table
+from quborestrict.encoders import (
+    EncoderParams,
+    chain_dummy_count,
+    encode_one_hot_general,
+    encode_single_value,
+    log_dummy_count,
+)
 from quborestrict.oracle import fractional_energy_ladder
-from quborestrict.sampler import exact_transfer_curve, fractional_restriction_model
+from quborestrict.sampler import (
+    SamplerConfig,
+    exact_transfer_curve,
+    fractional_restriction_model,
+    step_distance,
+)
 
 
 def affine_square(terms, constant, lam, assignment):
@@ -137,6 +150,9 @@ class TestExpandSquaredAffine:
     def test_duplicate_index_rejected(self):
         with pytest.raises(ConstructionError):
             expand_squared_affine([(0, 1), (0, 2)], 0)
+        with pytest.raises(ConstructionError,
+                           match="^variable index 2 is out of range for n_total=2$"):
+            expand_squared_affine([(0, 1), (2, 0)], 0, n_total=2)
 
     def test_single_value_restriction_energies(self):
         # (sum(x) - 2)^2 over four variables
@@ -205,6 +221,8 @@ class TestCombine:
     def test_mismatched_spaces_rejected(self):
         with pytest.raises(DimensionError):
             combine(QuboModel(2, 2, {}), QuboModel(3, 2, {}))
+        with pytest.raises(ConstructionError, match="^combine needs at least one model$"):
+            combine()
 
 
 class TestEncodedRestriction:
@@ -256,6 +274,59 @@ NOT_RATIONAL = ["x", "1/0", float("nan"), float("inf"), Decimal("Infinity"), Non
 @pytest.mark.parametrize("value", NOT_RATIONAL, ids=repr)
 def test_every_rational_input_refuses_what_is_not_rational(read, value):
     with pytest.raises(ParameterError, match="not a rational number"):
+        read(value)
+
+
+# each integer input: how to pass it, the error, its one-line refusal, a value below its floor
+INTEGER_INPUTS = {
+    "sweep n_vars": (lambda v: exact_transfer_curve(v, 1, 2, 3), ParameterError,
+                     "n_vars must be an integer of at least 1, got {!r}", 0),
+    "sweep steps": (lambda v: exact_transfer_curve(3, 1, 2, v), ParameterError,
+                    "steps must be an integer of at least 2, got {!r}", 1),
+    "n_reads": (lambda v: SamplerConfig(1.0, v), ParameterError,
+                "n_reads must be an integer of at least 1, got {!r}", 0),
+    "seed": (lambda v: SamplerConfig(1.0, 10, v), ParameterError,
+             "seed must be an integer of at least 0, got {!r}", -1),
+    "ladder n_vars": (lambda v: fractional_energy_ladder(v, 1), ParameterError,
+                      "n_vars must be an integer of at least 1, got {!r}", 0),
+    "model n_vars": (lambda v: fractional_restriction_model(v, 1), ParameterError,
+                     "n_vars must be an integer of at least 1, got {!r}", 0),
+    "chain m": (chain_dummy_count, ParameterError,
+                "m must be an integer of at least 2, got {!r}", 1),
+    "log m": (log_dummy_count, ParameterError,
+              "m must be an integer of at least 2, got {!r}", 1),
+    "max_m": (render_dummy_table, ParameterError,
+              "--max-m must be an integer of at least 2, got {!r}", 1),
+    "n_total": (lambda v: QuboModel(v, 0, {}), ConstructionError,
+                "n_total must be an integer of at least 0, got {!r}", -1),
+    "n_problem": (lambda v: QuboModel(2, v, {}), ConstructionError,
+                  "n_problem must be an integer in [0, n_total=2], got {!r}", -1),
+    "key": (lambda v: QuboModel(2, 2, {(v, 1): 1}), ConstructionError,
+            "coefficient key ({!r}, 1) is not an ordered in-range pair", -1),
+    "index": (lambda v: expand_squared_affine([(0, 1), (v, 1)], -1), ConstructionError,
+              "variable index must be an integer of at least 0, got {!r}", -1),
+    "expand n_total": (lambda v: expand_squared_affine([(0, 1)], -1, n_total=v),
+                       ConstructionError,
+                       "n_total must be an integer of at least 0, got {!r}", -1),
+    "expand n_problem": (lambda v: expand_squared_affine([(0, 1)], -1, n_total=2, n_problem=v),
+                         ConstructionError,
+                         "n_problem must be an integer in [0, n_total=2], got {!r}", -1),
+    "lower sum": (lambda v: step_distance(exact_transfer_curve(3, 1, 2, 3), v, 2), ParameterError,
+                  "transfer sums ({!r}, 2) must be distinct integers in [0, 3]", -1),
+    "upper sum": (lambda v: step_distance(exact_transfer_curve(3, 1, 2, 3), 1, v), ParameterError,
+                  "transfer sums (1, {!r}) must be distinct integers in [0, 3]", -1),
+}
+
+
+@pytest.mark.parametrize("read, error, message, value", [
+    pytest.param(read, error, message, value, id=f"{name}-{value!r}")
+    for name, (read, error, message, below) in INTEGER_INPUTS.items()
+    for value in (True, 2.5, "3", F(3), None, below)
+    # None asks expand_squared_affine to size the model from its indices
+    if not (value is None and name.startswith("expand"))
+])
+def test_every_integer_input_refuses_what_is_not_an_integer(read, error, message, value):
+    with pytest.raises(error, match=f"^{re.escape(message.format(value))}$"):
         read(value)
 
 

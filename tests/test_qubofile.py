@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quborestrict import qubofile
-from quborestrict.core import ParameterError, RestrictionSpec
+from quborestrict.core import ConstructionError, ParameterError, QuboModel, RestrictionSpec
 from quborestrict.encoders import (
     EncoderParams,
     applicable_encoders,
@@ -227,6 +227,10 @@ class TestParseErrors:
         ("\n0 1 2\n0 2 2\n", "\n0 1 2\n0 1 2\n"),
         ("\n0 5 -6\n", "\n5 0 -6\n"),
         ("\n0 0 1\n", "\n-1 0 1\n"),
+        # values each record refuses, not the reader
+        ("n_total 6\nn_problem 4\nn_dummies 2\n", "n_total -1\nn_problem -1\nn_dummies 0\n"),
+        ("n_total 6\nn_problem 4\nn_dummies 2\n", "n_total 2\nn_problem 3\nn_dummies -1\n"),
+        ("residual_energy 0", "residual_energy -1"),
         # the header keys come once each, in the order dumps writes them
         ("n_total 6\nn_problem 4\n", "n_problem 4\nn_total 6\n"),
         ("kind one_hot_general\nn_total 6\n", "n_total 6\nkind one_hot_general\n"),
@@ -260,6 +264,13 @@ class TestParseErrors:
         with pytest.raises(QuboFileError, match=r"key \(5, 6\) is not an ordered in-range pair"):
             loads(self.text.replace("terms 20", "terms 21") + "5 6 1\n")
 
+    def test_a_bool_key_cannot_reach_a_file(self):
+        # (True, True) once passed the key check, and dumps wrote "True True 1", which
+        # loads refuses
+        with pytest.raises(ConstructionError, match=r"^coefficient key \(True, True\) is not "
+                           r"an ordered in-range pair$"):
+            QuboModel(2, 2, {(True, True): 1})
+
     def test_huge_distinct_denominators_are_refused(self):
         # each literal is short enough, their common denominator is not
         first, second = 10**1990 + 1, 10**1990 + 3
@@ -288,6 +299,13 @@ class TestJsonMirror:
         (lambda p: p.update(n_problem=True), "header n_problem: bad integer True"),
         (lambda p: p.update(n_dummies=2.2), "header n_dummies: bad integer 2.2"),
         (lambda p: p.update(n_dummies=1), "inconsistent"),
+        # values each record refuses, not the reader
+        (lambda p: p.update(n_total=-1, n_problem=-1, n_dummies=0),
+         r"^inconsistent file contents: n_total must be an integer of at least 0, got -1$"),
+        (lambda p: p.update(n_total=2, n_problem=3, n_dummies=-1),
+         r"^inconsistent file contents: n_problem must be an integer in \[0, n_total=2\], got 3$"),
+        (lambda p: p.update(residual_energy="-1"),
+         "^inconsistent file contents: residual_energy must be non-negative$"),
         (lambda p: p["terms"][0].__setitem__(0, 0.9), "terms entry 0: bad integer 0.9"),
         (lambda p: p["terms"][2].__setitem__(1, float("inf")), "terms entry 2: bad integer inf"),
         (lambda p: p.update(comment="x"), "unknown header keys: comment"),

@@ -407,8 +407,8 @@ class TestSweep:
         (2.5, 3, "n_vars must be an integer of at least 1, got 2.5"),
         (0, 3, "n_vars must be an integer of at least 1, got 0"),
         (-3, 3, "n_vars must be an integer of at least 1, got -3"),
-        (3, True, "steps must be an integer, got True"),
-        (3, 3.0, "steps must be an integer, got 3.0"),
+        (3, True, "steps must be an integer of at least 2, got True"),
+        (3, 3.0, "steps must be an integer of at least 2, got 3.0"),
     ])
     def test_sweep_size_is_checked_first(self, n_vars, steps, message):
         # before the range, which is bad here too
