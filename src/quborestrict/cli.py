@@ -159,7 +159,7 @@ def cmd_sweep(args: SimpleNamespace) -> int:
         print(f"warning: {warning.message}", file=sys.stderr)
     text = _render_csv(curve)
     if args.out is not None:
-        with open(args.out, "w") as out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as out:
             out.write(text)
         print(f"step_distance={curve.step_distance:.6g}")
     else:
@@ -181,7 +181,7 @@ def render_dummy_table(max_m: int) -> str:
     from . import encoders
 
     check_count("--max-m", max_m, 2)
-    check_memory(f"a table of {max_m - 1} columns", 0, dummy_table_bytes, max_m - 1)
+    check_memory(f"a table of {max_m - 1} columns", dummy_table_bytes(max_m - 1))
     ms = list(range(2, max_m + 1))
     rows = [
         ("M", ms),

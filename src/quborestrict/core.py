@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections.abc import Mapping  # loaded by fractions already
 from decimal import Decimal  # loaded by fractions already
 from enum import Enum
 from fractions import Fraction
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+    from typing import Iterable, Optional, Sequence, Union
 
     RationalLike = Union[Fraction, int, str, float]
 
@@ -124,17 +125,15 @@ def _physical_memory() -> Optional[int]:
         return None
 
 
-def check_memory(what: str, exponent: int, estimate: Callable[..., int], *args: int) -> None:
-    """Refuse ``what`` when its ``estimate(*args)`` peak bytes exceed the physical memory.
+def check_memory(what: str, estimate: int) -> None:
+    """Refuse ``what`` when its ``estimate`` of peak bytes exceeds the physical memory.
 
-    The work holds at least ``2**exponent`` entries of a byte or more, so an
-    exponent at or past the memory's bit length is refused before the
-    estimate makes any shift.  Where the platform cannot say how much
-    memory it has, the limit is what can be addressed, ``sys.maxsize``.
+    Where the platform cannot say how much memory it has, the limit is what
+    can be addressed, ``sys.maxsize``.
     """
     available = _physical_memory()
     limit = sys.maxsize if available is None else available
-    if exponent >= limit.bit_length() or estimate(*args) > limit:
+    if estimate > limit:
         where = "the physical memory" if available is not None else "can be addressed"
         raise SizeLimitError(f"{what} needs more than {where}")
 
@@ -148,6 +147,18 @@ def check_count(name: str, value: object, least: int = 1) -> None:
     """Refuse a count ``name``, such as ``n_vars``, that is not an int of at least ``least``."""
     if not is_integer(value) or value < least:
         raise ParameterError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def as_tuple(name: str, value: object, length: Optional[int] = None) -> tuple:
+    """The items of an iterable ``name`` as a tuple, of ``length`` items if one is given."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = None
+    if items is None or length is not None and len(items) != length:
+        of = "" if length is None else f" of {length} items"
+        raise ConstructionError(f"{name} must be an iterable{of}, got {value!r}")
+    return items
 
 
 def as_printable(text: str) -> str:
@@ -211,7 +222,7 @@ class RestrictionSpec:
     allowed: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(self.allowed)
+        values = as_tuple("allowed", self.allowed)
         if not all(is_integer(v) for v in (self.n_vars, *values)):
             raise ConstructionError(f"n_vars must be an integer and allowed a list of integers, "
                                     f"got {self.n_vars!r} and {values!r}")
@@ -274,6 +285,8 @@ class QuboModel:
     def __init__(self, n_total: int, n_problem: int,
                  coeffs: Mapping[tuple[int, int], RationalLike],
                  offset: RationalLike = 0) -> None:
+        if not isinstance(coeffs, Mapping):
+            raise ConstructionError(f"coeffs must be a mapping of key to rational, got {coeffs!r}")
         ratios = {key: as_fraction(q) for key, q in coeffs.items()}
         offset = as_fraction(offset)
         scale = common_denominator([offset.denominator, *(q.denominator for q in ratios.values())])
@@ -304,9 +317,9 @@ class QuboModel:
             raise ConstructionError(
                 f"n_problem must be an integer in [0, n_total={n_total}], got {n_problem!r}")
         if check:
-            for key in int_coeffs:
-                i, j = key
-                if not (is_integer(i) and is_integer(j) and 0 <= i <= j < n_total):
+            for key in int_coeffs:  # stored as given, so only a tuple is looked up alike
+                if not (isinstance(key, tuple) and len(key) == 2 and all(map(is_integer, key))
+                        and 0 <= key[0] <= key[1] < n_total):
                     raise ConstructionError(
                         f"coefficient key {key!r} is not an ordered in-range pair")
             int_coeffs = {key: int_coeffs[key] for key in sorted(int_coeffs) if int_coeffs[key]}
@@ -337,6 +350,7 @@ class QuboModel:
 
     def energy(self, assignment: Sequence[int]) -> Fraction:
         """Exact energy ``sum(Q_ij * x_i * x_j) + offset`` of a bit vector."""
+        assignment = as_tuple("assignment", assignment)
         if len(assignment) != self.n_total:
             raise DimensionError(
                 f"assignment has {len(assignment)} bits, model has {self.n_total}")
@@ -377,6 +391,10 @@ class EncodedRestriction:
     lambda2: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.model, QuboModel):
+            raise ConstructionError(f"model must be a QuboModel, got {self.model!r}")
+        if not isinstance(self.kind, EncodingKind):
+            raise ConstructionError(f"kind must be an EncodingKind, got {self.kind!r}")
         object.__setattr__(self, "residual_energy", as_fraction(self.residual_energy))
         object.__setattr__(self, "lambda1", as_multiplier(self.lambda1))
         if self.lambda2 is not None:
@@ -406,8 +424,8 @@ def expansion_bytes(n_weights: int, bound: int) -> int:
 def check_expansion(n_weights: int, bound: int) -> None:
     """Refuse a square of ``n_weights`` nonzero weights up to ``bound`` beyond the memory."""
     n_terms = n_weights * (n_weights + 1) // 2
-    check_memory(f"expanding a square of {n_weights} weights into {n_terms} terms", 0,
-                 expansion_bytes, n_weights, bound)
+    check_memory(f"expanding a square of {n_weights} weights into {n_terms} terms",
+                 expansion_bytes(n_weights, bound))
 
 
 def expand_squared_affine(
@@ -427,7 +445,8 @@ def expand_squared_affine(
     c and the a_i, the model is built in ints at scale ``den(lam) * L**2``.
     """
     lam, c = as_multiplier(lam), as_fraction(constant)
-    pairs = [(i, as_fraction(a)) for i, a in terms]
+    pairs = [(i, as_fraction(a)) for i, a in (as_tuple("term", term, 2)
+                                              for term in as_tuple("terms", terms))]
     indices = [i for i, _ in pairs]
     for i in indices:
         if not is_integer(i) or i < 0:

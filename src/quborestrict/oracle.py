@@ -119,8 +119,8 @@ def twin_table(
     n, d = model.n_problem, model.n_dummies
     coeffs, bound = model.int_coeffs, _energy_bound(model)
     # no partition has fewer rows, or fewer entries, than one class of each kind
-    check_memory(f"a twin-class table of {n + 1} rows of {d + 1} energies", 0,
-                 table_bytes, n + 1, d + 1, 0, n, d, bound)
+    check_memory(f"a twin-class table of {n + 1} rows of {d + 1} energies",
+                 table_bytes(n + 1, d + 1, 0, n, d, bound))
     # propose bits of one kind with equal diagonals as classes, then the twin classes
     keys: list = [coeffs.get((i, i), 0) for i in range(n + d)]
     for proposal in range(2):
@@ -159,8 +159,8 @@ def twin_table(
             return None
         n_classes = len(problem) + len(dummy)  # a merge only shrinks the entries
         check_memory(f"a twin-class table over {n_classes} classes of {n_rows} rows of "
-                     f"{n_entries} energies", 0,
-                     table_bytes, n_rows, n_entries, n_classes, n, d, bound)
+                     f"{n_entries} energies",
+                     table_bytes(n_rows, n_entries, n_classes, n, d, bound))
         if _are_twins(coeffs, problem + dummy):
             break
     else:
@@ -268,8 +268,9 @@ def assignment_energies(model: QuboModel) -> tuple[np.ndarray, int]:
     """
     n, bound = model.n_total, _energy_bound(model)
     fits_int64 = bound < 2**62  # past int64, exact Python ints in object dtype
-    check_memory(f"enumerating 2**{n} assignments", n,
-                 enumeration_bytes, n, 8 if fits_int64 else _entry_bytes(bound))
+    # 2**64 states exceed any memory, so no estimate shifts by more than 64
+    check_memory(f"enumerating 2**{n} assignments",
+                 enumeration_bytes(min(n, 64), 8 if fits_int64 else _entry_bytes(bound)))
     import numpy as np
 
     q_matrix = np.zeros((n, n), dtype=np.int64 if fits_int64 else object)

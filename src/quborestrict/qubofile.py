@@ -309,5 +309,5 @@ def save(encoded: EncodedRestriction, path: Union[str, PathLike[str]], fmt: str 
     if fmt not in ("text", "json"):
         raise ParameterError(f"unknown format {fmt!r}")
     text = dumps(encoded) if fmt == "text" else dumps_json(encoded)
-    with open(path, "w") as file:
+    with open(path, "w", encoding="utf-8", newline="\n") as file:
         file.write(text)

@@ -338,7 +338,7 @@ def _transfer_curve(
             f"the transfer needs two consecutive integers")
     # no grid value's numerator or denominator exceeds this
     bound = n_vars * r_from.denominator * r_to.denominator * (steps - 1)
-    check_memory(f"a sweep of {steps} grid points", 0, curve_bytes, steps, n_vars + 1, bound)
+    check_memory(f"a sweep of {steps} grid points", curve_bytes(steps, n_vars + 1, bound))
     lam = as_multiplier(lam)
     a, b = lam.numerator, lam.denominator
     span = r_to - r_from

@@ -637,6 +637,32 @@ def test_process_exit_loses_no_output(capsys, tmp_path, monkeypatch):
     assert out.splitlines()[-2:] == ["frozen at exit: True", "finalize ran"]
 
 
+WRITER_PROBE = """
+import _pyio, builtins, os, sys
+from quborestrict import cli, qubofile
+from quborestrict.core import RestrictionSpec
+from quborestrict.encoders import encode_single_value
+if sys.argv[1] == "crlf":  # text mode as on Windows, which writes "\\n" as os.linesep
+    os.linesep, builtins.open = "\\r\\n", _pyio.open
+qubofile.save(encode_single_value(RestrictionSpec(4, (2,))), "f.qubo")
+sys.exit(cli.main(["sweep", *sys.argv[2:], "--out", "f.csv"]))
+"""
+
+
+@pytest.mark.parametrize("line_end", ["native", "crlf"])
+def test_written_files_are_utf8_with_newline_line_ends(tmp_path, line_end):
+    # neither writer takes the locale's encoding or the platform's line end, so under
+    # EncodingWarning as an error both run and write the bytes of what they render
+    sweep = ("--n", 16, "--r-from", 3, "--r-to", 4, "--steps", 11, "--temperature", 0.2,
+             "--reads", 10000, "--seed", 5)
+    strict = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    code, _, err = spawn(tmp_path, line_end, *sweep, python=(*strict, "-c", WRITER_PROBE))
+    assert (code, err) == (0, "warning: 0.0161 of the mass lies outside sums (3, 4) at R=4\n")
+    encoded = encode_single_value(RestrictionSpec(4, (2,)))
+    assert (tmp_path / "f.qubo").read_bytes() == qubofile.dumps(encoded).encode()
+    assert (tmp_path / "f.csv").read_bytes() == GOLDEN_SWEEP.read_bytes()
+
+
 # Runs one command in a fresh interpreter and reports, last, whether numpy got
 # loaded and which package modules did.
 # Standard modules whose import is a large share of start-up and that no command needs

@@ -34,7 +34,7 @@ from quborestrict.encoders import (
     encode_single_value,
     log_dummy_count,
 )
-from quborestrict.oracle import fractional_energy_ladder
+from quborestrict.oracle import fractional_energy_ladder, verify
 from quborestrict.sampler import (
     SamplerConfig,
     exact_transfer_curve,
@@ -328,6 +328,51 @@ INTEGER_INPUTS = {
 def test_every_integer_input_refuses_what_is_not_an_integer(read, error, message, value):
     with pytest.raises(error, match=f"^{re.escape(message.format(value))}$"):
         read(value)
+
+
+# each shape input: how to pass it, its one-line refusal, and what it refuses; 3-tuples
+# are valid terms and allowed sets, and an assignment of 3 bits keeps its DimensionError
+SHAPE_INPUTS = {
+    "terms": (lambda v: expand_squared_affine(v, 0), "terms must be an iterable, got {!r}",
+              [None, 5]),
+    "term": (lambda v: expand_squared_affine([(0, 1), v], -1),
+             "term must be an iterable of 2 items, got {!r}", [None, 5, (1, 1, 2)]),
+    "allowed": (lambda v: RestrictionSpec(3, v), "allowed must be an iterable, got {!r}",
+                [None, 5]),
+    "assignment": (lambda v: QuboModel(2, 2, {}).energy(v),
+                   "assignment must be an iterable, got {!r}", [None, 5]),
+    "key": (lambda v: QuboModel(2, 2, {v: -1}),
+            "coefficient key {!r} is not an ordered in-range pair",
+            [None, 5, (0, 1, 1), frozenset({0, 1})]),
+    "coeffs": (lambda v: QuboModel(2, 2, v),
+               "coeffs must be a mapping of key to rational, got {!r}",
+               [None, 5, ((0, 0), (0, 1), (1, 1)), [(0, 0)]]),
+    "model": (lambda v: EncodedRestriction(v, EncodingKind.SINGLE_VALUE, 0, 1),
+              "model must be a QuboModel, got {!r}", [None, 5, (2, 2, {})]),
+    "kind": (lambda v: EncodedRestriction(QuboModel(2, 2, {}), v, 0, 1),
+             "kind must be an EncodingKind, got {!r}", [None, 5, (1, 2, 3), "single_value"]),
+}
+
+
+@pytest.mark.parametrize("read, message, value", [
+    pytest.param(read, message, value, id=f"{name}-{value!r}")
+    for name, (read, message, refused) in SHAPE_INPUTS.items() for value in refused
+])
+def test_every_shape_input_refuses_what_it_cannot_read(read, message, value):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message.format(value))}$"):
+        read(value)
+
+
+def test_a_frozenset_key_is_refused_before_verify_can_pass_it():
+    # stored as given, the oracle looked the coupling up as (0, 1) and missed it, so verify
+    # passed {0, 1, 2} at ground energy 0 although energy([1, 1]) was -1
+    with pytest.raises(ConstructionError, match=r"^coefficient key frozenset\(\{0, 1\}\) is "):
+        QuboModel(2, 2, {frozenset({0, 1}): -1})
+    model = QuboModel(2, 2, {(0, 1): -1})
+    result = verify(EncodedRestriction(model, EncodingKind.SINGLE_VALUE, 0, 1),
+                    RestrictionSpec(2, (0, 1, 2)))
+    assert model.energy([1, 1]) == result.report.ground_energy == -1
+    assert not result.passed
 
 
 @pytest.mark.parametrize("build", [fractional_energy_ladder, fractional_restriction_model],
