@@ -161,6 +161,19 @@ def as_tuple(name: str, value: object, length: Optional[int] = None) -> tuple:
     return items
 
 
+def check_type(name: str, value: object, cls: type) -> None:
+    """Refuse a ``name`` that is not a ``cls`` with a one-line ``ConstructionError``.
+
+    The value shows as its repr, cut at 100 characters: a record passed in
+    place of another, a whole model, say, could print megabytes.
+    """
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        shown = repr(value)
+        shown = shown if len(shown) <= 100 else shown[:100] + "..."
+        raise ConstructionError(f"{name} must be {article} {cls.__name__}, got {shown}")
+
+
 def as_printable(text: str) -> str:
     """``text`` as it is, or its repr if it is not printable, so an error stays one line."""
     return text if text.isprintable() else repr(text)
@@ -391,10 +404,8 @@ class EncodedRestriction:
     lambda2: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.model, QuboModel):
-            raise ConstructionError(f"model must be a QuboModel, got {self.model!r}")
-        if not isinstance(self.kind, EncodingKind):
-            raise ConstructionError(f"kind must be an EncodingKind, got {self.kind!r}")
+        check_type("model", self.model, QuboModel)
+        check_type("kind", self.kind, EncodingKind)
         object.__setattr__(self, "residual_energy", as_fraction(self.residual_energy))
         object.__setattr__(self, "lambda1", as_multiplier(self.lambda1))
         if self.lambda2 is not None:
@@ -486,6 +497,8 @@ def combine(*models: QuboModel) -> QuboModel:
     """Sum penalty terms that share one variable space."""
     if not models:
         raise ConstructionError("combine needs at least one model")
+    for model in models:
+        check_type("model", model, QuboModel)
     first = models[0]
     for other in models[1:]:
         if (other.n_total, other.n_problem) != (first.n_total, first.n_problem):

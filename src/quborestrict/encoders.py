@@ -19,6 +19,7 @@ from .core import (
     as_multiplier,
     check_count,
     check_expansion,
+    check_type,
     combine,
     expand_squared_affine,
     record,
@@ -133,6 +134,8 @@ _PREFERENCE = [EncodingKind(value) for value in "single_value half_integer_m2 eq
 def _build(kind: EncodingKind, spec: RestrictionSpec,
            params: EncoderParams) -> EncodedRestriction:
     """Expand one row; a half-integer constant leaves a quarter of its multiplier as residual."""
+    check_type("spec", spec, RestrictionSpec)
+    check_type("params", params, EncoderParams)
     row = _ROWS[kind]
     if not row.applies(spec):
         raise EncodingNotApplicableError(
@@ -171,6 +174,7 @@ _ENCODERS = {kind: _encoder(kind) for kind in EncodingKind}
 
 def applicable_encoders(spec: RestrictionSpec) -> dict[EncodingKind, Encoder]:
     """Every construction whose preconditions the spec satisfies, in enum order."""
+    check_type("spec", spec, RestrictionSpec)
     return {kind: encode for kind, encode in _ENCODERS.items() if _ROWS[kind].applies(spec)}
 
 
@@ -182,6 +186,7 @@ def select_optimal(
     Ties go to the first of single value, half-integer M=2, binary-weighted,
     half-integer chain, reduced general, linear and one-hot.
     """
+    check_type("spec", spec, RestrictionSpec)
     kind = min((kind for kind in _PREFERENCE if _ROWS[kind].applies(spec)),
                key=lambda kind: len(_ROWS[kind].weights(spec)))
     return _build(kind, spec, params)

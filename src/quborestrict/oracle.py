@@ -1,8 +1,9 @@
 """Exact ground-truth engines for encoded restrictions.
 
 Computes the exact energy spectrum of a model grouped by the problem-bit sum,
-and certifies (or refutes) that the minimum-energy assignments realize
-exactly the allowed sums at the declared residual energy.
+and certifies (or refutes) that the penalty is a valid restriction: minimal
+exactly on the feasible assignments, every assignment of an allowed sum and
+no other, at the declared residual energy.
 
 Both engines work in integer arithmetic on the model's ints, which share
 one scale; energies convert back to Fractions at the end.  The engines:
@@ -41,6 +42,7 @@ from .core import (
     as_multiplier,
     check_count,
     check_memory,
+    check_type,
     record,
 )
 
@@ -59,8 +61,11 @@ class SpectrumReport:
 
     ``by_sum`` maps each sum s to the minimum energy over assignments whose
     problem bits add to s (dummies minimized over) and the count of
-    assignments attaining it.  ``passed`` is True when the global minima
-    realize exactly the allowed sums at the declared residual energy.
+    assignments attaining it.  ``uniform_sums`` holds the sums s at which
+    every assignment of the problem bits reaches that minimum once its
+    dummies are minimized over.  ``passed`` is True when the penalty is
+    minimal exactly on the feasible assignments: every assignment of an
+    allowed sum and no other, at the declared residual energy.
     """
 
     by_sum: dict[int, tuple[Fraction, int]]
@@ -68,6 +73,7 @@ class SpectrumReport:
     ground_sums: frozenset[int]
     ground_degeneracy: int
     second_energy: Optional[Fraction]
+    uniform_sums: frozenset[int]
     passed: bool
 
 
@@ -298,43 +304,64 @@ def problem_bit_sums(n_total: int, n_problem: int) -> np.ndarray:
     return sums
 
 
-def _minima_by_sum(energies: np.ndarray, model: QuboModel) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sum minimum of the energies and the number of states attaining it."""
+def _minima_by_sum(energies: np.ndarray,
+                   model: QuboModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sum minimum of the energies, the number of states attaining it, and the
+    number of problem assignments attaining it once their dummies are minimized over."""
     import numpy as np
 
-    n = model.n_problem
-    sums = problem_bit_sums(model.n_total, n)
+    n, d = model.n_problem, model.n_dummies
+    # the problem bits are the low bits, so column b holds the states of assignment b
+    lows = energies.reshape(1 << d, 1 << n).min(axis=0) if d else energies
+    sums = problem_bit_sums(n, n)
     # assignment 2**s - 1 has sum s, so every group starts from one of its members
-    minima = energies[(1 << np.arange(n + 1)) - 1]
-    np.minimum.at(minima, sums, energies)
+    minima = lows[(1 << np.arange(n + 1)) - 1]
+    np.minimum.at(minima, sums, lows)
+    reached = _hits_by_sum(lows, sums, minima)
+    if not d:  # each problem assignment is one state
+        return minima, reached, reached
+    del lows, sums  # their space holds the sums of all states
+    return minima, _hits_by_sum(energies, problem_bit_sums(model.n_total, n), minima), reached
+
+
+def _hits_by_sum(energies: np.ndarray, sums: np.ndarray, minima: np.ndarray) -> np.ndarray:
+    """How many of the energies equal the minimum of their sum, by sum."""
+    import numpy as np
+
     # counted in eighths, so the temporaries fit in the space the sweep's field freed
-    counts = np.zeros(n + 1, dtype=np.int64)
+    hits = np.zeros(minima.size, dtype=np.int64)
     step = max(1, sums.size // 8)
     for start in range(0, sums.size, step):
         part = sums[start: start + step]
         hit = energies[start: start + step] == minima[part]
-        counts += np.bincount(part[hit], minlength=n + 1)
-    return minima, counts
+        hits += np.bincount(part[hit], minlength=minima.size)
+    return hits
 
 
-def _spectrum(model: QuboModel) -> tuple[dict[int, tuple[Fraction, int]], Optional[Fraction]]:
-    """``SpectrumReport.by_sum`` of any model and its lowest energy above the ground, if any.
+def _spectrum(model: QuboModel) -> tuple[dict[int, tuple[Fraction, int]], Optional[Fraction],
+                                         frozenset[int]]:
+    """``SpectrumReport.by_sum`` of any model, its lowest energy above the ground, if
+    any, and ``SpectrumReport.uniform_sums``.
 
     Models the twin-class table takes are read off its rows, where each
     energy stands for ``multiplicity`` times its entry's weight of
-    assignments; every other model takes the doubling sweep.  Either is
-    refused with ``SizeLimitError`` when its estimate exceeds the physical
-    memory.
+    assignments, and each row for problem assignments of one minimum over
+    the dummies, so a sum is uniform when no row of it lies above its
+    minimum; every other model takes the doubling sweep.  Either is refused
+    with ``SizeLimitError`` when its estimate exceeds the physical memory.
     """
+    n = model.n_problem
     table = twin_table(model)
     if table is not None:
         scale, _, weights, rows = table
-        minima = [None] * (model.n_problem + 1)
-        counts = [0] * (model.n_problem + 1)
+        minima, counts, raised = [None] * (n + 1), [0] * (n + 1), [False] * (n + 1)
         for class_counts, multiplicity, energies in rows:
             s, low = sum(class_counts), min(energies)
             if minima[s] is None or low < minima[s]:
-                minima[s], counts[s] = low, 0
+                # the rows of s before this one, if any, lie above its new minimum
+                minima[s], counts[s], raised[s] = low, 0, minima[s] is not None
+            elif low > minima[s]:
+                raised[s] = True
             if low == minima[s]:
                 y = -1
                 for _ in range(energies.count(low)):  # each entry at the minimum, by its weight
@@ -342,66 +369,81 @@ def _spectrum(model: QuboModel) -> tuple[dict[int, tuple[Fraction, int]], Option
                     counts[s] += multiplicity * weights[y]
         ground = min(minima)
         second = min((e for _, _, energies in rows for e in energies if e != ground), default=None)
+        uniform = frozenset(s for s in range(n + 1) if not raised[s])
     else:
         energies, scale = assignment_energies(model)
-        minima, counts = _minima_by_sum(energies, model)
+        minima, counts, reached = _minima_by_sum(energies, model)
         above = energies[energies != minima.min()]
         second = above.min() if above.size else None
+        uniform = frozenset(s for s in range(n + 1) if reached[s] == math.comb(n, s))
     by_sum = {s: (Fraction(int(e), scale), int(c)) for s, (e, c) in enumerate(zip(minima, counts))}
-    return by_sum, None if second is None else Fraction(int(second), scale)
+    return by_sum, None if second is None else Fraction(int(second), scale), uniform
+
+
+def _failures(ground_energy: Fraction, ground_sums: frozenset[int], uniform_sums: frozenset[int],
+              spec: RestrictionSpec, residual: Fraction) -> list[str]:
+    """Every rule of a valid restriction that a spectrum breaks, one diagnosis each.
+
+    A valid restriction is minimal exactly on the feasible assignments
+    (Glover, Kochenberger and Du, arXiv 1811.11538): every assignment of an
+    allowed sum reaches the ground energy, no assignment of another sum
+    does, and the ground energy is the declared residual.
+    """
+    allowed = frozenset(spec.allowed)
+    failures = []
+    missing = sorted(allowed - ground_sums)
+    if missing:
+        failures.append(f"allowed sums {missing} never reach the ground energy")
+    raised = sorted((allowed & ground_sums) - uniform_sums)
+    if raised:
+        failures.append(f"assignments of allowed sums {raised} lie above the ground energy")
+    spurious = sorted(ground_sums - allowed)
+    if spurious:
+        failures.append(f"spurious ground states at sums {spurious}")
+    if ground_energy != residual:
+        failures.append(f"ground energy {ground_energy} differs from the declared "
+                        f"residual {residual}")
+    return failures
 
 
 def enumerate_spectrum(encoded: EncodedRestriction, spec: RestrictionSpec) -> SpectrumReport:
     """Exhaustive spectrum of an encoding, with the pass/fail verdict filled in."""
+    check_type("encoded", encoded, EncodedRestriction)
+    check_type("spec", spec, RestrictionSpec)
     model = encoded.model
     if model.n_problem != spec.n_vars:
         raise DimensionError(
             f"model has {model.n_problem} problem bits, spec has {spec.n_vars}")
-    by_sum, second_energy = _spectrum(model)
+    by_sum, second_energy, uniform_sums = _spectrum(model)
     ground_energy = min(e for e, _ in by_sum.values())
     ground_sums = frozenset(s for s, (e, _) in by_sum.items() if e == ground_energy)
-    ground_degeneracy = sum(by_sum[s][1] for s in ground_sums)
-
-    passed = (
-        ground_sums == frozenset(spec.allowed)
-        and ground_energy == encoded.residual_energy
-    )
     return SpectrumReport(
         by_sum=by_sum,
         ground_energy=ground_energy,
         ground_sums=ground_sums,
-        ground_degeneracy=ground_degeneracy,
+        ground_degeneracy=sum(by_sum[s][1] for s in ground_sums),
         second_energy=second_energy,
-        passed=passed,
+        uniform_sums=uniform_sums,
+        passed=not _failures(ground_energy, ground_sums, uniform_sums, spec,
+                             encoded.residual_energy),
     )
 
 
 def verify(encoded: EncodedRestriction, spec: RestrictionSpec) -> VerificationResult:
     """Certify an encoding against its spec, with a human-readable diagnosis.
 
-    Passes when the ground-state sums equal the allowed set and the ground
-    energy equals the declared residual exactly.  The diagnosis of a pass
-    names the gap to the next distinct energy level, when one exists.  A
-    model whose exact engine would need more than the physical memory
-    raises ``SizeLimitError``.
+    Passes when the penalty is minimal exactly on the feasible assignments:
+    every assignment of an allowed sum, and no other, at exactly the
+    declared residual.  The diagnosis of a failure lists every rule broken;
+    that of a pass names the gap to the next distinct energy level, when one
+    exists.  A model whose exact engine would need more than the physical
+    memory raises ``SizeLimitError``.
     """
     report = enumerate_spectrum(encoded, spec)
-    allowed = frozenset(spec.allowed)
-    problems: list[str] = []
-    missing = sorted(allowed - report.ground_sums)
-    spurious = sorted(report.ground_sums - allowed)
-    if missing:
-        problems.append(
-            f"allowed sums {missing} never reach the ground energy")
-    if spurious:
-        problems.append(
-            f"spurious ground states at sums {spurious}")
-    if report.ground_energy != encoded.residual_energy:
-        problems.append(
-            f"ground energy {report.ground_energy} differs from the declared "
-            f"residual {encoded.residual_energy}")
-    if problems:
-        return VerificationResult(False, "; ".join(problems), report)
+    if not report.passed:
+        failures = _failures(report.ground_energy, report.ground_sums, report.uniform_sums,
+                             spec, encoded.residual_energy)
+        return VerificationResult(False, "; ".join(failures), report)
     gap = (
         f"gap to next level {report.second_energy - report.ground_energy}"
         if report.second_energy is not None

@@ -318,11 +318,13 @@ def _transfer_curve(
     """The curve of ``draw`` applied to each grid point's exact sum distribution, in grid order.
 
     ``n_vars`` must be an int of at least 1 and ``steps`` an int of at least
-    2, else ``ParameterError`` is raised before any other check.  A sweep
-    whose ``curve_bytes`` exceed the physical memory raises
-    ``SizeLimitError`` before its first list.  Then the multiplier, the bit
-    cap on each grid R's denominator (R leaves in the curve and in warnings)
-    and the temperature are each checked once, before the log-binomials.
+    2, else ``ParameterError`` is raised before any other check.  The
+    multiplier is read next, since ``curve_bytes`` count its numerator: a
+    sweep whose estimate exceeds the physical memory raises
+    ``SizeLimitError`` before its first list.  Then the multiplier's sign,
+    the bit cap on each grid R's denominator (R leaves in the curve and in
+    warnings) and the temperature are each checked once, before the
+    log-binomials.
     """
     check_count("n_vars", n_vars)
     check_count("steps", steps, 2)
@@ -338,7 +340,9 @@ def _transfer_curve(
             f"the transfer needs two consecutive integers")
     # no grid value's numerator or denominator exceeds this
     bound = n_vars * r_from.denominator * r_to.denominator * (steps - 1)
-    check_memory(f"a sweep of {steps} grid points", curve_bytes(steps, n_vars + 1, bound))
+    lam = as_fraction(lam)
+    check_memory(f"a sweep of {steps} grid points",
+                 curve_bytes(steps, n_vars + 1, bound, lam.numerator))
     lam = as_multiplier(lam)
     a, b = lam.numerator, lam.denominator
     span = r_to - r_from
@@ -373,15 +377,18 @@ def _log_binomials(n: int) -> list[float]:
     return logs
 
 
-def curve_bytes(steps: int, n_sums: int, bound: int) -> int:
+def curve_bytes(steps: int, n_sums: int, bound: int, numerator: int) -> int:
     """Estimated peak bytes of a sweep of ``steps`` points over ``n_sums`` sums, with its CSV.
 
     Once: 64 KiB for ``random.Random`` states and small objects, and a sum's
-    log-binomials (48 bytes), running binomial (1) and one point's working
-    lists (128).  Each point keeps a Fraction of two ints up to ``bound``, a
-    sum's float (32 bytes) and CSV cell in a line and twice in the text (48).
+    log-binomials (48 bytes), running binomial (1), one point's working
+    lists (128) and an excitation the size of the multiplier's
+    ``numerator``, which each sum's weight multiplies.  Each point keeps a
+    Fraction of two ints up to ``bound``, a sum's float (32 bytes) and CSV
+    cell in a line and twice in the text (48).
     """
-    return 65536 + (48 + 1 + 128) * n_sums + steps * (256 + 2 * sys.getsizeof(bound) + 80 * n_sums)
+    return (65536 + (48 + 1 + 128 + sys.getsizeof(numerator)) * n_sums
+            + steps * (256 + 2 * sys.getsizeof(bound) + 80 * n_sums))
 
 
 def step_distance(curve: TransferCurve, lower_s: int, upper_s: int) -> float:

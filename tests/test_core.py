@@ -29,12 +29,14 @@ from quborestrict.core import (
 from quborestrict.cli import render_dummy_table
 from quborestrict.encoders import (
     EncoderParams,
+    applicable_encoders,
     chain_dummy_count,
     encode_one_hot_general,
     encode_single_value,
     log_dummy_count,
+    select_optimal,
 )
-from quborestrict.oracle import fractional_energy_ladder, verify
+from quborestrict.oracle import enumerate_spectrum, fractional_energy_ladder, verify
 from quborestrict.sampler import (
     SamplerConfig,
     exact_transfer_curve,
@@ -361,6 +363,38 @@ SHAPE_INPUTS = {
 def test_every_shape_input_refuses_what_it_cannot_read(read, message, value):
     with pytest.raises(ConstructionError, match=f"^{re.escape(message.format(value))}$"):
         read(value)
+
+
+SPEC = RestrictionSpec(2, (1,))
+LONG = QuboModel(2, 2, {}, 10**200)
+
+# each record argument given a record of another type, or the tuple of its fields
+RECORD_INPUTS = {
+    "verify-model": (lambda: verify(QuboModel(2, 2, {}), SPEC),
+                     "encoded must be an EncodedRestriction, got QuboModel(n_total=2, n_problem=2, "
+                     "scale=1, int_coeffs={}, int_offset=0)"),
+    "verify-tuple": (lambda: verify(encode_single_value(SPEC), (2, (1,))),
+                     "spec must be a RestrictionSpec, got (2, (1,))"),
+    "spectrum-spec": (lambda: enumerate_spectrum(encode_single_value(SPEC), EncoderParams()),
+                      "spec must be a RestrictionSpec, got EncoderParams(lambda1=Fraction(1, 1), "
+                      "lambda2=Fraction(1, 1))"),
+    "combine": (lambda: combine(QuboModel(2, 2, {}), 5), "model must be a QuboModel, got 5"),
+    "select": (lambda: select_optimal((3, (1,))), "spec must be a RestrictionSpec, got (3, (1,))"),
+    "applicable": (lambda: applicable_encoders((3, (1,))),
+                   "spec must be a RestrictionSpec, got (3, (1,))"),
+    "encode": (lambda: encode_single_value((3, (1,))),
+               "spec must be a RestrictionSpec, got (3, (1,))"),
+    "params": (lambda: select_optimal(SPEC, (1, 1)), "params must be an EncoderParams, got (1, 1)"),
+    # a repr is cut at 100 characters, so a whole model in place of its record stays short
+    "long": (lambda: verify(LONG, SPEC),
+             f"encoded must be an EncodedRestriction, got {LONG!r:.100}..."),
+}
+
+
+@pytest.mark.parametrize("call, message", RECORD_INPUTS.values(), ids=RECORD_INPUTS)
+def test_every_record_argument_refuses_another_type(call, message):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_a_frozenset_key_is_refused_before_verify_can_pass_it():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -26,13 +27,14 @@ from quborestrict.core import (
 from quborestrict.encoders import (
     EncoderParams,
     encode_equispaced_linear,
+    encode_equispaced_log,
     encode_half_integer_chain,
     encode_half_integer_m2,
     encode_one_hot_general,
     encode_reduced_general,
     encode_single_value,
 )
-from quborestrict import core, oracle
+from quborestrict import core, encoders, oracle
 from quborestrict.cli import render_dummy_table
 from quborestrict.oracle import (
     SpectrumReport,
@@ -215,6 +217,84 @@ class TestVerify:
         assert result.diagnosis == "ground energy 1/2 differs from the declared residual 0"
 
 
+def raised_coupling(encoded: EncodedRestriction, by: F) -> EncodedRestriction:
+    """``encoded`` with the coupling of problem bits 0 and 1 raised by ``by``."""
+    model = encoded.model
+    coeffs = dict(model.coeffs)
+    coeffs[(0, 1)] = coeffs.get((0, 1), 0) + by
+    return EncodedRestriction(model=QuboModel(model.n_total, model.n_problem, coeffs, model.offset),
+                              kind=encoded.kind, residual_energy=encoded.residual_energy,
+                              lambda1=encoded.lambda1, lambda2=encoded.lambda2)
+
+
+def engine(name: str, model: QuboModel) -> contextlib.AbstractContextManager:
+    """A context in which the oracle takes ``name``'s engine, the table or the sweep."""
+    if name == "table":
+        assert twin_table(model) is not None
+        return contextlib.nullcontext()
+    return mock.patch.object(oracle, "twin_table", return_value=None)
+
+
+# the file of `encode --n 6 --allowed 1,3` with its term line "0 1 2" changed to "0 1 4"
+RAISED_LOG = raised_coupling(encode_equispaced_log(RestrictionSpec(6, (1, 3))), F(2))
+# (x0 - x1)**2 + (x2 - x3)**2: only 2 of the 6 assignments of sum 2 are ground states
+TWO_SQUARES = EncodedRestriction(
+    QuboModel(4, 4, {(0, 0): 1, (0, 1): -2, (1, 1): 1, (2, 2): 1, (2, 3): -2, (3, 3): 1}),
+    EncodingKind.REDUCED_GENERAL, 0, 1)
+
+# a spec per construction whose allowed sums of at least 2 all lie below n
+RAISED_SPECS = {
+    EncodingKind.SINGLE_VALUE: (3,),
+    EncodingKind.ONE_HOT_GENERAL: (1, 4),
+    EncodingKind.EQUISPACED_LINEAR: (1, 3, 5),
+    EncodingKind.EQUISPACED_LOG: (1, 3),
+    EncodingKind.HALF_INTEGER_M2: (2, 3),
+    EncodingKind.HALF_INTEGER_CHAIN: (2, 3, 4),
+    EncodingKind.REDUCED_GENERAL: (0, 2, 5),
+}
+
+
+@pytest.mark.parametrize("name", ["table", "sweep"])
+class TestFeasibleAssignmentsAboveTheGround:
+    """A valid restriction is minimal on every assignment of an allowed sum, not on some."""
+
+    @pytest.mark.parametrize("encoded, allowed, s, reached", [
+        (RAISED_LOG, (1, 3), 3, 16), (TWO_SQUARES, (0, 2, 4), 2, 2)], ids=["log", "squares"])
+    def test_refutes_a_sum_that_only_some_assignments_reach(self, name, encoded, allowed, s,
+                                                             reached):
+        spec = RestrictionSpec(encoded.model.n_problem, allowed)
+        with engine(name, encoded.model):
+            result = verify(encoded, spec)
+        assert result.report.ground_sums == set(allowed)
+        assert result.report.ground_energy == encoded.residual_energy == 0
+        # fewer than C(n, s) assignments of sum s reach the ground
+        assert result.report.by_sum[s] == (0, reached) and reached < math.comb(spec.n_vars, s)
+        assert s not in result.report.uniform_sums
+        assert not result.passed and not result.report.passed
+        assert result.diagnosis == f"assignments of allowed sums [{s}] lie above the ground energy"
+
+    @pytest.mark.parametrize("kind", RAISED_SPECS, ids=lambda kind: kind.value)
+    def test_a_raised_problem_coupling_fails_every_construction(self, name, kind):
+        spec = RestrictionSpec(6, RAISED_SPECS[kind])
+        encoded = getattr(encoders, f"encode_{kind.value}")(spec)
+        raised = raised_coupling(encoded, encoded.lambda1)
+        with engine(name, raised.model):
+            assert verify(encoded, spec).passed
+            result = verify(raised, spec)
+        high = [s for s in spec.allowed if s >= 2]
+        assert result.diagnosis == f"assignments of allowed sums {high} lie above the ground energy"
+        assert result.report.uniform_sums.isdisjoint(high)
+
+    def test_a_sum_that_never_reaches_the_ground_is_named_once(self, name):
+        spec = RestrictionSpec(6, (2, 3))
+        with engine(name, RAISED_LOG.model):
+            result = verify(RAISED_LOG, spec)
+        assert 2 not in result.report.uniform_sums
+        assert result.diagnosis == (
+            "allowed sums [2] never reach the ground energy; assignments of allowed sums [3] "
+            "lie above the ground energy; spurious ground states at sums [1]")
+
+
 class TestDummyMinimization:
     def test_by_sum_is_a_lower_bound_on_sampled_assignments(self):
         rng = random.Random(31337)
@@ -317,13 +397,23 @@ def reference_report(encoded: EncodedRestriction, spec: RestrictionSpec) -> Spec
     ground = min(energies)
     above = [e for e in energies if e > ground]
     ground_sums = frozenset(t for e, t in zip(energies, sums) if e == ground)
+    # each problem assignment's energy with its dummies minimized over
+    lows: dict[int, F] = {}
+    for b, e in enumerate(energies):
+        lows[b & mask] = min(lows.get(b & mask, e), e)
+    uniform = frozenset(s for s in by_sum
+                        if all(low == by_sum[s][0] for p, low in lows.items() if p.bit_count() == s))
+    # valid: minimal exactly on the assignments of allowed sums, at the declared residual
+    feasible = {p for p in lows if p.bit_count() in spec.allowed}
     return SpectrumReport(
         by_sum=by_sum,
         ground_energy=ground,
         ground_sums=ground_sums,
         ground_degeneracy=energies.count(ground),
         second_energy=min(above) if above else None,
-        passed=ground_sums == frozenset(spec.allowed) and ground == encoded.residual_energy,
+        uniform_sums=uniform,
+        passed={p for p, low in lows.items() if low == ground} == feasible
+        and ground == encoded.residual_energy,
     )
 
 
@@ -387,6 +477,7 @@ class TestAgainstEinsumReference:
         encoded, spec = drawn_restriction(model, data)
         expected = reference_report(encoded, spec)
         assert enumerate_spectrum(encoded, spec) == expected
+        assert verify(encoded, spec).passed == expected.passed
         assert oracle._spectrum(model)[0] == expected.by_sum
 
 
@@ -478,6 +569,7 @@ class TestSymmetricEngine:
         encoded, spec = drawn_restriction(model, data)
         tabulated = enumerate_spectrum(encoded, spec)
         assert tabulated == forced_sweep(encoded, spec) == reference_report(encoded, spec)
+        assert verify(encoded, spec).passed == tabulated.passed
 
     @settings(deadline=None, max_examples=30)
     @given(st.one_of(twin_class_models(), twin_class_models(huge=True)), st.data())
@@ -487,6 +579,7 @@ class TestSymmetricEngine:
         encoded, spec = drawn_restriction(model, data)
         tabulated = enumerate_spectrum(encoded, spec)
         assert tabulated == forced_sweep(encoded, spec) == reference_report(encoded, spec)
+        assert verify(encoded, spec).passed == tabulated.passed
 
     # two models the test above drew, a matching and a star among the dummies, pinned
     # here because @example cannot supply its st.data()
@@ -548,6 +641,7 @@ class TestSymmetricEngine:
         encoded, spec = drawn_restriction(model, data)
         tabulated = enumerate_spectrum(encoded, spec)
         assert tabulated == forced_sweep(encoded, spec) == reference_report(encoded, spec)
+        assert verify(encoded, spec).passed == tabulated.passed
 
     def test_chain_dummies_form_one_class(self):
         # (sum(x) - y0 - y1 - y2 - 3/2)**2: three twin dummies, four count vectors
@@ -740,6 +834,7 @@ class TestSymmetricEngine:
             assert twin_table(encoded.model) is not None
         report = enumerate_spectrum(encoded, spec)
         assert report == forced_sweep(encoded, spec) == reference_report(encoded, spec)
+        assert verify(encoded, spec).passed == report.passed
         model = encoded.model
         probabilities = boltzmann_probabilities(model, temperature)
         sums = problem_bit_sums(model.n_total, model.n_problem)

@@ -326,7 +326,7 @@ class TestClosedFormLaw:
     @pytest.mark.parametrize("lam", [1, 0])  # before the multiplier is read
     def test_refuses_more_unit_weights_than_the_memory_holds(self, monkeypatch, lam):
         n_vars = 10**7  # its row of log-binomials alone would take 320 MB
-        estimate = curve_bytes(3, n_vars + 1, n_vars * 2)
+        estimate = curve_bytes(3, n_vars + 1, n_vars * 2, lam)
         monkeypatch.setattr(core, "_physical_memory", lambda: estimate - 1)
         tracemalloc.start()
         try:
@@ -347,7 +347,10 @@ class TestCurveBytes:
         (5, 2, 200, 1), (1000, 500, 2, 10**400),
         # R = 1 + 1/10**1400 and lam = 1/10**1000: the ints of its model pass the bit cap
         (4, 1 + F(1, 10**1400), 3, F(1, 10**1000)),
-    ], ids=["16x2", "1000x2", "20000x2", "20000x11", "5x200", "1000x2-1e400", "4x3-1e-1000"])
+        # each sum's excitation is an int the size of lam's numerator
+        (60, 30, 11, 2**10**6),
+    ], ids=["16x2", "1000x2", "20000x2", "20000x11", "5x200", "1000x2-1e400", "4x3-1e-1000",
+            "60x11-2e1e6"])
     def test_bounds_the_traced_peak_of_a_sweep_and_its_csv(self, n_vars, r_from, steps, lam):
         # a hot, many-read sweep: long CSV cells and counts beyond the cached small ints
         config = SamplerConfig(temperature=1e9, n_reads=10**6, seed=3)
@@ -361,7 +364,7 @@ class TestCurveBytes:
             finally:
                 tracemalloc.stop()
         bound = n_vars * F(r_from).denominator * (steps - 1)  # as the sweep bounds its grid
-        assert peak <= curve_bytes(steps, n_vars + 1, bound)
+        assert peak <= curve_bytes(steps, n_vars + 1, bound, F(lam).numerator)
 
 
 class TestSweep:
