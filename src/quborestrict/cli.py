@@ -24,7 +24,6 @@ quborestrict.cli`` and the ``quborestrict`` script run the process through
 from __future__ import annotations
 
 import gc
-import math
 import sys
 from types import SimpleNamespace
 
@@ -42,7 +41,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Callable, NoReturn, Optional
 
-    from . import core, oracle, sampler
+    from . import core, oracle
 
 # --method name -> the encoders function it runs
 _METHODS = {
@@ -128,22 +127,6 @@ def cmd_verify(args: SimpleNamespace) -> int:
     return 0 if result.passed else 1
 
 
-def _render_csv(curve: sampler.TransferCurve) -> str:
-    lower = math.floor(curve.r_grid[0])
-    upper = math.ceil(curve.r_grid[-1])
-    header = "R," + ",".join(f"P{s}" for s in range(curve.n_vars + 1)) + ",p_norm"
-    lines = [header]
-    for r, dist in zip(curve.r_grid, curve.distributions):
-        pair_mass = dist[lower] + dist[upper]
-        transfer = dist[upper] / pair_mass if pair_mass else math.nan
-        cells = [f"{float(r):.6g}"]
-        cells.extend(f"{p:.6g}" for p in dist)
-        cells.append(f"{transfer:.6g}")
-        lines.append(",".join(cells))
-    lines.append(f"step_distance={curve.step_distance:.6g}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_sweep(args: SimpleNamespace) -> int:
     import warnings
 
@@ -157,7 +140,7 @@ def cmd_sweep(args: SimpleNamespace) -> int:
             args.n, args.r_from, args.r_to, args.steps, args.lambda1, config)
     for warning in caught:  # one line each, like the errors
         print(f"warning: {warning.message}", file=sys.stderr)
-    text = _render_csv(curve)
+    text = sampler.curve_csv(curve)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as out:
             out.write(text)

@@ -293,13 +293,16 @@ def load(path: Union[str, PathLike[str]]) -> EncodedRestriction:
     """Read either serialization format, sniffing JSON by its leading brace.
 
     The bytes are decoded as UTF-8 with no newline translation, so a line
-    end other than ``\\n`` reaches the parser and is refused there.
+    end other than ``\\n`` reaches the parser and is refused there.  Neither
+    format starts with a byte-order mark, and a file that does is refused before parsing.
     """
     try:
         with open(path, "rb") as file:
             text = file.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise QuboFileError(f"{as_printable(str(path))}: not UTF-8 text: {exc}") from exc
+    if text.startswith("\ufeff"):
+        raise QuboFileError(f"{as_printable(str(path))}: starts with a UTF-8 byte-order mark")
     if text.lstrip().startswith("{"):
         return loads_json(text)
     return loads(text)

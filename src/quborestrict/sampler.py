@@ -50,7 +50,7 @@ from .core import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Callable, Optional, Sequence
+    from typing import Callable, Iterator, Sequence
 
     import numpy as np
 
@@ -170,9 +170,7 @@ def exact_sum_distribution(model: QuboModel, temperature: float) -> list[float]:
     for counts, multiplicity, energies in rows:
         by_sum[sum(counts)].append(math.log(multiplicity) + _log_sum_exp(
             [_exponent(e - ground, scale, temperature) + w for e, w in zip(energies, log_weights)]))
-    logs = [_log_sum_exp(terms) for terms in by_sum]
-    total = _log_sum_exp(logs)
-    return [math.exp(x - total) for x in logs]
+    return _normalized([_log_sum_exp(terms) for terms in by_sum])
 
 
 def _exponent(excitation: int, scale: int, temperature: float) -> float:
@@ -188,6 +186,12 @@ def _log_sum_exp(values: list[float]) -> float:
     if top == -math.inf:
         return top
     return top + math.log(math.fsum(math.exp(x - top) for x in values))
+
+
+def _normalized(logs: list[float]) -> list[float]:
+    """The probabilities of the log-weights ``logs``: each exact law ends here."""
+    total = _log_sum_exp(logs)
+    return [math.exp(x - total) for x in logs]
 
 
 def _multinomial(rng: random.Random, n_reads: int, probabilities: Sequence[float]) -> list[int]:
@@ -333,7 +337,7 @@ def _transfer_curve(
         raise ParameterError(f"sweep range must be increasing, got [{r_from}, {r_to}]")
     if r_from < 0 or r_to > n_vars:
         raise ParameterError(f"sweep range [{r_from}, {r_to}] must lie within [0, {n_vars}]")
-    lower, upper = math.floor(r_from), math.ceil(r_to)
+    lower, upper = _transfer_pair((r_from, r_to))
     if upper - lower > 1:
         raise ParameterError(
             f"sweep range [{r_from}, {r_to}] is bracketed by ({lower}, {upper}); "
@@ -356,10 +360,8 @@ def _transfer_curve(
         """``exact_sum_distribution(fractional_restriction_model(n_vars, r, lam), temperature)``."""
         p, q = r.numerator, r.denominator
         ground, scale = a * min(p % q, q - p % q) ** 2, b * q * q  # ground at floor/ceil R
-        logs = [log_binomials[s] + _exponent(a * (s * q - p) ** 2 - ground, scale, t)
-                for s in range(n_vars + 1)]
-        total = _log_sum_exp(logs)
-        return [math.exp(x - total) for x in logs]
+        return _normalized([log_binomials[s] + _exponent(a * (s * q - p) ** 2 - ground, scale, t)
+                            for s in range(n_vars + 1)])
 
     distributions = tuple(draw(law(r)) for r in grid)
     # a warning names the line that called sweep_fractional_r or exact_transfer_curve
@@ -378,7 +380,8 @@ def _log_binomials(n: int) -> list[float]:
 
 
 def curve_bytes(steps: int, n_sums: int, bound: int, numerator: int) -> int:
-    """Estimated peak bytes of a sweep of ``steps`` points over ``n_sums`` sums, with its CSV.
+    """Estimated peak bytes of a sweep of ``steps`` points over ``n_sums`` sums, with the
+    text :func:`curve_csv` writes of it.
 
     Once: 64 KiB for ``random.Random`` states and small objects, and a sum's
     log-binomials (48 bytes), running binomial (1), one point's working
@@ -389,6 +392,32 @@ def curve_bytes(steps: int, n_sums: int, bound: int, numerator: int) -> int:
     """
     return (65536 + (48 + 1 + 128 + sys.getsizeof(numerator)) * n_sums
             + steps * (256 + 2 * sys.getsizeof(bound) + 80 * n_sums))
+
+
+def curve_csv(curve: TransferCurve) -> str:
+    """The sweep CSV: ``R,P0,...,PN,p_norm``, a row per grid point to 6 significant digits,
+    and a last ``step_distance=`` line.  ``p_norm`` is the transfer the distance averages."""
+    lower, upper = _transfer_pair(curve.r_grid)
+    lines = ["R," + ",".join(f"P{s}" for s in range(curve.n_vars + 1)) + ",p_norm"]
+    for r, dist, (transfer, _) in zip(
+            curve.r_grid, curve.distributions, _transfers(curve.distributions, lower, upper)):
+        lines.append(",".join([f"{float(r):.6g}", *(f"{p:.6g}" for p in dist), f"{transfer:.6g}"]))
+    lines.append(f"step_distance={curve.step_distance:.6g}")
+    return "\n".join(lines) + "\n"
+
+
+def _transfer_pair(r_grid: Sequence[Fraction]) -> tuple[int, int]:
+    """The pair of sums a sweep's transfer runs between: floor of the first R, ceil of the last."""
+    return math.floor(r_grid[0]), math.ceil(r_grid[-1])
+
+
+def _transfers(distributions: Sequence[Sequence[float]], lower: int, upper: int
+               ) -> Iterator[tuple[float, float]]:
+    """Per grid point, the transfer ``P(upper) / (P(lower) + P(upper))``, NaN where the pair
+    has no mass, and the stray mass off the pair."""
+    for dist in distributions:
+        pair_mass = dist[lower] + dist[upper]
+        yield dist[upper] / pair_mass if pair_mass else math.nan, 1.0 - pair_mass
 
 
 def step_distance(curve: TransferCurve, lower_s: int, upper_s: int) -> float:
@@ -405,43 +434,27 @@ def step_distance(curve: TransferCurve, lower_s: int, upper_s: int) -> float:
     return _step_distance(curve.r_grid, curve.distributions, lower_s, upper_s, stacklevel=3)
 
 
-def _step_distance(
-    r_grid: Sequence[Fraction],
-    distributions: Sequence[Sequence[float]],
-    lower_s: int,
-    upper_s: int,
-    stacklevel: int,
-) -> float:
+def _step_distance(r_grid: Sequence[Fraction], distributions: Sequence[Sequence[float]],
+                   lower_s: int, upper_s: int, stacklevel: int) -> float:
     """:func:`step_distance` over a grid; ``stacklevel`` points a warning past the package."""
     n_sums = len(distributions[0])
     if not all(is_integer(s) and 0 <= s < n_sums for s in (lower_s, upper_s)) or lower_s == upper_s:
         raise ParameterError(f"transfer sums ({lower_s!r}, {upper_s!r}) must be distinct "
                              f"integers in [0, {n_sums - 1}]")
     midpoint = Fraction(lower_s + upper_s, 2)
-    deviations = []
-    worst_stray = 0.0
-    worst_r: Optional[Fraction] = None
-    for r, dist in zip(r_grid, distributions):
-        pair_mass = dist[lower_s] + dist[upper_s]
-        stray = 1.0 - pair_mass
+    deviations, worst_stray, worst_r = [], 0.0, None
+    for r, (transfer, stray) in zip(r_grid, _transfers(distributions, lower_s, upper_s)):
         if stray > worst_stray:
             worst_stray, worst_r = stray, r
-        if pair_mass == 0:  # no transfer here
+        if math.isnan(transfer):  # no mass on the pair, no transfer here
             continue
-        transfer = dist[upper_s] / pair_mass
-        if r == midpoint:
-            ideal = 0.5
-        else:
-            ideal = 0.0 if r < midpoint else 1.0
+        ideal = 0.5 if r == midpoint else 0.0 if r < midpoint else 1.0
         deviations.append(abs(transfer - ideal))
     if not deviations:
         raise DataQualityError(
             f"no mass on sums {lower_s} or {upper_s} at any R; the transfer ratio is undefined")
     if worst_stray > 0.01:
-        warnings.warn(
-            StrayMassWarning(
-                f"{worst_stray:.3g} of the mass lies outside sums "
-                f"({lower_s}, {upper_s}) at R={worst_r}"),
-            stacklevel=stacklevel,
-        )
+        warnings.warn(StrayMassWarning(f"{worst_stray:.3g} of the mass lies outside sums "
+                                       f"({lower_s}, {upper_s}) at R={worst_r}"),
+                      stacklevel=stacklevel)
     return sum(deviations) / len(deviations)

@@ -283,6 +283,19 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_byte_order_mark_is_named(self, capsys, tmp_path, fmt):
+        # the parser of either format would report a bad first line or payload instead
+        good = tmp_path / f"good.{fmt}"
+        spec = ("--n", 5, "--allowed", "1,2,3")
+        run_cli(capsys, "encode", *spec, "--format", fmt, "--out", good)
+        assert not good.read_bytes().startswith(b"\xef\xbb\xbf")
+        bad = tmp_path / f"bom.{fmt}"
+        bad.write_bytes(b"\xef\xbb\xbf" + good.read_bytes())
+        code, out, err = run_cli(capsys, "verify", "--qubo", bad, *spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: starts with a UTF-8 byte-order mark\n"
+
     def test_path_with_a_line_break_is_quoted(self, capsys, tmp_path):
         bad = tmp_path / "bad\nname.qubo"
         bad.write_bytes(b"kind \xff\n")

@@ -32,6 +32,7 @@ from quborestrict.sampler import (
     _multinomial,
     boltzmann_probabilities,
     curve_bytes,
+    curve_csv,
     exact_sum_distribution,
     exact_transfer_curve,
     fractional_restriction_model,
@@ -359,12 +360,59 @@ class TestCurveBytes:
             warnings.simplefilter("ignore", StrayMassWarning)
             tracemalloc.start()
             try:
-                cli._render_csv(sweep_fractional_r(n_vars, r_from, r_to, steps, lam, config))
+                curve_csv(sweep_fractional_r(n_vars, r_from, r_to, steps, lam, config))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         bound = n_vars * F(r_from).denominator * (steps - 1)  # as the sweep bounds its grid
         assert peak <= curve_bytes(steps, n_vars + 1, bound, F(lam).numerator)
+
+
+class TestTransferRule:
+    """The CSV's ``p_norm`` cells and ``step_distance`` read one transfer, over one pair."""
+
+    @pytest.mark.parametrize("n_vars, r_from, r_to, steps, temperature, reads, seed", [
+        (5, 1, 2, 11, 0.2, 2000, 7), (16, 3, 4, 11, 0.2, 10_000, 5),
+        (40, F(37, 3), F(38, 3), 7, 0.5, 1000, 11), (9, F(1, 2), 1, 5, 1.0, 50, 3),
+        # one read a point, mostly off the pair: some cells are nan
+        (8, 4, 5, 11, 1e9, 1, 2),
+    ], ids=["5", "16", "40-thirds", "9-half", "8-missed"])
+    def test_each_cell_is_the_transfer_the_distance_averages(
+            self, n_vars, r_from, r_to, steps, temperature, reads, seed):
+        config = SamplerConfig(temperature=temperature, n_reads=reads, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StrayMassWarning)
+            curve = sweep_fractional_r(n_vars, r_from, r_to, steps, 1, config)
+        lower, upper = math.floor(F(r_from)), math.ceil(F(r_to))
+        lines = curve_csv(curve).splitlines()
+        assert len(lines) == steps + 2
+        assert lines[-1] == f"step_distance={curve.step_distance:.6g}"
+        deviations = []
+        for r, dist, line in zip(curve.r_grid, curve.distributions, lines[1:-1]):
+            pair = dist[lower] + dist[upper]
+            cell = line.split(",")[-1]
+            if pair == 0:
+                assert cell == "nan"
+                continue
+            transfer = dist[upper] / pair
+            assert cell == f"{transfer:.6g}"
+            ideal = 0.5 if 2 * r == lower + upper else float(2 * r > lower + upper)
+            deviations.append(abs(transfer - ideal))
+        assert curve.step_distance == sum(deviations) / len(deviations)
+        if reads == 1:  # this sweep misses the pair somewhere and leaves those points out
+            assert 0 < len(deviations) < steps
+
+    def test_the_command_writes_the_same_text(self, capsys):
+        argv = ["sweep", "--n", "8", "--r-from", "4", "--r-to", "5", "--steps", "11",
+                "--temperature", "1e9", "--reads", "1", "--seed", "2"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        config = SamplerConfig(temperature=1e9, n_reads=1, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StrayMassWarning)
+            assert out == curve_csv(sweep_fractional_r(8, 4, 5, 11, 1, config))
+        assert ",nan\n" in out
+        assert err == "warning: 1 of the mass lies outside sums (4, 5) at R=4\n"
 
 
 class TestSweep:
