@@ -17,15 +17,14 @@ _EXPORTS = {
     "core": """ConstructionError DataQualityError DimensionError EncodedRestriction
         EncodingKind EncodingNotApplicableError ParameterError QuboModel QuboRestrictError
         RestrictionSpec SizeLimitError as_fraction combine expand_squared_affine""",
-    "encoders": """DEFAULT_PARAMS EncoderParams applicable_encoders chain_dummy_count
-        encode_equispaced_linear encode_equispaced_log encode_half_integer_chain
-        encode_half_integer_m2 encode_one_hot_general encode_reduced_general
-        encode_single_value log_dummy_count select_optimal""",
+    "encoders": """applicable_encoders chain_dummy_count encode_equispaced_linear
+        encode_equispaced_log encode_half_integer_chain encode_half_integer_m2
+        encode_one_hot_general encode_reduced_general encode_single_value log_dummy_count
+        select_optimal""",
     "oracle": """SpectrumReport VerificationResult enumerate_spectrum fractional_energy_ladder
         verify""",
-    "sampler": """SamplerConfig StrayMassWarning TransferCurve boltzmann_probabilities
-        exact_sum_distribution exact_transfer_curve fractional_restriction_model
-        step_distance sweep_fractional_r""",
+    "sampler": """StrayMassWarning TransferCurve boltzmann_probabilities exact_sum_distribution
+        exact_transfer_curve fractional_restriction_model step_distance sweep_fractional_r""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -77,8 +77,7 @@ def cmd_encode(args: SimpleNamespace) -> int:
     from . import encoders, qubofile
 
     spec = RestrictionSpec(args.n, args.allowed)
-    encoded = getattr(encoders, _METHODS[args.method])(
-        spec, encoders.EncoderParams(args.lambda1, args.lambda2))
+    encoded = getattr(encoders, _METHODS[args.method])(spec, args.lambda1, args.lambda2)
     if args.out is not None:
         qubofile.save(encoded, args.out, args.format)
         summary_stream = sys.stdout
@@ -122,12 +121,10 @@ def cmd_sweep(args: SimpleNamespace) -> int:
 
     from . import sampler
 
-    config = sampler.SamplerConfig(
-        temperature=args.temperature, n_reads=args.reads, seed=args.seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        curve = sampler.sweep_fractional_r(
-            args.n, args.r_from, args.r_to, args.steps, args.lambda1, config)
+        curve = sampler.sweep_fractional_r(args.n, args.r_from, args.r_to, args.steps,
+                                           args.lambda1, args.temperature, args.reads, args.seed)
     for warning in caught:  # one line each, like the errors
         print(f"warning: {warning.message}", file=sys.stderr)
     text = sampler.curve_csv(curve)

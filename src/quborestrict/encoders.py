@@ -29,22 +29,9 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Callable, Optional
 
-    Encoder = Callable[[RestrictionSpec, "EncoderParams"], EncodedRestriction]
+    from .core import RationalLike
 
-
-@record
-class EncoderParams:
-    """Lagrange multipliers; lambda2 only matters for the two-term encodings."""
-
-    lambda1: Fraction = Fraction(1)
-    lambda2: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambda1", as_multiplier(self.lambda1))
-        object.__setattr__(self, "lambda2", as_multiplier(self.lambda2))
-
-
-DEFAULT_PARAMS = EncoderParams()
+    Encoder = Callable[..., EncodedRestriction]  # (spec, lambda1=1, lambda2=1)
 
 
 def _log_weights(m: int, gap: int) -> list[int]:
@@ -132,10 +119,13 @@ _PREFERENCE = [EncodingKind(value) for value in "single_value half_integer_m2 eq
 
 
 def _build(kind: EncodingKind, spec: RestrictionSpec,
-           params: EncoderParams) -> EncodedRestriction:
-    """Expand one row; a half-integer constant leaves a quarter of its multiplier as residual."""
+           lambda1: RationalLike, lambda2: RationalLike) -> EncodedRestriction:
+    """Expand one row; a half-integer constant leaves a quarter of its multiplier as residual.
+
+    Both multipliers are read before the row's precondition, with or without a selector.
+    """
     check_type("spec", spec, RestrictionSpec)
-    check_type("params", params, EncoderParams)
+    lambda1, lambda2 = as_multiplier(lambda1), as_multiplier(lambda2)
     row = _ROWS[kind]
     if not row.applies(spec):
         raise EncodingNotApplicableError(
@@ -144,23 +134,22 @@ def _build(kind: EncodingKind, spec: RestrictionSpec,
     n, weights, constant = spec.n_vars, row.weights(spec), Fraction(row.constant(spec))
     n_total = n + len(weights)
     terms = [(i, 1) for i in range(n)] + list(zip(range(n, n_total), weights))
-    model = expand_squared_affine(terms, constant, params.lambda1, n_total=n_total, n_problem=n)
-    squares = [(constant, params.lambda1)]
-    lambda2 = None if row.selector is None else params.lambda2
-    if lambda2 is not None:
+    model = expand_squared_affine(terms, constant, lambda1, n_total=n_total, n_problem=n)
+    squares = [(constant, lambda1)]
+    if row.selector is not None:
         squares.append((row.selector, lambda2))
         selector = [(i, 1) for i in range(n, n_total)]
         model = combine(model, expand_squared_affine(
             selector, row.selector, lambda2, n_total=n_total, n_problem=n))
     residual = sum((lam / 4 for c, lam in squares if c.denominator == 2), Fraction(0))
     return EncodedRestriction(model=model, kind=kind, residual_energy=residual,
-                              lambda1=params.lambda1, lambda2=lambda2)
+                              lambda1=lambda1, lambda2=None if row.selector is None else lambda2)
 
 
 def _encoder(kind: EncodingKind) -> Encoder:
-    def encode(spec: RestrictionSpec,
-               params: EncoderParams = DEFAULT_PARAMS) -> EncodedRestriction:
-        return _build(kind, spec, params)
+    def encode(spec: RestrictionSpec, lambda1: RationalLike = 1,
+               lambda2: RationalLike = 1) -> EncodedRestriction:
+        return _build(kind, spec, lambda1, lambda2)
 
     encode.__name__ = encode.__qualname__ = f"encode_{kind.value}"
     encode.__doc__ = _ROWS[kind].doc
@@ -178,9 +167,8 @@ def applicable_encoders(spec: RestrictionSpec) -> dict[EncodingKind, Encoder]:
     return {kind: encode for kind, encode in _ENCODERS.items() if _ROWS[kind].applies(spec)}
 
 
-def select_optimal(
-    spec: RestrictionSpec, params: EncoderParams = DEFAULT_PARAMS
-) -> EncodedRestriction:
+def select_optimal(spec: RestrictionSpec, lambda1: RationalLike = 1,
+                   lambda2: RationalLike = 1) -> EncodedRestriction:
     """The applicable construction with the fewest dummies for this spec.
 
     Ties go to the first of single value, half-integer M=2, binary-weighted,
@@ -189,7 +177,7 @@ def select_optimal(
     check_type("spec", spec, RestrictionSpec)
     kind = min((kind for kind in _PREFERENCE if _ROWS[kind].applies(spec)),
                key=lambda kind: len(_ROWS[kind].weights(spec)))
-    return _build(kind, spec, params)
+    return _build(kind, spec, lambda1, lambda2)
 
 
 def chain_dummy_count(m: int) -> int:

@@ -38,6 +38,7 @@ from .core import (
     QuboRestrictError,
     as_printable,
     check_shape,
+    check_type,
     common_denominator,
     is_integer,
 )
@@ -109,6 +110,7 @@ _HEADER = {
 
 def dumps(encoded: EncodedRestriction) -> str:
     """Canonical text form of an encoded restriction."""
+    check_type("encoded", encoded, EncodedRestriction)
     model = encoded.model
     header = {key: write(encoded) for key, (_, write) in _HEADER.items()}
     lines = [MAGIC, *(f"{key} {value}" for key, value in header.items() if value is not None)]
@@ -208,6 +210,7 @@ def _collector_paused(read: Callable[[str], EncodedRestriction]
 @_collector_paused
 def loads(text: str) -> EncodedRestriction:
     """Parse the canonical text form."""
+    check_type("text", text, str)
     lines = text.split("\n")
     if lines[0] != MAGIC:
         raise QuboFileError(f"first line must be {MAGIC!r}")
@@ -251,6 +254,7 @@ def loads(text: str) -> EncodedRestriction:
 
 def dumps_json(encoded: EncodedRestriction) -> str:
     """JSON mirror of the text form (same fields, exact fraction strings)."""
+    check_type("encoded", encoded, EncodedRestriction)
     import json
 
     payload = {
@@ -274,6 +278,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 @_collector_paused
 def loads_json(text: str) -> EncodedRestriction:
     """Parse the JSON mirror as ``dumps_json`` writes it, held to the rules of the text form."""
+    check_type("text", text, str)
     import json
 
     try:

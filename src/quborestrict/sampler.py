@@ -4,8 +4,8 @@ Samples the problem-bit sum of a penalty model from the exact Boltzmann
 distribution at temperature T: the T -> 0 limit recovers an ideal annealer
 that only ever returns ground states, while finite T smears probability onto
 excited states as a monotone-decreasing function of the energy gap.
-Sampling is exact categorical (the full partition function is enumerated
-once), so convergence is never a confound.
+Sampling is exact categorical (each draw is over the exact law of the sums,
+normalized in log space), so convergence is never a confound.
 
 This module is the only floating-point corner of the package; everything it
 consumes is exact and everything it emits is an empirical or exact
@@ -43,6 +43,7 @@ from .core import (
     check_count,
     check_expansion,
     check_memory,
+    check_type,
     expand_squared_affine,
     is_integer,
     record,
@@ -71,20 +72,6 @@ def _check_temperature(temperature: object) -> float:
         return float(temperature) or math.ulp(0.0)  # below the float range: its least float
     except OverflowError:  # above it, as float("1e400") reads
         return math.inf
-
-
-@record
-class SamplerConfig:
-    """Boltzmann temperature (in energy units, as the float every law divides by), reads, seed."""
-
-    temperature: float
-    n_reads: int = 10_000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "temperature", _check_temperature(self.temperature))
-        check_count("n_reads", self.n_reads)
-        check_count("seed", self.seed, 0)
 
 
 @record
@@ -119,6 +106,7 @@ def boltzmann_probabilities(model: QuboModel, temperature: float) -> np.ndarray:
     Returned in the oracle's counting order (assignment ``b`` sets bit ``i``
     to ``(b >> i) & 1``).
     """
+    check_type("model", model, QuboModel)
     temperature = _check_temperature(temperature)
     import numpy as np
 
@@ -152,6 +140,7 @@ def exact_sum_distribution(model: QuboModel, temperature: float) -> list[float]:
     :func:`boltzmann_probabilities`, which weighs its excitations by the same
     rule.
     """
+    check_type("model", model, QuboModel)
     temperature = _check_temperature(temperature)
     from . import oracle
 
@@ -273,29 +262,36 @@ def sweep_fractional_r(
     r_to: RationalLike,
     steps: int,
     lam: RationalLike = 1,
-    config: SamplerConfig = SamplerConfig(temperature=0.05),
+    temperature: float = 0.05,
+    n_reads: int = 10_000,
+    seed: int = 0,
 ) -> TransferCurve:
     """Sample the transfer of measured sums as the fractional target sweeps.
 
     For each target on the grid the exact sum law of the single-term penalty
-    with that (fractional) target is sampled ``config.n_reads`` times.  The
-    range must lie between two consecutive integers, the transfer pair.  A
-    master ``random.Random(config.seed)`` draws one 128-bit seed per grid
-    point, in grid order, and each point draws from its own
-    ``random.Random`` seeded with it, so the curve is identical regardless of
-    evaluation order.  The reads are one multinomial draw over the n+1 sums
-    of the exact sum distribution, at a cost per point that does not grow
-    with ``config.n_reads``.  The inputs are checked once, before any draw;
-    the bit cap holds each grid R, not the ints of a model, which is never built.
+    with that (fractional) target is sampled ``n_reads`` times.  The range
+    must lie between two consecutive integers, the transfer pair.  A master
+    ``random.Random(seed)`` draws one 128-bit seed per grid point, in grid
+    order, and each point draws from its own ``random.Random`` seeded with
+    it, so the curve is identical regardless of evaluation order.  The reads
+    are one multinomial draw over the n+1 sums of the exact sum
+    distribution, at a cost per point that does not grow with ``n_reads``.
+    The temperature, ``n_reads`` (at least 1) and ``seed`` (at least 0) are
+    checked first, in that order, then the inputs of
+    :func:`exact_transfer_curve`, all before any draw; the bit cap holds each
+    grid R, not the ints of a model, which is never built.
     """
-    master = random.Random(config.seed)
+    temperature = _check_temperature(temperature)
+    check_count("n_reads", n_reads)
+    check_count("seed", seed, 0)
+    master = random.Random(seed)
 
     def draw(probabilities: list[float]) -> tuple[float, ...]:
         rng = random.Random(master.getrandbits(128))
-        counts = _multinomial(rng, config.n_reads, probabilities)
-        return tuple(c / config.n_reads for c in counts)
+        counts = _multinomial(rng, n_reads, probabilities)
+        return tuple(c / n_reads for c in counts)
 
-    return _transfer_curve(n_vars, r_from, r_to, steps, lam, config.temperature, draw)
+    return _transfer_curve(n_vars, r_from, r_to, steps, lam, temperature, draw)
 
 
 def exact_transfer_curve(
@@ -371,12 +367,13 @@ def _transfer_curve(
 
 
 def _log_binomials(n: int) -> list[float]:
-    """``math.log(C(n, s))`` for s = 0..n, from one running exact binomial."""
+    """``math.log(C(n, s))`` for s = 0..n, from one running exact binomial up to s = n // 2,
+    mirrored above it: ``C(n, s) == C(n, n - s)``, so the floats are the same."""
     logs, binomial = [0.0], 1
-    for s in range(n):
+    for s in range(n // 2):
         binomial = binomial * (n - s) // (s + 1)
         logs.append(math.log(binomial))
-    return logs
+    return logs + logs[n % 2 - 2::-1]  # without C(n, n // 2) again when n is even
 
 
 def curve_bytes(steps: int, n_sums: int, bound: int, numerator: int) -> int:
@@ -429,8 +426,11 @@ def step_distance(curve: TransferCurve, lower_s: int, upper_s: int) -> float:
     if it exceeds 1% anywhere a :class:`StrayMassWarning` is emitted.  A grid
     point with no mass on the pair is left out of the mean, and its stray
     mass of 1 is warned of; with no such mass anywhere the distance is
-    undefined and :class:`DataQualityError` is raised.
+    undefined and :class:`DataQualityError` is raised, as it is for a curve of no points.
     """
+    check_type("curve", curve, TransferCurve)
+    if not curve.distributions:
+        raise DataQualityError("the curve has no grid points; the transfer ratio is undefined")
     return _step_distance(curve.r_grid, curve.distributions, lower_s, upper_s, stacklevel=3)
 
 

@@ -15,7 +15,6 @@ from quborestrict.core import (
     expand_squared_affine,
 )
 from quborestrict.encoders import (
-    EncoderParams,
     encode_equispaced_linear,
     encode_equispaced_log,
     encode_half_integer_chain,
@@ -150,7 +149,7 @@ def twin_dummy_models(draw, huge=False, perturbed=False):
     lam = draw(st.integers(10**18, 10**30) if huge else st.sampled_from([F(1), F(1, 2)]))
     chain = gap == 1 and draw(st.booleans())
     model = (encode_half_integer_chain if chain else encode_equispaced_linear)(
-        spec, EncoderParams(lam)).model
+        spec, lam).model
     coeffs = dict(model.coeffs)
     if not perturbed or not coeffs:  # (x - 1/2)**2 on one bit has no terms
         return model
@@ -181,7 +180,7 @@ def general_encodings(draw, perturbed=False):
         allowed = draw(st.sets(st.integers(0, n), min_size=2, max_size=min(6, n + 1)))
     spec = RestrictionSpec(n, tuple(allowed))
     lam1, lam2 = (draw(st.sampled_from([F(1), F(1, 2), F(3, 2)])) for _ in range(2))
-    encoded = encode(spec, EncoderParams(lam1, lam2))
+    encoded = encode(spec, lam1, lam2)
     model = encoded.model
     if not perturbed:
         return encoded, spec

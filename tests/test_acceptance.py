@@ -21,7 +21,6 @@ from quborestrict.encoders import applicable_encoders, select_optimal
 from quborestrict.oracle import enumerate_spectrum, fractional_energy_ladder, verify
 from quborestrict.qubofile import dumps, loads
 from quborestrict.sampler import (
-    SamplerConfig,
     StrayMassWarning,
     TransferCurve,
     exact_transfer_curve,
@@ -168,8 +167,7 @@ def test_criterion_5_encoding_equivalence(capsys):
 def test_criterion_6_transfer_curve_sweep(capsys):
     problems = []
     n_reads = 10_000
-    config = SamplerConfig(temperature=0.05, n_reads=n_reads, seed=7)
-    sampled = sweep_fractional_r(5, 1, 2, 11, 1, config)
+    sampled = sweep_fractional_r(5, 1, 2, 11, 1, temperature=0.05, n_reads=n_reads, seed=7)
     exact = exact_transfer_curve(5, 1, 2, 11, 1, temperature=0.05)
 
     if sampled.distributions[0][1] < 0.99:

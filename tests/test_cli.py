@@ -605,6 +605,19 @@ METHOD_CHOICES = "'auto', 'single', 'onehot', 'linear', 'log', 'half2', 'halfcha
     (["table", "--max-m", "3", "a\nb", "c"], "unrecognized arguments: 'a\\nb' c"),
     # the restriction is required before any file is opened
     (["verify", "--qubo", "missing.qubo"], "the following arguments are required: --n, --allowed"),
+    # both multipliers are read before the row's precondition, with or without a selector
+    (["encode", "--n", "3", "--allowed", "1", "--method", "single", "--lambda2", "0"],
+     "multiplier must be positive, got 0"),
+    (["encode", "--n", "5", "--allowed", "1,3", "--method", "half2", "--lambda", "0"],
+     "multiplier must be positive, got 0"),
+    # and after the restriction itself
+    (["encode", "--n", "3", "--allowed", "5", "--lambda2", "0"],
+     "allowed value 5 exceeds n_vars=3"),
+    # a sweep reads the temperature, the reads and the seed before its size and range
+    (["sweep", "--n", "0", "--r-from", "1", "--r-to", "2", "--temperature", "0", "--reads", "0",
+      "--seed", "-1"], "temperature must be positive, got 0"),
+    (["sweep", "--n", "4", "--r-from", "1", "--r-to", "2", "--reads", "0", "--seed", "-1",
+      "--steps", "1"], "n_reads must be an integer of at least 1, got 0"),
 ])
 def test_usage_errors_keep_their_text(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

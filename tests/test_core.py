@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import random
 import re
 import tracemalloc
@@ -12,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from quborestrict import core
+from quborestrict import core, qubofile
 from quborestrict.core import (
     ConstructionError,
     DimensionError,
@@ -28,20 +29,23 @@ from quborestrict.core import (
 )
 from quborestrict.cli import render_dummy_table
 from quborestrict.encoders import (
-    EncoderParams,
     applicable_encoders,
     chain_dummy_count,
+    encode_half_integer_m2,
     encode_one_hot_general,
+    encode_reduced_general,
     encode_single_value,
     log_dummy_count,
     select_optimal,
 )
 from quborestrict.oracle import enumerate_spectrum, fractional_energy_ladder, verify
 from quborestrict.sampler import (
-    SamplerConfig,
+    boltzmann_probabilities,
+    exact_sum_distribution,
     exact_transfer_curve,
     fractional_restriction_model,
     step_distance,
+    sweep_fractional_r,
 )
 
 
@@ -251,12 +255,14 @@ class TestEncodedRestriction:
                                    EncodingKind.SINGLE_VALUE, F(0), lam),
     lambda lam: EncodedRestriction(expand_squared_affine([(0, 1)], -1, 1),
                                    EncodingKind.REDUCED_GENERAL, F(0), F(1), lam),
-    lambda lam: EncoderParams(lambda1=lam),
-    lambda lam: EncoderParams(lambda2=lam),
+    # read before the row's precondition, which these pairs fail, with or without a selector
+    lambda lam: encode_half_integer_m2(RestrictionSpec(3, (1, 3)), lam),
+    lambda lam: encode_single_value(RestrictionSpec(3, (1, 2)), lambda2=lam),
+    lambda lam: select_optimal(RestrictionSpec(3, (1,)), 1, lam),
     lambda lam: fractional_energy_ladder(4, 1, lam),
     lambda lam: exact_transfer_curve(5, 1, 2, 3, lam),
-], ids=["expand", "encoded-lambda1", "encoded-lambda2", "params-lambda1", "params-lambda2",
-        "ladder", "sweep"])
+], ids=["expand", "encoded-lambda1", "encoded-lambda2", "encode-lambda1", "encode-lambda2",
+        "select-lambda2", "ladder", "sweep"])
 @pytest.mark.parametrize("lam", [0, F(-3, 2)], ids=["0", "-3/2"])
 def test_nonpositive_multiplier_refused(build, lam):
     # every layer reads a multiplier through as_multiplier, with one message
@@ -274,12 +280,13 @@ NOT_RATIONAL = ["x", "1/0", float("nan"), float("inf"), Decimal("Infinity"), Non
     lambda value: QuboModel(2, 2, {}, value),
     lambda value: expand_squared_affine([(0, value)], 0),
     lambda value: expand_squared_affine([(0, 1)], value),
-    EncoderParams,
+    lambda value: select_optimal(RestrictionSpec(2, (1,)), value),
+    lambda value: encode_single_value(RestrictionSpec(2, (1,)), 1, value),
     lambda value: EncodedRestriction(expand_squared_affine([(0, 1)], -1, 1),
                                      EncodingKind.SINGLE_VALUE, value, F(1)),
     lambda value: exact_transfer_curve(3, value, 2, 3),
     lambda value: fractional_energy_ladder(3, value),
-], ids=["as_fraction", "coefficient", "offset", "weight", "constant", "params",
+], ids=["as_fraction", "coefficient", "offset", "weight", "constant", "lambda1", "lambda2",
         "residual", "r_from", "ladder"])
 @pytest.mark.parametrize("value", NOT_RATIONAL, ids=repr)
 def test_every_rational_input_refuses_what_is_not_rational(read, value):
@@ -293,9 +300,9 @@ INTEGER_INPUTS = {
                      "n_vars must be an integer of at least 1, got {!r}", 0),
     "sweep steps": (lambda v: exact_transfer_curve(3, 1, 2, v), ParameterError,
                     "steps must be an integer of at least 2, got {!r}", 1),
-    "n_reads": (lambda v: SamplerConfig(1.0, v), ParameterError,
+    "n_reads": (lambda v: sweep_fractional_r(3, 1, 2, 3, n_reads=v), ParameterError,
                 "n_reads must be an integer of at least 1, got {!r}", 0),
-    "seed": (lambda v: SamplerConfig(1.0, 10, v), ParameterError,
+    "seed": (lambda v: sweep_fractional_r(3, 1, 2, 3, n_reads=10, seed=v), ParameterError,
              "seed must be an integer of at least 0, got {!r}", -1),
     "ladder n_vars": (lambda v: fractional_energy_ladder(v, 1), ParameterError,
                       "n_vars must be an integer of at least 1, got {!r}", 0),
@@ -375,24 +382,37 @@ def test_every_shape_input_refuses_what_it_cannot_read(read, message, value):
 
 SPEC = RestrictionSpec(2, (1,))
 LONG = QuboModel(2, 2, {}, 10**200)
+EMPTY = QuboModel(2, 2, {})
+ENCODED = encode_single_value(SPEC)
 
-# each record argument given a record of another type, or the tuple of its fields
+# each record or text argument given a record of another type, the tuple of its fields or None
 RECORD_INPUTS = {
     "verify-model": (lambda: verify(QuboModel(2, 2, {}), SPEC),
                      "encoded must be an EncodedRestriction, got QuboModel(n_total=2, n_problem=2, "
                      "scale=1, int_coeffs={}, int_offset=0)"),
     "verify-tuple": (lambda: verify(encode_single_value(SPEC), (2, (1,))),
                      "spec must be a RestrictionSpec, got (2, (1,))"),
-    "spectrum-spec": (lambda: enumerate_spectrum(encode_single_value(SPEC), EncoderParams()),
-                      "spec must be a RestrictionSpec, got EncoderParams(lambda1=Fraction(1, 1), "
-                      "lambda2=Fraction(1, 1))"),
+    "spectrum-spec": (lambda: enumerate_spectrum(ENCODED, EMPTY),
+                      f"spec must be a RestrictionSpec, got {EMPTY!r}"),
     "combine": (lambda: combine(QuboModel(2, 2, {}), 5), "model must be a QuboModel, got 5"),
     "select": (lambda: select_optimal((3, (1,))), "spec must be a RestrictionSpec, got (3, (1,))"),
     "applicable": (lambda: applicable_encoders((3, (1,))),
                    "spec must be a RestrictionSpec, got (3, (1,))"),
     "encode": (lambda: encode_single_value((3, (1,))),
                "spec must be a RestrictionSpec, got (3, (1,))"),
-    "params": (lambda: select_optimal(SPEC, (1, 1)), "params must be an EncoderParams, got (1, 1)"),
+    "sum-law": (lambda: exact_sum_distribution(ENCODED, 0.5),
+                f"model must be a QuboModel, got {ENCODED!r:.100}..."),
+    "probabilities": (lambda: boltzmann_probabilities(ENCODED, 0.5),
+                      f"model must be a QuboModel, got {ENCODED!r:.100}..."),
+    "step-distance": (lambda: step_distance(None, 1, 2), "curve must be a TransferCurve, got None"),
+    "dumps": (lambda: qubofile.dumps(EMPTY),
+              f"encoded must be an EncodedRestriction, got {EMPTY!r}"),
+    "dumps_json": (lambda: qubofile.dumps_json(EMPTY),
+                   f"encoded must be an EncodedRestriction, got {EMPTY!r}"),
+    "save": (lambda: qubofile.save(EMPTY, os.devnull),
+             f"encoded must be an EncodedRestriction, got {EMPTY!r}"),
+    "loads": (lambda: qubofile.loads(None), "text must be a str, got None"),
+    "loads_json": (lambda: qubofile.loads_json(5), "text must be a str, got 5"),
     # a repr is cut at 100 characters, so a whole model in place of its record stays short
     "long": (lambda: verify(LONG, SPEC),
              f"encoded must be an EncodedRestriction, got {LONG!r:.100}..."),
@@ -458,12 +478,13 @@ class TestRecord:
     def test_equal_only_to_its_own_class(self):
         @core.record
         class Lookalike:
-            lambda1: F = F(1)
-            lambda2: F = F(1)
+            n_vars: int = 5
+            allowed: tuple = (1, 3)
 
-        assert EncoderParams() == EncoderParams(F(1), 1)
-        assert EncoderParams() != Lookalike() and Lookalike() != EncoderParams()
-        assert RestrictionSpec(5, (1, 3)) != (5, (1, 3))
+        spec = RestrictionSpec(5, (1, 3))
+        assert spec == RestrictionSpec(5, [3, 1])
+        assert spec != Lookalike() and Lookalike() != spec
+        assert spec != (5, (1, 3))
         assert QuboModel(2, 2, {(0, 1): 1}) == QuboModel(2, 2, {(0, 1): F(2, 2)})
 
     @pytest.mark.parametrize("args, kwargs", [
@@ -478,8 +499,10 @@ class TestRecord:
             RestrictionSpec(*args, **kwargs)
 
     def test_defaults(self):
-        assert EncoderParams().lambda1 == EncoderParams().lambda2 == 1
-        assert EncoderParams(lambda2=3) == EncoderParams(1, 3)
+        spec = RestrictionSpec(5, (1, 3))
+        assert encode_reduced_general(spec).lambda1 == encode_reduced_general(spec).lambda2 == 1
+        assert encode_reduced_general(spec) == encode_reduced_general(spec, F(1), 1)
+        assert encode_reduced_general(spec, lambda2=3) == encode_reduced_general(spec, 1, 3)
         model = expand_squared_affine([(0, 1)], -1, 1)
         encoded = EncodedRestriction(model, EncodingKind.SINGLE_VALUE, F(0), F(1))
         assert encoded.lambda2 is None

@@ -16,7 +16,6 @@ from quborestrict.core import (
     RestrictionSpec,
 )
 from quborestrict.encoders import (
-    EncoderParams,
     applicable_encoders,
     chain_dummy_count,
     encode_equispaced_linear,
@@ -210,7 +209,7 @@ class TestHalfIntegerM2:
 
     def test_scales_residual_with_multiplier(self):
         spec = RestrictionSpec(3, (1, 2))
-        encoded = encode_half_integer_m2(spec, EncoderParams(lambda1=F(3)))
+        encoded = encode_half_integer_m2(spec, lambda1=F(3))
         assert encoded.residual_energy == F(3, 4)
         assert enumerate_spectrum(encoded, spec).passed
 
@@ -324,7 +323,7 @@ class TestSelectOptimal:
     def test_certified_at_a_thousand_variables(self, allowed, kind):
         # the twin-class table takes these models, (n+1) * 2**d entries at the default cap
         spec = RestrictionSpec(1000, allowed)
-        encoded = select_optimal(spec, EncoderParams(F(1, 7), F(3)))
+        encoded = select_optimal(spec, F(1, 7), F(3))
         assert encoded.kind is kind
         result = verify(encoded, spec)
         assert result.passed, result.diagnosis
@@ -336,21 +335,21 @@ class TestSelectOptimal:
             assert select_optimal(spec).kind is EncodingKind.EQUISPACED_LOG
 
 
-class TestEncoderParams:
+class TestMultipliers:
     @pytest.mark.parametrize("params", [{"lambda1": True}, {"lambda2": True}, {"lambda1": False}])
     def test_rejects_booleans(self, params):
-        # True == 1 as an int, but it is no multiplier
+        # True == 1 as an int, but it is no multiplier; lambda2 is read without a selector too
         with pytest.raises(ParameterError, match="got (True|False)"):
-            EncoderParams(**params)
+            encode_single_value(RestrictionSpec(4, (2,)), **params)
 
     def test_two_term_encodings_record_both_multipliers(self):
-        params = EncoderParams(lambda1=2, lambda2=F(3, 2))
+        params = {"lambda1": 2, "lambda2": F(3, 2)}
         spec = RestrictionSpec(6, (1, 3, 6))
-        onehot = encode_one_hot_general(spec, params)
-        reduced = encode_reduced_general(spec, params)
+        onehot = encode_one_hot_general(spec, **params)
+        reduced = encode_reduced_general(spec, **params)
         assert (onehot.lambda1, onehot.lambda2) == (F(2), F(3, 2))
         assert reduced.residual_energy == F(3, 8)  # lambda2 / 4
-        single = encode_single_value(RestrictionSpec(4, (2,)), params)
+        single = encode_single_value(RestrictionSpec(4, (2,)), **params)
         assert single.lambda2 is None
 
 
@@ -366,7 +365,6 @@ class TestGroundSetProperty:
         assert checked > 300
 
     def test_residuals_scale_with_multipliers(self):
-        params = EncoderParams(lambda1=F(7, 2), lambda2=F(5))
         rng = random.Random(99)
         specs = [
             RestrictionSpec(n, tuple(sorted(rng.sample(range(n + 1), m))))
@@ -374,7 +372,7 @@ class TestGroundSetProperty:
         ]
         for spec in specs:
             for encoder in applicable_encoders(spec).values():
-                encoded = encoder(spec, params)
+                encoded = encoder(spec, F(7, 2), F(5))
                 result = verify(encoded, spec)
                 assert result.passed, (spec, encoded.kind, result.diagnosis)
 

@@ -25,7 +25,6 @@ from quborestrict.core import (
     expand_squared_affine,
 )
 from quborestrict.encoders import (
-    EncoderParams,
     encode_equispaced_linear,
     encode_equispaced_log,
     encode_half_integer_chain,
@@ -158,14 +157,14 @@ class TestEnumerateSpectrum:
 
     def test_huge_multiplier_takes_exact_bigint_path(self):
         spec = RestrictionSpec(3, (1, 2))
-        encoded = encode_half_integer_m2(spec, EncoderParams(lambda1=10**30))
+        encoded = encode_half_integer_m2(spec, lambda1=10**30)
         report = enumerate_spectrum(encoded, spec)
         assert report.ground_energy == F(10**30, 4)
         assert report.ground_sums == {1, 2}
 
     def test_thirds_multiplier_stays_exact(self):
         spec = RestrictionSpec(4, (1, 3))
-        encoded = encode_reduced_general(spec, EncoderParams(lambda1=F(1, 3), lambda2=F(1, 3)))
+        encoded = encode_reduced_general(spec, lambda1=F(1, 3), lambda2=F(1, 3))
         report = enumerate_spectrum(encoded, spec)
         assert report.ground_energy == F(1, 12)
         assert report.passed
@@ -502,10 +501,10 @@ def forced_sweep(encoded: EncodedRestriction, spec: RestrictionSpec) -> Spectrum
 
 
 def lowered_one_hot(i: int, j: int, spec: RestrictionSpec = RestrictionSpec(17, (2, 9, 15)),
-                    params: EncoderParams = EncoderParams()) -> EncodedRestriction:
-    """The one-hot encoding of ``spec`` (17 + 3 bits) with the coupling of bits i and j
-    lowered by 1/2."""
-    encoded = encode_one_hot_general(spec, params)
+                    lam: int = 1) -> EncodedRestriction:
+    """The one-hot encoding of ``spec`` (17 + 3 bits), both multipliers ``lam``, with the
+    coupling of bits i and j lowered by 1/2."""
+    encoded = encode_one_hot_general(spec, lam, lam)
     coeffs = dict(encoded.model.coeffs)
     coeffs[(i, j)] -= F(1, 2)
     model = encoded.model
@@ -948,13 +947,13 @@ def test_traced_peak_within_the_memory_estimate(monkeypatch, lam, reader):
 @pytest.mark.parametrize("model", [
     expand_squared_affine([(i, 1) for i in range(300)], -150, 1),
     lowered_one_hot(4, 11).model,
-    encode_one_hot_general(RestrictionSpec(12, (2, 5, 9)), EncoderParams(10**30, 10**30)).model,
+    encode_one_hot_general(RestrictionSpec(12, (2, 5, 9)), 10**30, 10**30).model,
     encode_half_integer_chain(RestrictionSpec(60, tuple(range(5, 45)))).model,
     encode_equispaced_linear(RestrictionSpec(60, tuple(range(0, 61, 3)))).model,
     # 81,406 coefficients, whose row sums over the position weights hold O(bits)
     lowered_one_hot(4, 11, RestrictionSpec(400, (2, 200, 397))).model,
     # the row sums grow with the coefficients
-    lowered_one_hot(4, 11, RestrictionSpec(100, (2, 50, 97)), EncoderParams(10**30, 10**30)).model,
+    lowered_one_hot(4, 11, RestrictionSpec(100, (2, 50, 97)), 10**30).model,
     # 11 dummies of distinct weights whose 2**11 patterns merge to 232 entries
     encode_reduced_general(RestrictionSpec(100, tuple(range(1, 97, 8)))).model,
     # 10 coupled dummies whose 2**10 patterns never merge: their keys hold 11 fields

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from quborestrict import qubofile
 from quborestrict.core import ConstructionError, ParameterError, QuboModel, RestrictionSpec
 from quborestrict.encoders import (
-    EncoderParams,
     applicable_encoders,
     encode_half_integer_chain,
     encode_one_hot_general,
@@ -40,10 +39,9 @@ SPECS = [
 
 
 def all_encodings():
-    params = EncoderParams(lambda1=F(3, 2), lambda2=F(2))
     for spec in SPECS:
         for encoder in applicable_encoders(spec).values():
-            yield encoder(spec, params)
+            yield encoder(spec, lambda1=F(3, 2), lambda2=F(2))
 
 
 class TestTextRoundTrip:

@@ -25,10 +25,11 @@ from quborestrict.core import (
 from quborestrict.encoders import encode_single_value
 from quborestrict.core import RestrictionSpec
 from quborestrict.sampler import (
-    SamplerConfig,
     StrayMassWarning,
     TransferCurve,
     _binomial,
+    _check_temperature,
+    _log_binomials,
     _multinomial,
     boltzmann_probabilities,
     curve_bytes,
@@ -55,23 +56,6 @@ def curve_from(distributions, n_vars=5, grid=GRID_11):
     )
 
 
-class TestSamplerConfig:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ParameterError):
-            SamplerConfig(temperature=0)
-        with pytest.raises(ParameterError):
-            SamplerConfig(temperature=-1.0)
-        with pytest.raises(ParameterError):
-            SamplerConfig(temperature=1.0, n_reads=0)
-        with pytest.raises(ParameterError):
-            SamplerConfig(temperature=1.0, n_reads=2.5)
-
-    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
-    def test_seed_must_be_a_non_negative_integer(self, seed):
-        with pytest.raises(ParameterError, match="seed"):
-            SamplerConfig(temperature=1.0, seed=seed)
-
-
 class TestBoltzmannProbabilities:
     def test_normalized_and_boltzmann_ratioed(self):
         model = fractional_restriction_model(1, F(0), 1)  # energies 0 and 1
@@ -93,11 +77,11 @@ class TestBoltzmannProbabilities:
             exact_sum_distribution(model, temperature=0.0)
 
     @pytest.mark.parametrize("entry", [
-        lambda t: SamplerConfig(temperature=t),
+        lambda t: sweep_fractional_r(5, 1, 2, 3, 1, t),
         lambda t: boltzmann_probabilities(fractional_restriction_model(2, 1, 1), t),
         lambda t: exact_sum_distribution(fractional_restriction_model(2, 1, 1), t),
         lambda t: exact_transfer_curve(5, 1, 2, 3, 1, temperature=t),
-    ], ids=["config", "probabilities", "sum-distribution", "exact-curve"])
+    ], ids=["sweep", "probabilities", "sum-distribution", "exact-curve"])
     @pytest.mark.parametrize("temperature, message", [
         (True, "a positive number, got True"),  # True is no temperature
         ("0.2", "a positive number, got '0.2'"),
@@ -185,8 +169,7 @@ def every_law(temperature):
             laws["fallback"] = exact_sum_distribution(model, temperature)
         laws["twin-free"] = exact_sum_distribution(twin_free, temperature)
         laws["curve"] = exact_transfer_curve(3, 1, 2, 3, 1, temperature).distributions
-        laws["sweep"] = sweep_fractional_r(
-            3, 1, 2, 3, 1, SamplerConfig(temperature, 100, 1)).distributions
+        laws["sweep"] = sweep_fractional_r(3, 1, 2, 3, 1, temperature, 100, 1).distributions
     return laws
 
 
@@ -200,8 +183,8 @@ class TestOneTemperature:
         (F(1, 10**400), math.ulp(0.0)),
     ], ids=["0.5", "1/2", "2", "1e400", "1e400/3", "inf", "1e-400"])
     def test_every_path_divides_by_the_same_float(self, temperature, value):
-        config = SamplerConfig(temperature=temperature)
-        assert type(config.temperature) is float and config.temperature == value
+        read = _check_temperature(temperature)
+        assert type(read) is float and read == value
         laws = every_law(temperature)
         for law in (laws["table"], laws["fallback"], laws["twin-free"], *laws["curve"]):
             assert all(map(math.isfinite, law)) and math.fsum(law) == pytest.approx(1.0)
@@ -270,10 +253,11 @@ class TestClosedFormLaw:
         assert expected[0] is ParameterError
         assert outcome(exact_transfer_curve, n_vars, r_from, r_to, 3, lam,
                        temperature) == expected
+        sampled = outcome(sweep_fractional_r, n_vars, r_from, r_to, 3, lam, temperature, 100)
         if temperature:
-            config = SamplerConfig(temperature=temperature, n_reads=100)
-            assert outcome(sweep_fractional_r, n_vars, r_from, r_to, 3, lam,
-                           config) == expected
+            assert sampled == expected
+        else:  # a sampled sweep reads its temperature before anything else
+            assert sampled == (ParameterError, "temperature must be positive, got 0")
 
     @pytest.mark.parametrize("n_vars, r_from, r_to, lam, unit_temperature", [
         # the model's scale b*q**2 passes the bit cap
@@ -340,6 +324,12 @@ class TestClosedFormLaw:
         assert peak < 2**16
 
 
+def test_log_binomials_are_the_logs_of_the_exact_binomials():
+    # built up to n // 2 and mirrored: the same floats for odd and even n
+    for n in range(1, 61):
+        assert _log_binomials(n) == [math.log(math.comb(n, s)) for s in range(n + 1)], n
+
+
 class TestCurveBytes:
     """``curve_bytes`` is the only memory gate of a sweep, so it must bound what one holds."""
 
@@ -354,13 +344,12 @@ class TestCurveBytes:
             "60x11-2e1e6"])
     def test_bounds_the_traced_peak_of_a_sweep_and_its_csv(self, n_vars, r_from, steps, lam):
         # a hot, many-read sweep: long CSV cells and counts beyond the cached small ints
-        config = SamplerConfig(temperature=1e9, n_reads=10**6, seed=3)
         r_to = math.floor(r_from) + 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StrayMassWarning)
             tracemalloc.start()
             try:
-                curve_csv(sweep_fractional_r(n_vars, r_from, r_to, steps, lam, config))
+                curve_csv(sweep_fractional_r(n_vars, r_from, r_to, steps, lam, 1e9, 10**6, 3))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -379,10 +368,9 @@ class TestTransferRule:
     ], ids=["5", "16", "40-thirds", "9-half", "8-missed"])
     def test_each_cell_is_the_transfer_the_distance_averages(
             self, n_vars, r_from, r_to, steps, temperature, reads, seed):
-        config = SamplerConfig(temperature=temperature, n_reads=reads, seed=seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StrayMassWarning)
-            curve = sweep_fractional_r(n_vars, r_from, r_to, steps, 1, config)
+            curve = sweep_fractional_r(n_vars, r_from, r_to, steps, 1, temperature, reads, seed)
         lower, upper = math.floor(F(r_from)), math.ceil(F(r_to))
         lines = curve_csv(curve).splitlines()
         assert len(lines) == steps + 2
@@ -407,49 +395,43 @@ class TestTransferRule:
                 "--temperature", "1e9", "--reads", "1", "--seed", "2"]
         assert cli.main(argv) == 0
         out, err = capsys.readouterr()
-        config = SamplerConfig(temperature=1e9, n_reads=1, seed=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StrayMassWarning)
-            assert out == curve_csv(sweep_fractional_r(8, 4, 5, 11, 1, config))
+            assert out == curve_csv(sweep_fractional_r(8, 4, 5, 11, 1, 1e9, 1, 2))
         assert ",nan\n" in out
         assert err == "warning: 1 of the mass lies outside sums (4, 5) at R=4\n"
 
 
 class TestSweep:
     def test_endpoints_pin_to_integer_targets(self):
-        config = SamplerConfig(temperature=0.05, n_reads=10_000, seed=7)
-        curve = sweep_fractional_r(5, 1, 2, 5, 1, config)
+        curve = sweep_fractional_r(5, 1, 2, 5, 1, temperature=0.05, n_reads=10_000, seed=7)
         assert curve.r_grid == (F(1), F(5, 4), F(3, 2), F(7, 4), F(2))
         assert curve.distributions[0][1] >= 0.99
         assert curve.distributions[-1][2] >= 0.99
 
     def test_distributions_sum_to_one(self):
-        config = SamplerConfig(temperature=0.2, n_reads=5_000, seed=1)
-        curve = sweep_fractional_r(4, 1, 2, 4, 1, config)
+        curve = sweep_fractional_r(4, 1, 2, 4, 1, temperature=0.2, n_reads=5_000, seed=1)
         for dist in curve.distributions:
             assert sum(dist) == pytest.approx(1.0, abs=1e-12)
 
     def test_determinism_across_runs(self):
-        config = SamplerConfig(temperature=0.1, n_reads=3_000, seed=123)
-        a = sweep_fractional_r(5, 1, 2, 7, 1, config)
-        b = sweep_fractional_r(5, 1, 2, 7, 1, config)
+        a = sweep_fractional_r(5, 1, 2, 7, 1, temperature=0.1, n_reads=3_000, seed=123)
+        b = sweep_fractional_r(5, 1, 2, 7, 1, temperature=0.1, n_reads=3_000, seed=123)
         assert a == b
 
     def test_parameter_validation(self):
-        config = SamplerConfig(temperature=0.1)
         with pytest.raises(ParameterError):
-            sweep_fractional_r(5, 1, 2, 1, 1, config)
+            sweep_fractional_r(5, 1, 2, 1, 1, 0.1)
         with pytest.raises(ParameterError):
-            sweep_fractional_r(5, 2, 1, 5, 1, config)
+            sweep_fractional_r(5, 2, 1, 5, 1, 0.1)
         with pytest.raises(ParameterError):
-            sweep_fractional_r(5, 1, 6, 5, 1, config)
+            sweep_fractional_r(5, 1, 6, 5, 1, 0.1)
 
     @pytest.mark.parametrize("r_from, r_to, pair",
                              [(0, 4, "(0, 4)"), (F(3, 2), F(5, 2), "(1, 3)")])
     def test_range_over_more_than_one_integer_is_rejected(self, r_from, r_to, pair):
-        config = SamplerConfig(temperature=1e3, n_reads=100)
         with pytest.raises(ParameterError, match=re.escape(pair)):
-            sweep_fractional_r(5, r_from, r_to, 5, 1, config)
+            sweep_fractional_r(5, r_from, r_to, 5, 1, 1e3, 100)
         with pytest.raises(ParameterError, match=re.escape(pair)):
             exact_transfer_curve(5, r_from, r_to, 5, 1, temperature=1e3)
 
@@ -463,19 +445,18 @@ class TestSweep:
     ])
     def test_sweep_size_is_checked_first(self, n_vars, steps, message):
         # before the range, which is bad here too
-        config = SamplerConfig(temperature=1e3, n_reads=100)
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-            sweep_fractional_r(n_vars, 0, "x", steps, 1, config)
+            sweep_fractional_r(n_vars, 0, "x", steps, 1, 1e3, 100)
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             exact_transfer_curve(n_vars, 0, "x", steps, 1, temperature=1e3)
 
     def test_exact_curve_matches_sampled_curve_in_the_large_read_limit(self):
         exact = exact_transfer_curve(5, 1, 2, 5, 1, temperature=0.05)
-        config = SamplerConfig(temperature=0.05, n_reads=40_000, seed=2)
-        sampled = sweep_fractional_r(5, 1, 2, 5, 1, config)
+        n_reads = 40_000
+        sampled = sweep_fractional_r(5, 1, 2, 5, 1, 0.05, n_reads, seed=2)
         for e_dist, s_dist in zip(exact.distributions, sampled.distributions):
             for p_exact, p_hat in zip(e_dist, s_dist):
-                sigma = math.sqrt(max(p_exact * (1 - p_exact), 1e-12) / config.n_reads)
+                sigma = math.sqrt(max(p_exact * (1 - p_exact), 1e-12) / n_reads)
                 assert abs(p_hat - p_exact) <= 4 * sigma + 1e-4
 
 
@@ -589,6 +570,9 @@ class TestStepDistance:
         distributions = [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * 11
         with pytest.raises(DataQualityError):
             step_distance(curve_from(distributions), 1, 2)
+        # a hand-built curve of no grid point has no transfer either
+        with pytest.raises(DataQualityError, match="^the curve has no grid points; "):
+            step_distance(TransferCurve(4, (), (), 0.0), 1, 2)
 
     def test_bad_transfer_sums_rejected(self):
         distributions = [(0.0, 0.5, 0.5, 0.0, 0.0, 0.0)] * 11
@@ -607,7 +591,7 @@ class TestStepDistance:
         for call in (
             lambda: step_distance(curve_from(hot), 1, 2),
             lambda: exact_transfer_curve(5, 1, 2, 5, temperature=0.5),
-            lambda: sweep_fractional_r(5, 1, 2, 5, config=SamplerConfig(0.5, n_reads=1000)),
+            lambda: sweep_fractional_r(5, 1, 2, 5, temperature=0.5, n_reads=1000),
         ):
             with pytest.warns(StrayMassWarning) as record:
                 call()
