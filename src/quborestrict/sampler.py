@@ -39,6 +39,7 @@ from .core import (
     QuboModel,
     as_fraction,
     as_multiplier,
+    as_tuple,
     check_bits,
     check_count,
     check_expansion,
@@ -427,11 +428,18 @@ def step_distance(curve: TransferCurve, lower_s: int, upper_s: int) -> float:
     point with no mass on the pair is left out of the mean, and its stray
     mass of 1 is warned of; with no such mass anywhere the distance is
     undefined and :class:`DataQualityError` is raised, as it is for a curve of no points.
+    A curve whose ``r_grid`` and rows differ in length, as only a hand-built
+    one can, is a :class:`ConstructionError` that names the first mismatch.
     """
     check_type("curve", curve, TransferCurve)
-    if not curve.distributions:
+    rows = as_tuple("curve.distributions", curve.distributions)
+    if not rows:
         raise DataQualityError("the curve has no grid points; the transfer ratio is undefined")
-    return _step_distance(curve.r_grid, curve.distributions, lower_s, upper_s, stacklevel=3)
+    grid = as_tuple("curve.r_grid", curve.r_grid, len(rows))
+    width = len(as_tuple("curve.distributions[0]", rows[0]))
+    for k, row in enumerate(rows):
+        as_tuple(f"curve.distributions[{k}]", row, width)
+    return _step_distance(grid, rows, lower_s, upper_s, stacklevel=3)
 
 
 def _step_distance(r_grid: Sequence[Fraction], distributions: Sequence[Sequence[float]],

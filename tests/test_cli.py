@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from quborestrict import cli, core, qubofile
+from quborestrict import cli, core, oracle, qubofile
 from quborestrict.cli import main, parse_args
 from quborestrict.core import (
     EncodedRestriction,
@@ -22,7 +22,7 @@ from quborestrict.core import (
     RestrictionSpec,
     expand_squared_affine,
 )
-from quborestrict.encoders import encode_single_value
+from quborestrict.encoders import encode_half_integer_chain, encode_single_value
 
 from helpers import broken_one_hot, offset_tampered
 
@@ -184,6 +184,28 @@ class TestVerify:
         assert code == 1
         assert "verdict: FAIL" in out
         assert "spurious" in out
+
+    def test_matched_chain_dummies_are_refuted_at_a_hundred_bits(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        # a matching among the chain's 4 twin dummies leaves the twin pairs {100, 101} and
+        # {102, 103}: the table refutes the file without the sweep's 2**104 states
+        encoded = encode_half_integer_chain(RestrictionSpec(100, range(40, 46)))
+        coeffs = dict(encoded.model.coeffs)
+        coeffs[(100, 101)] += 1
+        coeffs[(102, 103)] += 1
+        path = tmp_path / "matched.qubo"
+        qubofile.save(EncodedRestriction(
+            model=QuboModel(104, 100, coeffs, encoded.model.offset), kind=encoded.kind,
+            residual_energy=encoded.residual_energy, lambda1=encoded.lambda1), path)
+
+        def no_sweep(model):
+            raise AssertionError("the twin-class table did not take the model")
+
+        monkeypatch.setattr(oracle, "assignment_energies", no_sweep)
+        code, out, _ = run_cli(capsys, "verify", "--qubo", path, "--n", 100,
+                               "--allowed", "40,41,42,43,44,45")
+        assert code == 1
+        assert out.endswith("verdict: FAIL\nallowed sums [44, 45] never reach the ground energy\n")
 
     def test_offset_tampered_file_is_refuted(self, capsys, tmp_path):
         bad_path = tmp_path / "offset.qubo"
@@ -407,12 +429,20 @@ class TestSweep:
         assert float(first[2]) >= 0.99   # P1 at R=1
         assert float(last[3]) >= 0.99    # P2 at R=2
 
-    def test_csv_to_stdout_without_out_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sweep", "--n", 4, "--r-from", 1, "--r-to", 2, "--steps", 3,
-            "--temperature", 0.05, "--reads", 500, "--seed", 1)
+    @pytest.mark.parametrize("flags", [
+        ("--n", 4, "--r-from", 1, "--r-to", 2, "--temperature", 0.05, "--reads", 500),
+        # a sweep builds no model, so it runs where the model's 200 million terms would not fit
+        ("--n", 20_000, "--r-from", 10_000, "--r-to", 10_001, "--reads", 1000),
+        # a sweep caps each R it returns, not the ints of the model it never builds: with
+        # R = 1 + 1/10**1400 and lam = 1e-1000 those ints would pass the 12,000-bit cap
+        ("--n", 4, "--r-from", "1." + "0" * 1399 + "1", "--r-to", 2, "--reads", 100,
+         "--lambda", "1e-1000"),
+    ], ids=["small", "n20000", "1400-digit-R"])
+    def test_csv_to_stdout_without_out_flag(self, capsys, flags):
+        code, out, _ = run_cli(capsys, "sweep", *flags, "--steps", 3, "--seed", 1)
         assert code == 0
         lines = out.splitlines()
+        assert len(lines) == 5  # header + 3 grid points + summary
         assert lines[0].startswith("R,P0")
         assert lines[-1].startswith("step_distance=")
 
@@ -499,25 +529,6 @@ class TestSweep:
         assert run_cli(capsys, *argv, "-1/2") == (
             2, "", "error: temperature must be positive, got -1/2\n")
 
-    def test_single_step_is_a_usage_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, "sweep", "--n", 5, "--r-from", 1, "--r-to", 2, "--steps", 1)
-        assert (code, out) == (2, "")
-        assert err == "error: steps must be an integer of at least 2, got 1\n"
-
-    def test_negative_seed_is_a_usage_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, "sweep", "--n", 5, "--r-from", 1, "--r-to", 2, "--seed", -1)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: seed") and err.count("\n") == 1
-
-    def test_nonpositive_multiplier_is_a_usage_error(self, capsys):
-        # encode refuses it with the same line
-        expected = (2, "", "error: multiplier must be positive, got 0\n")
-        assert run_cli(capsys, "sweep", "--n", 3, "--r-from", 1, "--r-to", 2,
-                       "--lambda", 0) == expected
-        assert run_cli(capsys, "encode", "--n", 3, "--allowed", 1, "--lambda", 0) == expected
-
     @pytest.mark.parametrize("r_from, r_to, pair", [(0, 4, "(0, 4)"), ("1.5", "2.5", "(1, 3)")])
     def test_range_over_more_than_one_integer_is_a_usage_error(self, capsys, r_from, r_to, pair):
         code, out, err = run_cli(
@@ -539,11 +550,6 @@ class TestTable:
         rows = [line.split() for line in out.splitlines()]
         assert rows[1][-1] == "6"  # chain grows linearly
         assert rows[2][-1] == "3"  # 8 = 2**3 is a power of two
-
-    def test_max_m_below_two_is_an_error(self, capsys):
-        code, _, err = run_cli(capsys, "table", "--max-m", 1)
-        assert code == 2
-        assert "at least 2" in err
 
 
 def test_unknown_command_exits_2(capsys):
@@ -599,6 +605,20 @@ METHOD_CHOICES = "'auto', 'single', 'onehot', 'linear', 'log', 'half2', 'halfcha
      "unrecognized arguments: --lambda 2"),
     (["encode", "--n", "4", "--allowed", "1", "--lambda", "abc"],
      "argument --lambda: not a rational number: 'abc'"),
+    (["encode", "--n", "3", "--allowed", "1", "--lambda", "nan"],
+     "argument --lambda: not a rational number: 'nan'"),
+    (["sweep", "--n", "3", "--r-from", "1/0", "--r-to", "2"],
+     "argument --r-from: not a rational number: '1/0'"),
+    # every count is read by check_count
+    (["table", "--max-m", "1"], "--max-m must be an integer of at least 2, got 1"),
+    (["sweep", "--n", "3", "--r-from", "1", "--r-to", "2", "--steps", "1"],
+     "steps must be an integer of at least 2, got 1"),
+    (["sweep", "--n", "3", "--r-from", "1", "--r-to", "2", "--seed", "-1"],
+     "seed must be an integer of at least 0, got -1"),
+    # encode and sweep refuse a multiplier at or below 0 with the same line
+    (["encode", "--n", "3", "--allowed", "1", "--lambda", "0"], "multiplier must be positive, got 0"),
+    (["sweep", "--n", "3", "--r-from", "1", "--r-to", "2", "--lambda", "0"],
+     "multiplier must be positive, got 0"),
     # a flag takes the next word as its value, whatever it starts with
     (["sweep", "--n", "--r-from", "0", "--r-to", "1"], "argument --n: invalid int value: '--r-from'"),
     # a word with a line break is quoted, so the error stays one line
@@ -668,6 +688,7 @@ def test_process_exit_loses_no_output(capsys, tmp_path, monkeypatch):
         (("sweep", "--n", 16, "--r-from", 3, "--r-to", 4, "--seed", 5, "--out", "f.csv"), "f.csv"),
         (("encode", "--n", 12, "--allowed", "2,5,9", "--method", "onehot", "--out", "f.qubo"),
          "f.qubo"),
+        (("sweep", "--n", "x"), None),
         (("verify", "--qubo", "bad.qubo", "--n", 4, "--allowed", "1,3"), None),
     ]:
         spawned = spawn(tmp_path, *argv)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from quborestrict import cli, core, oracle
 from quborestrict.core import (
+    ConstructionError,
     DataQualityError,
     ParameterError,
     QuboModel,
@@ -573,6 +574,19 @@ class TestStepDistance:
         # a hand-built curve of no grid point has no transfer either
         with pytest.raises(DataQualityError, match="^the curve has no grid points; "):
             step_distance(TransferCurve(4, (), (), 0.0), 1, 2)
+
+    @pytest.mark.parametrize("r_grid, distributions, message", [
+        ((F(1), F(2)), ((0.5, 0.5, 0, 0, 0), (0.5,)),
+         "curve.distributions[1] must be an iterable of 5 items, got (0.5,)"),
+        # one R over two points: a zip would answer from the first point only
+        ((F(1),), ((0, 0.5, 0.5, 0, 0),) * 2,
+         "curve.r_grid must be an iterable of 2 items, got (Fraction(1, 1),)"),
+        (None, ((0, 0.5, 0.5, 0, 0),) * 2, "curve.r_grid must be an iterable of 2 items, got None"),
+    ], ids=["unequal-rows", "short-grid", "no-grid"])
+    def test_hand_built_curve_of_another_shape_is_refused(self, r_grid, distributions, message):
+        with pytest.raises(ConstructionError) as caught:
+            step_distance(TransferCurve(4, r_grid, distributions, 0.0), 1, 2)
+        assert str(caught.value) == message
 
     def test_bad_transfer_sums_rejected(self):
         distributions = [(0.0, 0.5, 0.5, 0.0, 0.0, 0.0)] * 11
