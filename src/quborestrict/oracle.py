@@ -268,7 +268,10 @@ def assignment_energies(model: QuboModel) -> tuple[np.ndarray, int]:
 
     Assignments are visited in plain counting order: assignment ``b`` sets
     bit ``i`` to ``(b >> i) & 1``.  Returns ``(scaled_energies, scale)``;
-    exact energies are ``Fraction(int(e), scale)``.  A sweep whose
+    exact energies are ``Fraction(int(e), scale)``, held as int64 while
+    ``_energy_bound`` is below 2**62 and as Python ints (object dtype)
+    above.  Each coefficient is read from ``model.int_coeffs`` as the
+    field that adds it is built.  A sweep whose
     ``enumeration_bytes`` exceed the physical memory raises
     ``SizeLimitError`` before anything is built.
     """
@@ -279,17 +282,15 @@ def assignment_energies(model: QuboModel) -> tuple[np.ndarray, int]:
                  enumeration_bytes(min(n, 64), 8 if fits_int64 else _entry_bytes(bound)))
     import numpy as np
 
-    q_matrix = np.zeros((n, n), dtype=np.int64 if fits_int64 else object)
-    for (i, j), v in model.int_coeffs.items():
-        q_matrix[i, j] = v
-    energies = np.empty(1 << n, dtype=q_matrix.dtype)
-    field = np.empty((1 << n) // 2, dtype=q_matrix.dtype)
+    q, dtype = model.int_coeffs, np.int64 if fits_int64 else object
+    energies = np.empty(1 << n, dtype=dtype)
+    field = np.empty((1 << n) // 2, dtype=dtype)
     energies[0] = model.int_offset
     for k in range(n):
         # field[b] = Q_kk + sum_{i<k} Q_ik * bit_i(b) for b < 2**k (Q is upper-triangular)
-        field[0] = q_matrix[k, k]
+        field[0] = q.get((k, k), 0)
         for i in range(k):
-            np.add(field[: 1 << i], q_matrix[i, k], out=field[1 << i: 2 << i])
+            np.add(field[: 1 << i], q.get((i, k), 0), out=field[1 << i: 2 << i])
         np.add(energies[: 1 << k], field[: 1 << k], out=energies[1 << k: 2 << k])
     return energies, model.scale
 
@@ -347,8 +348,11 @@ def _spectrum(model: QuboModel) -> tuple[dict[int, tuple[Fraction, int]], Option
     energy stands for ``multiplicity`` times its entry's weight of
     assignments, and each row for problem assignments of one minimum over
     the dummies, so a sum is uniform when no row of it lies above its
-    minimum; every other model takes the doubling sweep.  Either is refused
-    with ``SizeLimitError`` when its estimate exceeds the physical memory.
+    minimum; every other model takes the doubling sweep.  There the lowest
+    energy above the ground is one masked minimum over the energies, with no
+    copy of the excited ones; it starts above every energy, so a minimum
+    left there means there is none.  Either is refused with
+    ``SizeLimitError`` when its estimate exceeds the physical memory.
     """
     n = model.n_problem
     table = twin_table(model)
@@ -373,8 +377,9 @@ def _spectrum(model: QuboModel) -> tuple[dict[int, tuple[Fraction, int]], Option
     else:
         energies, scale = assignment_energies(model)
         minima, counts, reached = _minima_by_sum(energies, model)
-        above = energies[energies != minima.min()]
-        second = above.min() if above.size else None
+        top = _energy_bound(model) + 1  # above every energy: left only when all are ground
+        second = energies.min(where=energies != minima.min(), initial=top)
+        second = None if second == top else second
         uniform = frozenset(s for s in range(n + 1) if reached[s] == math.comb(n, s))
     by_sum = {s: (Fraction(int(e), scale), int(c)) for s, (e, c) in enumerate(zip(minima, counts))}
     return by_sum, None if second is None else Fraction(int(second), scale), uniform

@@ -24,6 +24,7 @@ import gc
 import math
 import operator
 import re
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice, repeat, starmap
@@ -36,7 +37,9 @@ from .core import (
     QuboFileError,
     QuboModel,
     QuboRestrictError,
+    SizeLimitError,
     as_printable,
+    check_memory,
     check_shape,
     check_type,
     common_denominator,
@@ -120,10 +123,10 @@ def dumps(encoded: EncodedRestriction) -> str:
 
 
 def _build(header: dict[str, object], keys: list[tuple[int, int]],
-           ratios: list[tuple[int, int]], top: int) -> EncodedRestriction:
+           ratios: list[tuple[int, int]], top: int, parse: int) -> EncodedRestriction:
     """Validate header values and the terms of :func:`_read_terms`, from either format.
 
-    Integers must already be ints.
+    Integers must already be ints, and ``parse`` is the peak the caller's gate admitted.
     """
     missing = [key for key in _HEADER if key not in header and key != "lambda2"]
     if missing:
@@ -141,9 +144,11 @@ def _build(header: dict[str, object], keys: list[tuple[int, int]],
     try:
         # the term-line rule leaves only a key's range to check
         check_shape(n_total, n_problem, keys if top >= n_total else ())
-        # coefficients repeat, so each distinct one is scaled once
+        # coefficients repeat, so each distinct one is scaled once, to an int of the scale's size
         distinct = set(ratios)
         scale = common_denominator([offset.denominator, *(den for _, den in distinct)])
+        check_memory(f"scaling {len(distinct)} coefficients by a {scale.bit_length()}-bit "
+                     "denominator", parse + len(distinct) * (32 + scale.bit_length() // 7))
         scaled = {ratio: ratio[0] * (scale // ratio[1]) for ratio in distinct}
         model = QuboModel._scaled(
             n_total, n_problem, scale, dict(zip(keys, map(scaled.__getitem__, ratios))),
@@ -155,6 +160,8 @@ def _build(header: dict[str, object], keys: list[tuple[int, int]],
             lambda1=values["lambda1"],
             lambda2=values.get("lambda2"),
         )
+    except SizeLimitError:
+        raise
     except QuboRestrictError as exc:
         raise QuboFileError(f"inconsistent file contents: {exc}") from exc
 
@@ -209,8 +216,11 @@ def _collector_paused(read: Callable[[str], EncodedRestriction]
 
 @_collector_paused
 def loads(text: str) -> EncodedRestriction:
-    """Parse the canonical text form."""
+    """Parse the canonical text form, refused first if its parse, estimated at 512 bytes
+    per line plus 4 per byte of the string, exceeds the physical memory (``SizeLimitError``)."""
     check_type("text", text, str)
+    parse = 512 * text.count("\n") + 4 * sys.getsizeof(text)
+    check_memory(f"parsing a penalty file of {len(text)} characters", parse)
     lines = text.split("\n")
     if lines[0] != MAGIC:
         raise QuboFileError(f"first line must be {MAGIC!r}")
@@ -246,7 +256,7 @@ def loads(text: str) -> EncodedRestriction:
         raise QuboFileError(f"line {cursor + 1 + bad}: expected 'i j coefficient' with a "
                             f"nonzero coefficient, 0 <= i <= j and keys in increasing "
                             f"order, got {term_lines[bad]!r}")
-    encoded = _build(header, *terms)
+    encoded = _build(header, *terms, parse)
     if list(header) != [key for key in _HEADER if key in header]:
         raise QuboFileError(f"header keys out of order: expected {', '.join(_HEADER)}")
     return encoded
@@ -277,8 +287,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 
 @_collector_paused
 def loads_json(text: str) -> EncodedRestriction:
-    """Parse the JSON mirror as ``dumps_json`` writes it, held to the rules of the text form."""
+    """Parse the JSON mirror as ``dumps_json`` writes it, held to the rules of the text form;
+    refused like :func:`loads`, at 640 bytes per ``[`` plus 5 per byte."""
     check_type("text", text, str)
+    parse = 640 * text.count("[") + 5 * sys.getsizeof(text)
+    check_memory(f"parsing a JSON penalty file of {len(text)} characters", parse)
     import json
 
     try:
@@ -305,7 +318,7 @@ def loads_json(text: str) -> EncodedRestriction:
                 _integer(index, where)
         raise QuboFileError(f"{where}: expected [i, j, coefficient] with a nonzero canonical "
                             f"coefficient, 0 <= i <= j and keys increasing, got {entry!r}")
-    return _build(header, *terms)
+    return _build(header, *terms, parse)
 
 
 def load(path: Union[str, PathLike[str]]) -> EncodedRestriction:

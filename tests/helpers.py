@@ -209,3 +209,22 @@ def twin_free_models(draw, huge=False):
     terms = [(i, i + 1) for i in range(n)] + [(n + k, -draw(st.integers(1, n))) for k in range(d)]
     target = draw(st.fractions(min_value=0, max_value=n, max_denominator=3))
     return expand_squared_affine(terms, -target, lam, n_total=n + d, n_problem=n)
+
+
+# the 1,000 primes below 7,920: their product, a common denominator, has about 11,300 bits
+PRIMES = [p for p in range(2, 7920) if all(p % d for d in range(2, int(p**0.5) + 1))]
+# coefficient k of a term line, by the shape of the file a parse is measured on
+COEFFICIENT_SHAPES = {
+    "repeated": lambda k: 1 + k % 5,
+    "distinct": lambda k: F(-1 - k, 7),
+    "long": lambda k: 10**2899 + k,  # 2,900 digits each
+    "denominator": lambda k: F(1 + k // len(PRIMES), PRIMES[k % len(PRIMES)]),
+}
+
+
+def shaped_restriction(shape: str, n: int) -> EncodedRestriction:
+    """A model on n bits whose every pair i <= j holds a coefficient of the given shape."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    coeffs = {key: COEFFICIENT_SHAPES[shape](k) for k, key in enumerate(pairs)}
+    return EncodedRestriction(model=QuboModel(n, n, coeffs), kind=EncodingKind.REDUCED_GENERAL,
+                              residual_energy=F(0), lambda1=F(1))

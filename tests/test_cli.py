@@ -374,17 +374,30 @@ class TestVerify:
         assert err == f"error: unrecognized arguments: --max-bits {value}\n"
 
     def test_memory_is_the_only_size_limit(self, capsys, tmp_path, monkeypatch):
-        spec = ("--n", 8, "--allowed", "1,2")
+        # 16 bits: the parse of the file is estimated at 80 kB and its sweep at 1.3 MB
+        spec = ("--n", 16, "--allowed", "1,2")
         twin_free = tmp_path / "twin_free.qubo"
-        qubofile.save(twin_free_restriction(8), twin_free)
+        qubofile.save(twin_free_restriction(16), twin_free)
         code, out, _ = run_cli(capsys, "verify", "--qubo", twin_free, *spec)
         assert code == 1
         assert "verdict: FAIL" in out
-        monkeypatch.setattr(core, "_physical_memory", lambda: 2**12)
+        monkeypatch.setattr(core, "_physical_memory", lambda: 2**20)
         code, out, err = run_cli(capsys, "verify", "--qubo", twin_free, *spec)
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.endswith(" needs more than the physical memory\n")
-        assert err.count("\n") == 1
+        assert err == "error: enumerating 2**16 assignments needs more than the physical memory\n"
+
+    @pytest.mark.parametrize("fmt, what", [("text", "a penalty file"),
+                                           ("json", "a JSON penalty file")])
+    def test_a_file_too_large_to_parse_is_refused_in_one_line(self, capsys, tmp_path,
+                                                              monkeypatch, fmt, what):
+        path = tmp_path / "penalty"
+        qubofile.save(twin_free_restriction(8), path, fmt=fmt)
+        size = len(path.read_text(encoding="utf-8"))
+        monkeypatch.setattr(core, "_physical_memory", lambda: 2**12)
+        code, out, err = run_cli(capsys, "verify", "--qubo", path, "--n", 8, "--allowed", "1,2")
+        assert (code, out) == (2, "")
+        assert err == (f"error: parsing {what} of {size} characters needs more than the "
+                       "physical memory\n")
 
     # a sweep builds no model, so what refuses it is its own lists, here at n = 10**8
     @pytest.mark.parametrize("argv, what", [

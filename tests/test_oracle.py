@@ -33,7 +33,7 @@ from quborestrict.encoders import (
     encode_reduced_general,
     encode_single_value,
 )
-from quborestrict import core, encoders, oracle
+from quborestrict import core, encoders, oracle, qubofile
 from quborestrict.cli import render_dummy_table
 from quborestrict.oracle import (
     SpectrumReport,
@@ -57,6 +57,7 @@ from helpers import (
     broken_one_hot,
     general_encodings,
     offset_tampered,
+    shaped_restriction,
     symmetric_models,
     twin_class_models,
     twin_dummy_models,
@@ -113,7 +114,8 @@ class TestEnumerateSpectrum:
         # distinct diagonals leave no twins; nothing may be built for 2**100000 states
         model = QuboModel(10**5, 10**5, {(i, i): i + 1 for i in range(10**5)})
         monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 2**30)
-        monkeypatch.setattr(np, "zeros", mock.Mock(side_effect=AssertionError("built")))
+        for allocate in ("zeros", "empty"):
+            monkeypatch.setattr(np, allocate, mock.Mock(side_effect=AssertionError("built")))
         with pytest.raises(SizeLimitError, match=r"2\*\*100000 assignments"):
             oracle._spectrum(model)
 
@@ -200,11 +202,18 @@ class TestVerify:
         assert not result.passed
         assert "never reach" in result.diagnosis
 
-    def test_all_ground_model_passes_without_second_level(self):
+    # lam (x - 1/2)**2 on one bit is lam / 4 on both assignments; 10**30 takes object dtype
+    @pytest.mark.parametrize("lam", [1, 10**30])
+    @pytest.mark.parametrize("name", ["table", "sweep"])
+    def test_all_ground_model_passes_without_second_level(self, name, lam):
         spec = RestrictionSpec(1, (0, 1))
-        result = verify(encode_half_integer_m2(spec), spec)
+        encoded = encode_half_integer_m2(spec, lambda1=lam)
+        assert (oracle._energy_bound(encoded.model) >= 2**62) == (lam > 1)
+        with engine(name, encoded.model):
+            result = verify(encoded, spec)
         assert result.passed
         assert result.report.second_energy is None
+        assert result.diagnosis.endswith("(all assignments are ground states)")
 
     def test_diagnoses_a_ground_energy_off_the_declared_residual(self):
         # the right ground sums at the wrong energy: the offset raised by lambda1 / 2
@@ -467,6 +476,20 @@ class TestAgainstEinsumReference:
     def test_huge_multipliers_match_on_the_object_path(self, model):
         energies, scale = assignment_energies(model)
         assert energies.dtype == object
+        assert (energies.tolist(), scale) == reference_energies(model)
+
+    @pytest.mark.parametrize("bound, dtype", [(2**62 - 1, np.int64), (2**62, object)],
+                             ids=["int64", "object"])
+    def test_dtype_switches_at_the_int64_bound(self, bound, dtype):
+        # distinct diagonals leave no twins; a coupling near 2**62 is added to int64 arrays
+        # as a Python int, and the partial sums reach the bound, which no energy passes
+        small = {(i, i): i + 1 for i in range(7)} | {(i, i + 1): -1 - i for i in range(6)}
+        coupling = bound - sum(map(abs, small.values())) - 3
+        model = QuboModel(7, 7, small | {(0, 6): coupling}, offset=-3)
+        assert twin_table(model) is None
+        assert oracle._energy_bound(model) == bound
+        energies, scale = assignment_energies(model)
+        assert energies.dtype == dtype
         assert (energies.tolist(), scale) == reference_energies(model)
 
     @NO_DEADLINE
@@ -872,6 +895,13 @@ class TestSymmetricEngine:
         assert result.report.ground_degeneracy == math.comb(27, 2) + math.comb(27, 9) + math.comb(27, 20)
 
 
+# 2,080 terms: the text's parse is estimated at 1.13 MB and the JSON's at 1.78 MB; the
+# 1,035 terms over prime denominators parse in less than 1 MiB, then scale to 1.7 MB more
+REFUSED_FILES = {"text-parse": qubofile.dumps(shaped_restriction("repeated", 64)),
+                 "json-parse": qubofile.dumps_json(shaped_restriction("repeated", 64)),
+                 "scaling": qubofile.dumps(shaped_restriction("denominator", 45))}
+
+
 @pytest.mark.parametrize("refused", [
     lambda: twin_table(distinct_dummies(19, 20)),  # one class of 19 bits, 20 distinct dummies
     lambda: oracle._spectrum(QuboModel(21, 21, {(i, i): i + 1 for i in range(21)})),  # no twins
@@ -879,8 +909,11 @@ class TestSymmetricEngine:
     lambda: render_dummy_table(10**8),
     lambda: sweep_fractional_r(2, 0, 1, 10**8),
     lambda: exact_transfer_curve(2, 0, 1, 10**8),
+    lambda: qubofile.loads(REFUSED_FILES["text-parse"]),
+    lambda: qubofile.loads_json(REFUSED_FILES["json-parse"]),
+    lambda: qubofile.loads(REFUSED_FILES["scaling"]),
 ], ids=["table", "sweep", "construction", "dummy-table", "sampled-grid",
-        "exact-grid"])
+        "exact-grid", *REFUSED_FILES])
 def test_every_refusal_comes_from_one_helper_before_allocating(monkeypatch, refused):
     monkeypatch.setattr(core, "_physical_memory", lambda: 2**20)
     tracemalloc.start()

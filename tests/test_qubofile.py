@@ -4,13 +4,21 @@ from __future__ import annotations
 
 import gc
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quborestrict import qubofile
-from quborestrict.core import ConstructionError, ParameterError, QuboModel, RestrictionSpec
+from quborestrict import core, qubofile
+from quborestrict.core import (
+    ConstructionError,
+    EncodedRestriction,
+    EncodingKind,
+    ParameterError,
+    QuboModel,
+    RestrictionSpec,
+)
 from quborestrict.encoders import (
     applicable_encoders,
     encode_half_integer_chain,
@@ -26,7 +34,7 @@ from quborestrict.qubofile import (
     save,
 )
 
-from helpers import SEPARATORS, TOKENS
+from helpers import COEFFICIENT_SHAPES, SEPARATORS, TOKENS, shaped_restriction
 
 SPECS = [
     RestrictionSpec(4, (2,)),
@@ -341,6 +349,66 @@ class TestJsonMirror:
         # json.loads raises a plain ValueError here where Python limits int digits
         with pytest.raises(QuboFileError):
             loads_json('{"n_total": ' + "9" * 5000 + "}")
+
+
+def compact_json(encoded: EncodedRestriction) -> str:
+    """The JSON mirror with no whitespace, which its reader accepts too."""
+    return json.dumps(json.loads(dumps_json(encoded)), separators=(",", ":"))
+
+
+# each format's writer and reader; compact JSON packs the most entries into the fewest bytes
+FORMATS = {"text": (dumps, loads), "json": (dumps_json, loads_json),
+           "compact json": (compact_json, loads_json)}
+
+
+def traced_parse(monkeypatch, read, text):
+    """``read(text)``, or the QuboFileError it raises, its traced peak and the estimates of
+    the gates it passed."""
+    estimates = []
+
+    def recorded(what, estimate):
+        estimates.append(estimate)
+        core.check_memory(what, estimate)
+
+    monkeypatch.setattr(qubofile, "check_memory", recorded)
+    tracemalloc.start()
+    try:
+        try:
+            result = read(text)
+        except QuboFileError as exc:
+            result = exc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak, estimates
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS))
+class TestParseGate:
+    """The estimates a parse's gates admit bound its traced peak, whatever the file's shape."""
+
+    # 1,830 terms of short repeated or distinct tokens, 36 of 2,900 digits, or 1,830 over
+    # 1,000 prime denominators, each term then an int of about 11,000 bits
+    @pytest.mark.parametrize("shape", list(COEFFICIENT_SHAPES))
+    def test_traced_peak_within_the_estimate(self, monkeypatch, fmt, shape):
+        write, read = FORMATS[fmt]
+        encoded = shaped_restriction(shape, 8 if shape == "long" else 60)
+        parsed, peak, estimates = traced_parse(monkeypatch, read, write(encoded))
+        assert parsed == encoded
+        assert len(estimates) == 2  # the parse, then the coefficients over one denominator
+        assert peak <= max(estimates)
+
+    def test_wide_characters_count_by_their_bytes(self, monkeypatch, fmt):
+        # a coefficient of 100,000 four-byte characters: each copy of it costs 4 bytes a
+        # character, and the parse makes several before it reads the token
+        write, read = FORMATS[fmt]
+        encoded = EncodedRestriction(QuboModel(1, 1, {(0, 0): 7777}),
+                                     EncodingKind.REDUCED_GENERAL, F(0), F(1))
+        text = write(encoded).replace("7777", "\U0001f600" * 10**5)
+        refused, peak, estimates = traced_parse(monkeypatch, read, text)
+        assert isinstance(refused, QuboFileError)
+        assert len(estimates) == 1
+        assert peak <= estimates[0]
 
 
 class TestFileIO:
